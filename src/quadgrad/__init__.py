@@ -7,7 +7,6 @@ optimizers, the benchmark objective suite, and a CSV comparison harness.
 
 from .errors import (
     DimensionError,
-    Diverged,
     InvalidDimension,
     InvalidEpsilon,
     InvalidInput,
@@ -79,7 +78,6 @@ __all__ = [
     "InvalidInput",
     "InvalidDimension",
     "UnknownFunction",
-    "Diverged",
     "ObjectiveFunction",
     "Sense",
     "rosenbrock",

@@ -208,8 +208,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=None, help="CSV path (default: stdout)")
     parser.add_argument("--eta", type=float, default=DEFAULT_ENHANCED_ETA,
                         help="stepsize of the enhanced Adam variants")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="reserved; all current experiments are deterministic")
     parser.add_argument("--fixed-hessian", action="store_true",
                         help="evaluate the Hessian once at x0 instead of per iteration")
     return parser

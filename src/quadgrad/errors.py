@@ -31,7 +31,3 @@ class InvalidDimension(QuadGradError):
 
 class UnknownFunction(QuadGradError):
     """No benchmark function registered under the requested name."""
-
-
-class Diverged(QuadGradError):
-    """An optimizer step produced a non-finite iterate."""

@@ -55,7 +55,6 @@ class QuadraticGradient:
 
     vector: np.ndarray
     accelerator: DiagonalAccelerator
-    variant: Variant
 
 
 @dataclass(frozen=True)
@@ -96,11 +95,7 @@ def quadratic_gradient(accelerator: DiagonalAccelerator, g) -> QuadraticGradient
         raise DimensionError(
             f"accelerator dim {accelerator.dim} != gradient dim {grad.shape[0]}"
         )
-    return QuadraticGradient(
-        vector=accelerator.diag * grad,
-        accelerator=accelerator,
-        variant=accelerator.variant,
-    )
+    return QuadraticGradient(vector=accelerator.diag * grad, accelerator=accelerator)
 
 
 def newton_ratios(h, g, rank_tol: float = DEFAULT_RANK_TOL) -> NewtonRatios:

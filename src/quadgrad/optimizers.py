@@ -4,7 +4,9 @@ each in a plain and a quadratic-gradient-accelerated form.
 All methods minimize; an objective declared as a maximization problem is
 run on its negation internally, while trajectories always record the
 original objective value. States are immutable snapshots; every step
-returns a fresh one with the counter advanced by exactly 1.
+returns a fresh one with the counter advanced by exactly 1. Every ``step_*``
+takes ``g``, the oriented gradient at ``state.theta``, which ``run()``
+evaluates once per step.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionError, Diverged, InvalidInput
+from .errors import DimensionError, InvalidInput
 from .functions import ObjectiveFunction, Sense
 from .gradients import (
     DEFAULT_EPSILON,
@@ -82,7 +84,6 @@ class OptimizerState:
     v: np.ndarray  # second moment (Adam)
     adagrad_accum: np.ndarray  # running sum of squared quadratic gradients
     nag_a: float = 1.0  # Nesterov sequence value a_t
-    nag_gamma: float = 0.0  # last interpolation weight used
     fixed_hess: np.ndarray | None = None  # oriented Hessian frozen at x0
 
 
@@ -139,17 +140,14 @@ def init_state(f: ObjectiveFunction, config: OptimizerConfig, x0) -> OptimizerSt
 
 
 def _advance(state: OptimizerState, theta_new: np.ndarray, **updates) -> OptimizerState:
-    if not np.all(np.isfinite(theta_new)):
-        raise Diverged(f"non-finite iterate at step {state.t + 1}")
     return replace(state, t=state.t + 1, theta=theta_new, **updates)
 
 
 def step_gd_spectral(
-    f: ObjectiveFunction, state: OptimizerState, config: OptimizerConfig
+    f: ObjectiveFunction, state: OptimizerState, config: OptimizerConfig, g: np.ndarray
 ) -> OptimizerState:
     """Plain gradient descent whose learning rate is the reciprocal spectral
     radius of the current Hessian."""
-    g = _oriented_gradient(f, state.theta)
     lr = spectral_learning_rate(
         _oriented_hessian(f, state, state.theta), config.epsilon_accel
     )
@@ -166,6 +164,7 @@ def step_nag(
     f: ObjectiveFunction,
     state: OptimizerState,
     config: OptimizerConfig,
+    g: np.ndarray,
     enhanced: bool,
 ) -> OptimizerState:
     """One accelerated-gradient step.
@@ -175,7 +174,6 @@ def step_nag(
     new and previous lookahead points with the Nesterov weight sequence
     (a_0 = 1, a_{t+1} = (1 + sqrt(1 + 4 a_t^2)) / 2, gamma_t = (a_t - 1) / a_{t+1}).
     """
-    g = _oriented_gradient(f, state.theta)
     h = _oriented_hessian(f, state, state.theta)
     lr = spectral_learning_rate(h, config.epsilon_accel)
     if enhanced:
@@ -186,16 +184,13 @@ def step_nag(
     v_new = state.theta - update
     a_next, gamma = _nag_schedule(state.nag_a)
     theta_new = (1.0 - gamma) * v_new + gamma * state.momentum_prev
-    return _advance(
-        state, theta_new, momentum_prev=v_new, nag_a=a_next, nag_gamma=gamma
-    )
+    return _advance(state, theta_new, momentum_prev=v_new, nag_a=a_next)
 
 
 def step_enhanced_adagrad(
-    f: ObjectiveFunction, state: OptimizerState, config: OptimizerConfig
+    f: ObjectiveFunction, state: OptimizerState, config: OptimizerConfig, g: np.ndarray
 ) -> OptimizerState:
     """Adagrad on the row-sum quadratic gradient with a (1 + eta) numerator."""
-    g = _oriented_gradient(f, state.theta)
     accel = bound_diagonal(
         _oriented_hessian(f, state, state.theta), config.epsilon_accel
     )
@@ -222,6 +217,7 @@ def step_adam(
     f: ObjectiveFunction,
     state: OptimizerState,
     config: OptimizerConfig,
+    g: np.ndarray,
     enhanced: bool,
 ) -> OptimizerState:
     """One Adam step with bias correction.
@@ -229,7 +225,6 @@ def step_adam(
     The enhanced form feeds the accelerated gradient (per ``qg_variant``)
     into both moment accumulators; everything else is the standard update.
     """
-    g = _oriented_gradient(f, state.theta)
     qg = _accelerated(f, state, config, g) if enhanced else g
     t = state.t + 1
     m = config.beta1 * state.m + (1.0 - config.beta1) * qg
@@ -242,47 +237,41 @@ def step_adam(
     return _advance(state, theta_new, m=m, v=v)
 
 
-def _stepper(config: OptimizerConfig):
-    method = config.method
-    if method is Method.GD_SPECTRAL:
-        return step_gd_spectral
-    if method is Method.NAG_SPECTRAL:
-        return lambda f, s, c: step_nag(f, s, c, enhanced=False)
-    if method is Method.ENHANCED_NAG:
-        return lambda f, s, c: step_nag(f, s, c, enhanced=True)
-    if method is Method.ENHANCED_ADAGRAD:
-        return step_enhanced_adagrad
-    if method is Method.ADAM:
-        return lambda f, s, c: step_adam(f, s, c, enhanced=False)
-    if method is Method.ENHANCED_ADAM:
-        return lambda f, s, c: step_adam(f, s, c, enhanced=True)
-    raise InvalidInput(f"unknown method {method!r}")
+# The lambdas look the step functions up by module attribute at call time,
+# so a rebound ``step_*`` (a wrapper installed from outside) is the one run.
+_STEPS = {
+    Method.GD_SPECTRAL: lambda f, s, c, g: step_gd_spectral(f, s, c, g),
+    Method.NAG_SPECTRAL: lambda f, s, c, g: step_nag(f, s, c, g, enhanced=False),
+    Method.ENHANCED_NAG: lambda f, s, c, g: step_nag(f, s, c, g, enhanced=True),
+    Method.ENHANCED_ADAGRAD: lambda f, s, c, g: step_enhanced_adagrad(f, s, c, g),
+    Method.ADAM: lambda f, s, c, g: step_adam(f, s, c, g, enhanced=False),
+    Method.ENHANCED_ADAM: lambda f, s, c, g: step_adam(f, s, c, g, enhanced=True),
+}
 
 
 def run(f: ObjectiveFunction, config: OptimizerConfig, x0) -> Trajectory:
     """Iterate until the budget, a vanishing gradient, or divergence.
 
-    Divergence (non-finite iterate or any coordinate beyond
-    ``divergence_bound``) truncates the trajectory and sets the flag; it is
-    never raised to the caller.
+    The gradient is evaluated once per step and shared by the ``grad_tol``
+    check and the step. Divergence (a non-finite iterate, any coordinate
+    beyond ``divergence_bound``, or a non-finite objective) truncates the
+    trajectory and sets the flag; it is never raised to the caller. The
+    objective is not evaluated at an iterate that failed the bound.
     """
     state = init_state(f, config, x0)
-    step = _stepper(config)
+    step = _STEPS.get(config.method)
+    if step is None:
+        raise InvalidInput(f"unknown method {config.method!r}")
     records = [TrajectoryRecord(0, f.value(state.theta), state.theta.copy())]
     diverged = False
     for t in range(1, config.max_iterations + 1):
         g = _oriented_gradient(f, state.theta)
         if float(np.linalg.norm(g)) <= config.grad_tol:
             break
-        try:
-            state = step(f, state, config)
-        except Diverged:
-            diverged = True
-            break
-        if np.max(np.abs(state.theta)) > config.divergence_bound:
-            diverged = True
-            break
-        objective = f.value(state.theta)
+        state = step(f, state, config, g)
+        # NaN and inf fail the comparison too, so this one test catches both
+        within = np.all(np.abs(state.theta) <= config.divergence_bound)
+        objective = f.value(state.theta) if within else math.nan
         if not math.isfinite(objective):
             diverged = True
             break

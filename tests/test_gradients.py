@@ -65,7 +65,7 @@ class TestQuadraticGradient:
         accel = bound_diagonal(H_F, epsilon=1e-8)
         qg = quadratic_gradient(accel, [1.0, 1.0])
         np.testing.assert_allclose(qg.vector, [1.0 / 6.0, 1.0 / 4.0], rtol=1e-8)
-        assert qg.variant is Variant.ORIGINAL
+        assert qg.accelerator.variant is Variant.ORIGINAL
 
     def test_zero_gradient(self):
         accel = bound_diagonal(np.eye(3))
@@ -150,7 +150,7 @@ class TestNewQuadraticGradient:
     def test_counterexample_vector(self):
         qg = new_quadratic_gradient(H_F, [1.0, 1.0], epsilon=1e-8)
         np.testing.assert_allclose(qg.vector, [1.0, 1.0 / 1.5], rtol=1e-7)
-        assert qg.variant is Variant.NEW
+        assert qg.accelerator.variant is Variant.NEW
 
     def test_identity_hessian(self):
         qg = new_quadratic_gradient(np.eye(2), [2.0, -3.0], epsilon=1e-8)
