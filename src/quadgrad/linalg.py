@@ -3,11 +3,13 @@
 Everything here works on plain float64 numpy arrays: matrices are square
 (n, n) arrays, vectors are (n,) arrays. The heavy lifting is delegated to
 LAPACK through numpy/scipy; this module adds the validation and error
-contracts the rest of the package relies on.
+contracts the rest of the package relies on. Tridiagonal input to
+``spectral_bounds`` skips the dense reduction and gives the same bits.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -19,6 +21,12 @@ from .errors import DimensionError, InvalidMatrix, SingularMatrix
 DEFAULT_SYMMETRY_TOL = 1e-9
 DEFAULT_PIVOT_TOL = 1e-12
 DEFAULT_RANK_TOL = 1e-12
+
+# LAPACK dsyevd rescales a matrix whose largest lower-triangle entry lies
+# outside [_RMIN, _RMAX] (sqrt(safe minimum / precision) and its inverse)
+# before reducing it; dsterf alone matches its bits only inside that range.
+_RMIN = math.sqrt(np.finfo(float).tiny / np.finfo(float).eps)
+_RMAX = 1.0 / _RMIN
 
 
 @dataclass(frozen=True)
@@ -56,17 +64,54 @@ def is_symmetric(a, tol: float = DEFAULT_SYMMETRY_TOL) -> bool:
     return bool(np.max(np.abs(m - m.T), initial=0.0) <= tol * scale)
 
 
+def _tridiagonal_eigenvalues(m: np.ndarray, tol: float) -> np.ndarray | None:
+    """Ascending eigenvalues of a finite tridiagonal ``m``; None for other input.
+
+    ``np.linalg.eigvalsh`` (LAPACK dsyevd on the lower triangle) reduces the
+    matrix to tridiagonal form and hands it to dsterf. On tridiagonal input
+    that reduction changes nothing, so calling dsterf on the diagonal and
+    the subdiagonal returns the same bits without the O(n^3) reduction.
+    Declines (None) when a nonzero lies off the three central diagonals or
+    dsyevd would rescale. Applies the test of ``is_symmetric`` to the
+    off-diagonals and raises InvalidMatrix as ``spectral_bounds`` does.
+    """
+    d = m.diagonal()
+    if d.shape[0] == 1:
+        # dsyevd returns the entry itself; the dsterf wrapper rejects n = 1
+        return d.copy()
+    lower = m.diagonal(-1)
+    upper = m.diagonal(1)
+    if np.count_nonzero(m) != (
+        np.count_nonzero(d) + np.count_nonzero(lower) + np.count_nonzero(upper)
+    ):
+        return None
+    anrm = max(abs(d).max(), abs(lower).max())
+    if anrm > _RMAX or 0.0 < anrm < _RMIN:
+        return None
+    scale = 1.0 + max(anrm, abs(upper).max())
+    if not abs(lower - upper).max() <= tol * scale:
+        raise InvalidMatrix("matrix is not symmetric within tolerance")
+    eigenvalues, info = scipy.linalg.lapack.dsterf(d, lower)
+    if info != 0:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return eigenvalues
+
+
 def spectral_bounds(h, tol: float = DEFAULT_SYMMETRY_TOL) -> SpectralBounds:
     """Smallest and largest eigenvalue of a symmetric matrix.
 
     Raises InvalidMatrix for non-finite entries or asymmetry beyond ``tol``.
+    A tridiagonal matrix takes LAPACK dsterf directly; the result is
+    identical to ``np.linalg.eigvalsh``.
     """
     m = as_square_matrix(h)
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise InvalidMatrix("matrix has non-finite entries")
-    if not is_symmetric(m, tol):
-        raise InvalidMatrix("matrix is not symmetric within tolerance")
-    eigenvalues = np.linalg.eigvalsh(m)
+    eigenvalues = _tridiagonal_eigenvalues(m, tol)
+    if eigenvalues is None:
+        if not is_symmetric(m, tol):
+            raise InvalidMatrix("matrix is not symmetric within tolerance")
+        eigenvalues = np.linalg.eigvalsh(m)
     lo = float(eigenvalues[0])
     hi = float(eigenvalues[-1])
     return SpectralBounds(lo, hi, max(abs(lo), abs(hi)))

@@ -266,7 +266,11 @@ def run(f: ObjectiveFunction, config: OptimizerConfig, x0) -> Trajectory:
     diverged = False
     for t in range(1, config.max_iterations + 1):
         g = _oriented_gradient(f, state.theta)
-        if float(np.linalg.norm(g)) <= config.grad_tol:
+        # sqrt(g.dot(g)) is np.linalg.norm(g) without its call overhead, which
+        # pays for the errstate; an overflowed norm is inf and fails grad_tol
+        with np.errstate(over="ignore"):
+            gradient_norm = math.sqrt(g.dot(g))
+        if gradient_norm <= config.grad_tol:
             break
         state = step(f, state, config, g)
         # NaN and inf fail the comparison too, so this one test catches both

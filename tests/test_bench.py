@@ -182,6 +182,12 @@ class TestCli:
     def test_bad_nvars_exit_code(self, capsys):
         assert main(["--experiment", "adam-qg", "--nvars", "1"]) == 2
 
+    def test_unwritable_out_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        assert main(["--function", "booth", "--iters", "3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_reruns_byte_identical(self, tmp_path, capsys):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for path in paths:

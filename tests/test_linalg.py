@@ -8,6 +8,7 @@ from quadgrad import (
     SingularMatrix,
     is_symmetric,
     pseudoinverse,
+    rosenbrock,
     solve,
     spectral_bounds,
 )
@@ -66,6 +67,58 @@ class TestSpectralBounds:
                 x = rng.standard_normal(n)
                 assert x @ (b.lambda_max * np.eye(n) - h) @ x >= -1e-9
                 assert x @ (h - b.lambda_min * np.eye(n)) @ x >= -1e-9
+
+
+class TestTridiagonalPath:
+    """Tridiagonal input skips eigvalsh's reduction and must keep its bits."""
+
+    # 1e150 and 1e-160 push the largest entry outside the range in which
+    # LAPACK dsyevd leaves the matrix unscaled, so these take the dense path
+    @pytest.mark.parametrize("scale", [1.0, -1.0, 1e150, -1e150, 1e-160, -1e-160])
+    @pytest.mark.parametrize("n", [2, 3, 20, 129, 400])
+    def test_rosenbrock_hessian_matches_eigvalsh_exactly(self, n, scale):
+        rng = np.random.default_rng(n)
+        f = rosenbrock(n)
+        for _ in range(3):
+            h = scale * f.hessian(rng.uniform(-2.0, 2.0, n))
+            b = spectral_bounds(h)
+            eigenvalues = np.linalg.eigvalsh(h)
+            assert b.lambda_min == eigenvalues[0]
+            assert b.lambda_max == eigenvalues[-1]
+
+    def test_one_by_one(self):
+        b = spectral_bounds([[-3.0]])
+        assert (b.lambda_min, b.lambda_max, b.spectral_radius) == (-3.0, -3.0, 3.0)
+
+    @pytest.mark.parametrize("tol", [1e-9, 0.1])
+    def test_symmetry_decided_as_is_symmetric(self, tol):
+        # mismatches from a quarter to four times tol * (1 + max|a|); at the
+        # larger tol the mismatched upper entry is itself the largest entry
+        diagonal = np.array([0.1, -0.2, 0.05, 0.15])
+        lower = np.array([0.05, 1.0, 0.025])
+        outcomes = set()
+        for mismatch in np.geomspace(0.25, 4.0, 41) * tol * 2.0:
+            upper = lower.copy()
+            upper[1] += mismatch
+            t = np.diag(diagonal) + np.diag(lower, -1) + np.diag(upper, 1)
+            outcomes.add(is_symmetric(t, tol))
+            if is_symmetric(t, tol):
+                b = spectral_bounds(t, tol)
+                assert b.lambda_max == np.linalg.eigvalsh(t)[-1]
+            else:
+                with pytest.raises(InvalidMatrix, match="not symmetric"):
+                    spectral_bounds(t, tol)
+        assert outcomes == {True, False}
+
+    def test_only_dense_input_reaches_eigvalsh(self, monkeypatch):
+        def refuse(a, UPLO="L"):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        h = rosenbrock(50).hessian(np.linspace(-1.0, 1.0, 50))
+        assert spectral_bounds(h).lambda_max > 0.0
+        with pytest.raises(AssertionError, match="eigvalsh called"):
+            spectral_bounds(np.ones((3, 3)) + np.eye(3))
 
 
 class TestSolve:

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import quadgrad.linalg as linalg
 import quadgrad.optimizers as optimizers
 from quadgrad import (
     Method,
@@ -308,6 +309,22 @@ class TestRun:
         traj = run(rosenbrock(2), cfg, [-1.0, -1.0])
         assert len(traj.records) == 21
         assert calls == {STEP_FUNCTION[method]: 20}
+
+    def test_tridiagonal_path_keeps_trajectories_bit_identical(self, monkeypatch):
+        def records(traj):
+            return traj.diverged, [
+                (r.iteration, r.objective, r.iterate.tobytes()) for r in traj.records
+            ]
+
+        f = rosenbrock(30)
+        x0 = -np.ones(30)
+        methods = [Method.GD_SPECTRAL, Method.NAG_SPECTRAL, Method.ENHANCED_NAG]
+        cfgs = [config(m, max_iterations=50) for m in methods]
+        banded = [records(run(f, cfg, x0)) for cfg in cfgs]
+        monkeypatch.setattr(linalg, "_tridiagonal_eigenvalues", lambda m, tol: None)
+        dense = [records(run(f, cfg, x0)) for cfg in cfgs]
+        assert all(len(r[1]) == 51 for r in banded)
+        assert banded == dense
 
     def test_fixed_hessian_flag_changes_gd_path(self):
         f = rosenbrock(2)
