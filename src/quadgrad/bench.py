@@ -219,27 +219,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    if args.iters < 1:
-        print("error: --iters must be >= 1", file=sys.stderr)
-        return 2
-
     try:
         if args.experiment == "adam-qg":
-            if args.nvars < 2:
-                print("error: --nvars must be >= 2", file=sys.stderr)
-                return 2
             table = experiment_adam_qg(args.nvars, iterations=args.iters,
                                        eta=args.eta, x0=args.x0,
                                        fixed_hessian=args.fixed_hessian)
         else:
-            f = get_function(args.function)
-            if args.x0 is not None and args.x0.shape[0] != f.dim:
-                print(
-                    f"error: --x0 has {args.x0.shape[0]} entries, "
-                    f"{args.function} needs {f.dim}",
-                    file=sys.stderr,
-                )
-                return 2
             table = experiment_lemma_lr(args.function, x0=args.x0,
                                         iterations=args.iters,
                                         fixed_hessian=args.fixed_hessian)

@@ -17,14 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InvalidEpsilon, InvalidInput, SingularMatrix
-from .linalg import (
-    DEFAULT_RANK_TOL,
-    as_square_matrix,
-    as_vector,
-    pseudoinverse,
-    solve,
-    spectral_bounds,
-)
+from .linalg import as_square_matrix, as_vector, pseudoinverse, solve, spectral_bounds
 
 DEFAULT_EPSILON = 1e-8
 
@@ -98,7 +91,7 @@ def quadratic_gradient(accelerator: DiagonalAccelerator, g) -> QuadraticGradient
     return QuadraticGradient(vector=accelerator.diag * grad, accelerator=accelerator)
 
 
-def newton_ratios(h, g, rank_tol: float = DEFAULT_RANK_TOL) -> NewtonRatios:
+def newton_ratios(h, g) -> NewtonRatios:
     """Ratios r such that diag(r) @ g reproduces the Newton step solve(h, g).
 
     When ``h`` is invertible and no gradient entry is zero this is computed
@@ -119,35 +112,25 @@ def newton_ratios(h, g, rank_tol: float = DEFAULT_RANK_TOL) -> NewtonRatios:
             return NewtonRatios(ratios=solve(m, grad) / grad, used_pseudoinverse=False)
         except SingularMatrix:
             pass
-    ratios = pseudoinverse(m * grad[np.newaxis, :], rank_tol) @ grad
+    ratios = pseudoinverse(m * grad[np.newaxis, :]) @ grad
     return NewtonRatios(ratios=ratios, used_pseudoinverse=True)
 
 
-def ratio_diagonal(
-    h,
-    g,
-    epsilon: float = DEFAULT_EPSILON,
-    rank_tol: float = DEFAULT_RANK_TOL,
-) -> DiagonalAccelerator:
+def ratio_diagonal(h, g, epsilon: float = DEFAULT_EPSILON) -> DiagonalAccelerator:
     """Accelerator with entries 1 / (epsilon + |r_i|) from the Newton ratios."""
     eps = _check_epsilon(epsilon)
-    r = newton_ratios(h, g, rank_tol)
+    r = newton_ratios(h, g)
     diag = 1.0 / (eps + np.abs(r.ratios))
     return DiagonalAccelerator(diag=diag, epsilon=eps, variant=Variant.NEW)
 
 
-def new_quadratic_gradient(
-    h,
-    g,
-    epsilon: float = DEFAULT_EPSILON,
-    rank_tol: float = DEFAULT_RANK_TOL,
-) -> QuadraticGradient:
+def new_quadratic_gradient(h, g, epsilon: float = DEFAULT_EPSILON) -> QuadraticGradient:
     """Quadratic gradient with entries g_i / (epsilon + |r_i|).
 
     A zero ratio can only arise together with a zero gradient entry, so the
     guarded 1/epsilon accelerator entry never amplifies anything.
     """
-    return quadratic_gradient(ratio_diagonal(h, g, epsilon, rank_tol), g)
+    return quadratic_gradient(ratio_diagonal(h, g, epsilon), g)
 
 
 def spectral_learning_rate(h, epsilon: float = DEFAULT_EPSILON) -> float:

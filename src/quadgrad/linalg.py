@@ -10,7 +10,6 @@ contracts the rest of the package relies on. Tridiagonal input to
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,11 +116,12 @@ def spectral_bounds(h, tol: float = DEFAULT_SYMMETRY_TOL) -> SpectralBounds:
     return SpectralBounds(lo, hi, max(abs(lo), abs(hi)))
 
 
-def solve(a, b, tol: float = DEFAULT_PIVOT_TOL) -> np.ndarray:
-    """Solve ``a @ x = b`` by partially pivoted LU.
+def solve(a, b) -> np.ndarray:
+    """Solve ``a @ x = b`` by partially pivoted LU (LAPACK dgetrf/dgetrs).
 
-    Raises SingularMatrix when any pivot falls below ``tol * max|a|``,
-    signalling the caller to switch to the pseudoinverse path.
+    Raises SingularMatrix when any pivot falls below
+    ``DEFAULT_PIVOT_TOL * max|a|``, signalling the caller to switch to the
+    pseudoinverse path.
     """
     m = as_square_matrix(a)
     rhs = as_vector(b)
@@ -131,20 +131,20 @@ def solve(a, b, tol: float = DEFAULT_PIVOT_TOL) -> np.ndarray:
         )
     if not (np.all(np.isfinite(m)) and np.all(np.isfinite(rhs))):
         raise InvalidMatrix("solve requires finite inputs")
-    with warnings.catch_warnings():
-        # zero pivots are an expected condition here; we raise SingularMatrix
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(m, check_finite=False)
+    # an exactly zero pivot (info > 0) fails the pivot test below
+    lu, piv, _ = scipy.linalg.lapack.dgetrf(m)
     pivots = np.abs(np.diag(lu))
-    if np.min(pivots) < tol * max(np.max(np.abs(m)), np.finfo(float).tiny):
+    scale = max(np.max(np.abs(m)), np.finfo(float).tiny)
+    if np.min(pivots) < DEFAULT_PIVOT_TOL * scale:
         raise SingularMatrix("pivot below tolerance; matrix is numerically singular")
-    return scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+    x, _ = scipy.linalg.lapack.dgetrs(lu, piv, rhs)
+    return x
 
 
-def pseudoinverse(a, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def pseudoinverse(a) -> np.ndarray:
     """Moore-Penrose pseudoinverse via SVD.
 
-    Singular values below ``rank_tol * sigma_max * order`` are treated as
+    Singular values below ``DEFAULT_RANK_TOL * sigma_max * order`` are treated as
     zero. The result satisfies the four Penrose conditions to roundoff.
     """
     m = as_square_matrix(a)
@@ -153,7 +153,7 @@ def pseudoinverse(a, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     u, sigma, vt = np.linalg.svd(m)
     if sigma[0] == 0.0:
         return np.zeros_like(m.T)
-    cutoff = rank_tol * sigma[0] * m.shape[0]
+    cutoff = DEFAULT_RANK_TOL * sigma[0] * m.shape[0]
     inv_sigma = np.zeros_like(sigma)
     keep = sigma > cutoff
     inv_sigma[keep] = 1.0 / sigma[keep]

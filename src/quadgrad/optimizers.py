@@ -4,9 +4,13 @@ each in a plain and a quadratic-gradient-accelerated form.
 All methods minimize; an objective declared as a maximization problem is
 run on its negation internally, while trajectories always record the
 original objective value. States are immutable snapshots; every step
-returns a fresh one with the counter advanced by exactly 1. Every ``step_*``
-takes ``g``, the oriented gradient at ``state.theta``, which ``run()``
-evaluates once per step.
+returns a fresh one with the counter advanced by exactly 1.
+
+Every ``step_*`` is a pure update rule on arrays: it takes ``g`` and ``h``,
+the oriented gradient and Hessian at ``state.theta``, and never sees the
+objective. ``run()`` owns every evaluation: the gradient once per step, the
+Hessian once per step only for methods that read it (or once at ``x0`` when
+``fixed_hessian`` is set), and both multiplied by the sign of the sense.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionError, InvalidInput
+from .errors import DimensionError, InvalidEpsilon, InvalidInput, QuadGradError
 from .functions import ObjectiveFunction, Sense
 from .gradients import (
     DEFAULT_EPSILON,
@@ -71,6 +75,8 @@ class OptimizerConfig:
             raise InvalidInput(f"stepsize must be > 0, got {self.stepsize}")
         if self.max_iterations < 1:
             raise InvalidInput("max_iterations must be >= 1")
+        if not self.epsilon_accel > 0.0:
+            raise InvalidEpsilon(f"epsilon_accel must be > 0, got {self.epsilon_accel}")
 
 
 @dataclass(frozen=True)
@@ -84,7 +90,6 @@ class OptimizerState:
     v: np.ndarray  # second moment (Adam)
     adagrad_accum: np.ndarray  # running sum of squared quadratic gradients
     nag_a: float = 1.0  # Nesterov sequence value a_t
-    fixed_hess: np.ndarray | None = None  # oriented Hessian frozen at x0
 
 
 @dataclass(frozen=True)
@@ -105,28 +110,13 @@ class Trajectory:
         return [r.objective for r in self.records]
 
 
-def _orientation(f: ObjectiveFunction) -> float:
-    return 1.0 if f.sense is Sense.MINIMIZE else -1.0
-
-
-def _oriented_gradient(f: ObjectiveFunction, x: np.ndarray) -> np.ndarray:
-    return _orientation(f) * f.gradient(x)
-
-
-def _oriented_hessian(f: ObjectiveFunction, state: OptimizerState, x: np.ndarray) -> np.ndarray:
-    if state.fixed_hess is not None:
-        return state.fixed_hess
-    return _orientation(f) * f.hessian(x)
-
-
-def init_state(f: ObjectiveFunction, config: OptimizerConfig, x0) -> OptimizerState:
+def init_state(f: ObjectiveFunction, x0) -> OptimizerState:
     """Fresh state at ``x0`` with zeroed accumulators."""
     theta = as_vector(x0).copy()
     if theta.shape[0] != f.dim:
         raise DimensionError(f"x0 has dim {theta.shape[0]}, objective needs {f.dim}")
     if not np.all(np.isfinite(theta)):
         raise InvalidInput("x0 must be finite")
-    fixed = _orientation(f) * f.hessian(theta) if config.fixed_hessian else None
     zeros = np.zeros_like(theta)
     return OptimizerState(
         t=0,
@@ -135,7 +125,6 @@ def init_state(f: ObjectiveFunction, config: OptimizerConfig, x0) -> OptimizerSt
         m=zeros.copy(),
         v=zeros.copy(),
         adagrad_accum=zeros.copy(),
-        fixed_hess=fixed,
     )
 
 
@@ -144,13 +133,11 @@ def _advance(state: OptimizerState, theta_new: np.ndarray, **updates) -> Optimiz
 
 
 def step_gd_spectral(
-    f: ObjectiveFunction, state: OptimizerState, config: OptimizerConfig, g: np.ndarray
+    state: OptimizerState, config: OptimizerConfig, g: np.ndarray, h: np.ndarray
 ) -> OptimizerState:
     """Plain gradient descent whose learning rate is the reciprocal spectral
     radius of the current Hessian."""
-    lr = spectral_learning_rate(
-        _oriented_hessian(f, state, state.theta), config.epsilon_accel
-    )
+    lr = spectral_learning_rate(h, config.epsilon_accel)
     return _advance(state, state.theta - lr * g)
 
 
@@ -161,10 +148,10 @@ def _nag_schedule(a: float) -> tuple[float, float]:
 
 
 def step_nag(
-    f: ObjectiveFunction,
     state: OptimizerState,
     config: OptimizerConfig,
     g: np.ndarray,
+    h: np.ndarray,
     enhanced: bool,
 ) -> OptimizerState:
     """One accelerated-gradient step.
@@ -174,7 +161,6 @@ def step_nag(
     new and previous lookahead points with the Nesterov weight sequence
     (a_0 = 1, a_{t+1} = (1 + sqrt(1 + 4 a_t^2)) / 2, gamma_t = (a_t - 1) / a_{t+1}).
     """
-    h = _oriented_hessian(f, state, state.theta)
     lr = spectral_learning_rate(h, config.epsilon_accel)
     if enhanced:
         accel = bound_diagonal(h, config.epsilon_accel)
@@ -188,44 +174,38 @@ def step_nag(
 
 
 def step_enhanced_adagrad(
-    f: ObjectiveFunction, state: OptimizerState, config: OptimizerConfig, g: np.ndarray
+    state: OptimizerState, config: OptimizerConfig, g: np.ndarray, h: np.ndarray
 ) -> OptimizerState:
     """Adagrad on the row-sum quadratic gradient with a (1 + eta) numerator."""
-    accel = bound_diagonal(
-        _oriented_hessian(f, state, state.theta), config.epsilon_accel
-    )
+    accel = bound_diagonal(h, config.epsilon_accel)
     qg = accel.diag * g
     accum = state.adagrad_accum + qg * qg
     scale = (1.0 + config.stepsize) / (config.epsilon_adam + np.sqrt(accum))
     return _advance(state, state.theta - scale * qg, adagrad_accum=accum)
 
 
-def _accelerated(f, state, config, g):
+def _accelerated(config, g, h):
     if config.qg_variant is Variant.ORIGINAL:
-        accel = bound_diagonal(
-            _oriented_hessian(f, state, state.theta), config.epsilon_accel
-        )
-        return accel.diag * g
+        return bound_diagonal(h, config.epsilon_accel).diag * g
     if config.qg_variant is Variant.NEW:
-        return new_quadratic_gradient(
-            _oriented_hessian(f, state, state.theta), g, config.epsilon_accel
-        ).vector
+        return new_quadratic_gradient(h, g, config.epsilon_accel).vector
     return g
 
 
 def step_adam(
-    f: ObjectiveFunction,
     state: OptimizerState,
     config: OptimizerConfig,
     g: np.ndarray,
+    h: np.ndarray | None,
     enhanced: bool,
 ) -> OptimizerState:
     """One Adam step with bias correction.
 
     The enhanced form feeds the accelerated gradient (per ``qg_variant``)
     into both moment accumulators; everything else is the standard update.
+    ``h`` is read only by the enhanced form with a ``qg_variant``.
     """
-    qg = _accelerated(f, state, config, g) if enhanced else g
+    qg = _accelerated(config, g, h) if enhanced else g
     t = state.t + 1
     m = config.beta1 * state.m + (1.0 - config.beta1) * qg
     v = config.beta2 * state.v + (1.0 - config.beta2) * qg * qg
@@ -240,39 +220,62 @@ def step_adam(
 # The lambdas look the step functions up by module attribute at call time,
 # so a rebound ``step_*`` (a wrapper installed from outside) is the one run.
 _STEPS = {
-    Method.GD_SPECTRAL: lambda f, s, c, g: step_gd_spectral(f, s, c, g),
-    Method.NAG_SPECTRAL: lambda f, s, c, g: step_nag(f, s, c, g, enhanced=False),
-    Method.ENHANCED_NAG: lambda f, s, c, g: step_nag(f, s, c, g, enhanced=True),
-    Method.ENHANCED_ADAGRAD: lambda f, s, c, g: step_enhanced_adagrad(f, s, c, g),
-    Method.ADAM: lambda f, s, c, g: step_adam(f, s, c, g, enhanced=False),
-    Method.ENHANCED_ADAM: lambda f, s, c, g: step_adam(f, s, c, g, enhanced=True),
+    Method.GD_SPECTRAL: lambda s, c, g, h: step_gd_spectral(s, c, g, h),
+    Method.NAG_SPECTRAL: lambda s, c, g, h: step_nag(s, c, g, h, enhanced=False),
+    Method.ENHANCED_NAG: lambda s, c, g, h: step_nag(s, c, g, h, enhanced=True),
+    Method.ENHANCED_ADAGRAD: lambda s, c, g, h: step_enhanced_adagrad(s, c, g, h),
+    Method.ADAM: lambda s, c, g, h: step_adam(s, c, g, h, enhanced=False),
+    Method.ENHANCED_ADAM: lambda s, c, g, h: step_adam(s, c, g, h, enhanced=True),
 }
+
+
+def _reads_hessian(config: OptimizerConfig) -> bool:
+    if config.method is Method.ENHANCED_ADAM:
+        return config.qg_variant is not None
+    return config.method is not Method.ADAM
 
 
 def run(f: ObjectiveFunction, config: OptimizerConfig, x0) -> Trajectory:
     """Iterate until the budget, a vanishing gradient, or divergence.
 
     The gradient is evaluated once per step and shared by the ``grad_tol``
-    check and the step. Divergence (a non-finite iterate, any coordinate
-    beyond ``divergence_bound``, or a non-finite objective) truncates the
+    check and the step; the Hessian once per step after that check (once at
+    ``x0`` under ``fixed_hessian``), and only for methods that read it.
+    Divergence (a step that raises a ``QuadGradError`` or ``LinAlgError`` on
+    a breakdown, a non-finite iterate, any coordinate beyond
+    ``divergence_bound``, or a non-finite objective) truncates the
     trajectory and sets the flag; it is never raised to the caller. The
     objective is not evaluated at an iterate that failed the bound.
     """
-    state = init_state(f, config, x0)
+    state = init_state(f, x0)
     step = _STEPS.get(config.method)
     if step is None:
         raise InvalidInput(f"unknown method {config.method!r}")
+    sign = 1.0 if f.sense is Sense.MINIMIZE else -1.0
+    reads_hessian = _reads_hessian(config)
+    fresh_hessian = reads_hessian and not config.fixed_hessian
+    frozen = None
+    if reads_hessian and config.fixed_hessian:
+        frozen = sign * f.hessian(state.theta)
     records = [TrajectoryRecord(0, f.value(state.theta), state.theta.copy())]
     diverged = False
     for t in range(1, config.max_iterations + 1):
-        g = _oriented_gradient(f, state.theta)
+        g = sign * f.gradient(state.theta)
         # sqrt(g.dot(g)) is np.linalg.norm(g) without its call overhead, which
         # pays for the errstate; an overflowed norm is inf and fails grad_tol
         with np.errstate(over="ignore"):
             gradient_norm = math.sqrt(g.dot(g))
         if gradient_norm <= config.grad_tol:
             break
-        state = step(f, state, config, g)
+        h = sign * f.hessian(state.theta) if fresh_hessian else frozen
+        try:
+            state = step(state, config, g, h)
+        except (QuadGradError, np.linalg.LinAlgError):
+            diverged = True
+            break
+        # free this step's Hessian before the next one is allocated: holding
+        # it alive moved n=1000 step times by up to 2x either way (allocator)
+        del h
         # NaN and inf fail the comparison too, so this one test catches both
         within = np.all(np.abs(state.theta) <= config.divergence_bound)
         objective = f.value(state.theta) if within else math.nan

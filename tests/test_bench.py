@@ -182,6 +182,11 @@ class TestCli:
     def test_bad_nvars_exit_code(self, capsys):
         assert main(["--experiment", "adam-qg", "--nvars", "1"]) == 2
 
+    @pytest.mark.parametrize("experiment", ["lemma-lr", "adam-qg"])
+    def test_zero_iters_exit_code(self, experiment, capsys):
+        assert main(["--experiment", experiment, "--iters", "0"]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_unwritable_out_exit_code(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.csv"
         assert main(["--function", "booth", "--iters", "3", "--out", str(out)]) == 2

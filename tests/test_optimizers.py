@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import quadgrad.gradients as gradients
 import quadgrad.linalg as linalg
 import quadgrad.optimizers as optimizers
 from quadgrad import (
@@ -45,10 +46,18 @@ def config(method, **kwargs):
     return OptimizerConfig(method=method, **kwargs)
 
 
+def sign(f):
+    return 1.0 if f.sense is Sense.MINIMIZE else -1.0
+
+
 def grad(f, state):
     """The oriented gradient at ``state.theta``, as ``run()`` hands it to a step."""
-    sign = 1.0 if f.sense is Sense.MINIMIZE else -1.0
-    return sign * f.gradient(state.theta)
+    return sign(f) * f.gradient(state.theta)
+
+
+def hess(f, state):
+    """The oriented Hessian at ``state.theta``, as ``run()`` hands it to a step."""
+    return sign(f) * f.hessian(state.theta)
 
 
 def counted(f):
@@ -80,26 +89,55 @@ STEP_FUNCTION = {
     Method.ENHANCED_ADAM: "step_adam",
 }
 
+# Every method once, ENHANCED_ADAM once per accelerator choice
+METHOD_VARIANTS = [(m, None) for m in Method if m is not Method.ENHANCED_ADAM] + [
+    (Method.ENHANCED_ADAM, v) for v in (None, Variant.ORIGINAL, Variant.NEW)
+]
+
+# The layers each (method, qg_variant) reaches on an objective whose
+# Hessian is singular, so the Newton-ratio solve falls back to the
+# pseudoinverse; perfbench's tracer rebinds each of these names.
+LAYERS_REACHED = {
+    (Method.GD_SPECTRAL, None): {"spectral_learning_rate", "spectral_bounds"},
+    (Method.NAG_SPECTRAL, None): {"spectral_learning_rate", "spectral_bounds"},
+    (Method.ENHANCED_NAG, None): {
+        "spectral_learning_rate", "spectral_bounds", "bound_diagonal"
+    },
+    (Method.ENHANCED_ADAGRAD, None): {"bound_diagonal"},
+    (Method.ADAM, None): set(),
+    (Method.ENHANCED_ADAM, None): set(),
+    (Method.ENHANCED_ADAM, Variant.ORIGINAL): {"bound_diagonal"},
+    (Method.ENHANCED_ADAM, Variant.NEW): {
+        "new_quadratic_gradient", "newton_ratios", "solve", "pseudoinverse"
+    },
+}
+
 
 class TestGdSpectral:
     def test_booth_first_step(self):
         # lr = 1/(18+eps), g(0,0) = (-34,-38) -> theta1 = (34/18, 38/18)
         f = booth()
-        state = init_state(f, config(Method.GD_SPECTRAL), [0.0, 0.0])
-        state = step_gd_spectral(f, state, config(Method.GD_SPECTRAL), grad(f, state))
+        state = init_state(f, [0.0, 0.0])
+        state = step_gd_spectral(
+            state, config(Method.GD_SPECTRAL), grad(f, state), hess(f, state)
+        )
         np.testing.assert_allclose(state.theta, [34.0 / 18.0, 38.0 / 18.0], atol=1e-7)
         assert state.t == 1
 
     def test_fixed_point_at_maximum(self):
         f = quadratic_counterexample()
-        state = init_state(f, config(Method.GD_SPECTRAL), [0.0, 0.0])
-        state = step_gd_spectral(f, state, config(Method.GD_SPECTRAL), grad(f, state))
+        state = init_state(f, [0.0, 0.0])
+        state = step_gd_spectral(
+            state, config(Method.GD_SPECTRAL), grad(f, state), hess(f, state)
+        )
         np.testing.assert_array_equal(state.theta, [0.0, 0.0])
 
     def test_fixed_point_at_booth_minimum(self):
         f = booth()
-        state = init_state(f, config(Method.GD_SPECTRAL), [1.0, 3.0])
-        state = step_gd_spectral(f, state, config(Method.GD_SPECTRAL), grad(f, state))
+        state = init_state(f, [1.0, 3.0])
+        state = step_gd_spectral(
+            state, config(Method.GD_SPECTRAL), grad(f, state), hess(f, state)
+        )
         np.testing.assert_array_equal(state.theta, [1.0, 3.0])
 
 
@@ -107,8 +145,8 @@ class TestNag:
     def test_first_step_has_no_momentum(self):
         f = booth()
         cfg = config(Method.NAG_SPECTRAL)
-        state = init_state(f, cfg, [0.0, 0.0])
-        state = step_nag(f, state, cfg, grad(f, state), enhanced=False)
+        state = init_state(f, [0.0, 0.0])
+        state = step_nag(state, cfg, grad(f, state), hess(f, state), enhanced=False)
         # gamma_0 = 0, so beta_1 = V_1 = the plain spectral-rate step
         np.testing.assert_allclose(state.theta, [34.0 / 18.0, 38.0 / 18.0], atol=1e-7)
         np.testing.assert_array_equal(state.theta, state.momentum_prev)
@@ -118,8 +156,8 @@ class TestNag:
         # ascent V1 = theta + (1+lr)*(1/6, 1/4); frozen from that arithmetic
         f = quadratic_counterexample()
         cfg = config(Method.ENHANCED_NAG)
-        state = init_state(f, cfg, [-1.0, -1.5])
-        state = step_nag(f, state, cfg, grad(f, state), enhanced=True)
+        state = init_state(f, [-1.0, -1.5])
+        state = step_nag(state, cfg, grad(f, state), hess(f, state), enhanced=True)
         np.testing.assert_allclose(
             state.theta,
             [-0.801502832787444, -1.2022542494292874],
@@ -129,18 +167,18 @@ class TestNag:
     def test_fixed_point_at_optimum(self):
         f = quadratic_counterexample()
         cfg = config(Method.NAG_SPECTRAL)
-        state = init_state(f, cfg, [0.0, 0.0])
-        state = step_nag(f, state, cfg, grad(f, state), enhanced=False)
+        state = init_state(f, [0.0, 0.0])
+        state = step_nag(state, cfg, grad(f, state), hess(f, state), enhanced=False)
         np.testing.assert_array_equal(state.theta, [0.0, 0.0])
         np.testing.assert_array_equal(state.momentum_prev, [0.0, 0.0])
 
     def test_gamma_stays_in_unit_interval(self):
         f = rosenbrock(2)
         cfg = config(Method.ENHANCED_NAG, max_iterations=50)
-        state = init_state(f, cfg, [-1.0, -1.0])
+        state = init_state(f, [-1.0, -1.0])
         for _ in range(50):
             a_prev = state.nag_a
-            state = step_nag(f, state, cfg, grad(f, state), enhanced=True)
+            state = step_nag(state, cfg, grad(f, state), hess(f, state), enhanced=True)
             # gamma_t = (a_t - 1) / a_{t+1}
             assert 0.0 <= (a_prev - 1.0) / state.nag_a < 1.0
 
@@ -150,8 +188,8 @@ class TestEnhancedAdagrad:
         # accum = G^2 after one step, so the step is (1+eta)*sign(G) up to eps
         f = synthetic(grad=[6.0, -8.0], hess=[[5.0, 1.0], [1.0, 3.0]])
         cfg = config(Method.ENHANCED_ADAGRAD, stepsize=1.0)
-        state = init_state(f, cfg, [0.0, 0.0])
-        state = step_enhanced_adagrad(f, state, cfg, grad(f, state))
+        state = init_state(f, [0.0, 0.0])
+        state = step_enhanced_adagrad(state, cfg, grad(f, state), hess(f, state))
         np.testing.assert_allclose(state.theta, [-2.0, 2.0], rtol=1e-6)
 
     def test_second_step_accumulator_arithmetic(self):
@@ -159,10 +197,10 @@ class TestEnhancedAdagrad:
         f = synthetic(grad=[6.0, 0.0], hess=[[5.0, 1.0], [1.0, 3.0]])
         eta = 0.5
         cfg = config(Method.ENHANCED_ADAGRAD, stepsize=eta)
-        state = init_state(f, cfg, [0.0, 0.0])
-        state = step_enhanced_adagrad(f, state, cfg, grad(f, state))
+        state = init_state(f, [0.0, 0.0])
+        state = step_enhanced_adagrad(state, cfg, grad(f, state), hess(f, state))
         theta1 = state.theta.copy()
-        state = step_enhanced_adagrad(f, state, cfg, grad(f, state))
+        state = step_enhanced_adagrad(state, cfg, grad(f, state), hess(f, state))
         second_step = theta1 - state.theta
         assert second_step[0] == pytest.approx((1.0 + eta) / math.sqrt(2.0), rel=1e-6)
         assert second_step[1] == 0.0
@@ -170,8 +208,8 @@ class TestEnhancedAdagrad:
     def test_fixed_point_at_optimum(self):
         f = booth()
         cfg = config(Method.ENHANCED_ADAGRAD)
-        state = init_state(f, cfg, [1.0, 3.0])
-        state = step_enhanced_adagrad(f, state, cfg, grad(f, state))
+        state = init_state(f, [1.0, 3.0])
+        state = step_enhanced_adagrad(state, cfg, grad(f, state), hess(f, state))
         np.testing.assert_array_equal(state.theta, [1.0, 3.0])
 
 
@@ -179,18 +217,18 @@ class TestAdam:
     def test_first_step_is_signlike(self):
         f = rosenbrock(2)
         cfg = config(Method.ADAM, stepsize=0.1)
-        state = init_state(f, cfg, [-1.2, 1.0])
+        state = init_state(f, [-1.2, 1.0])
         g = f.gradient([-1.2, 1.0])
-        state = step_adam(f, state, cfg, grad(f, state), enhanced=False)
+        state = step_adam(state, cfg, grad(f, state), None, enhanced=False)
         expected = np.array([-1.2, 1.0]) - 0.1 * np.sign(g)
         np.testing.assert_allclose(state.theta, expected, atol=1e-6)
 
     def test_zero_gradient_keeps_everything_zero(self):
         f = synthetic(grad=[0.0, 0.0], hess=np.eye(2))
         cfg = config(Method.ADAM, stepsize=0.1)
-        state = init_state(f, cfg, [2.0, -1.0])
+        state = init_state(f, [2.0, -1.0])
         for _ in range(5):
-            state = step_adam(f, state, cfg, grad(f, state), enhanced=False)
+            state = step_adam(state, cfg, grad(f, state), None, enhanced=False)
         np.testing.assert_array_equal(state.theta, [2.0, -1.0])
         np.testing.assert_array_equal(state.m, [0.0, 0.0])
         np.testing.assert_array_equal(state.v, [0.0, 0.0])
@@ -199,25 +237,25 @@ class TestAdam:
         f = rosenbrock(2)
         plain_cfg = config(Method.ADAM, stepsize=0.1)
         enhanced_cfg = config(Method.ENHANCED_ADAM, stepsize=0.1, qg_variant=None)
-        plain = init_state(f, plain_cfg, [-1.2, 1.0])
-        enhanced = init_state(f, enhanced_cfg, [-1.2, 1.0])
+        plain = init_state(f, [-1.2, 1.0])
+        enhanced = init_state(f, [-1.2, 1.0])
         for _ in range(25):
-            plain = step_adam(f, plain, plain_cfg, grad(f, plain), enhanced=False)
+            plain = step_adam(plain, plain_cfg, grad(f, plain), None, enhanced=False)
             enhanced = step_adam(
-                f, enhanced, enhanced_cfg, grad(f, enhanced), enhanced=True
+                enhanced, enhanced_cfg, grad(f, enhanced), None, enhanced=True
             )
             assert np.max(np.abs(plain.theta - enhanced.theta)) <= 1e-12
 
     def test_moment_invariants(self):
         f = rosenbrock(2)
         cfg = config(Method.ADAM, stepsize=0.1)
-        state = init_state(f, cfg, [-1.0, -1.0])
+        state = init_state(f, [-1.0, -1.0])
         largest_gradient = 0.0
         for _ in range(60):
             largest_gradient = max(
                 largest_gradient, float(np.max(np.abs(f.gradient(state.theta))))
             )
-            state = step_adam(f, state, cfg, grad(f, state), enhanced=False)
+            state = step_adam(state, cfg, grad(f, state), None, enhanced=False)
             assert np.all(state.v >= 0.0)
             assert np.max(np.abs(state.m)) <= largest_gradient + 1e-12
 
@@ -268,29 +306,75 @@ class TestRun:
         assert traj.diverged
         assert len(traj.records) == 1  # partial trajectory kept
 
-    # the synthetic objective is always 0, so only the iterate check can flag
-    # these runs; the NaN gradient under plain Adam makes a NaN iterate
+    # the synthetic objective is always 0, so only the iterate check or a
+    # step that breaks down can flag these runs: the NaN gradient under plain
+    # Adam makes a NaN iterate, the last three make the step raise
     @pytest.mark.parametrize(
-        "gradient, method",
-        [([1e300, 0.0], Method.GD_SPECTRAL), ([np.nan, 0.0], Method.ADAM)],
-        ids=["huge-gradient-gd-spectral", "nan-gradient-adam"],
+        "gradient, hessian, method",
+        [
+            ([1e300, 0.0], np.zeros((2, 2)), Method.GD_SPECTRAL),
+            ([np.nan, 0.0], np.zeros((2, 2)), Method.ADAM),
+            ([1.0, 1.0], [[np.nan, 0.0], [0.0, 1.0]], Method.GD_SPECTRAL),
+            ([1.0, 1.0], [[1.0, 2.0], [0.0, 1.0]], Method.NAG_SPECTRAL),
+            ([np.nan, 0.0], np.eye(2), Method.ENHANCED_ADAM),
+        ],
+        ids=[
+            "huge-gradient-gd-spectral",
+            "nan-gradient-adam",
+            "nan-hessian-gd-spectral",
+            "asymmetric-hessian-nag-spectral",
+            "nan-gradient-adam-newqg",
+        ],
     )
-    def test_nonfinite_iterate_flags_run(self, gradient, method):
-        f = synthetic(grad=gradient, hess=np.zeros((2, 2)))
-        cfg = config(method, max_iterations=10)
+    def test_nonfinite_iterate_flags_run(self, gradient, hessian, method):
+        f = synthetic(grad=gradient, hess=hessian)
+        # only ENHANCED_ADAM reads qg_variant
+        cfg = config(method, max_iterations=10, qg_variant=Variant.NEW)
         traj = run(f, cfg, [0.0, 0.0])
         assert traj.diverged
+        assert len(traj.records) == 1
 
-    @pytest.mark.parametrize(
-        "method, variant",
-        [(Method.GD_SPECTRAL, None), (Method.ENHANCED_ADAM, Variant.NEW)],
-    )
+    @pytest.mark.parametrize("method, variant", METHOD_VARIANTS)
     def test_one_evaluation_per_quantity_per_step(self, method, variant):
-        f, calls = counted(rosenbrock(5))
-        cfg = config(method, stepsize=1.0, qg_variant=variant, max_iterations=100)
-        traj = run(f, cfg, -np.ones(5))
-        assert len(traj.records) == 101
-        assert calls == {"value": 101, "gradient": 100, "hessian": 100}
+        # the Hessian is evaluated per step, or once at x0 when frozen, and
+        # never for a method that does not read it
+        reads_hessian = bool(LAYERS_REACHED[method, variant])
+        for fixed_hessian in (False, True):
+            f, calls = counted(rosenbrock(5))
+            cfg = config(method, stepsize=1.0, qg_variant=variant,
+                         max_iterations=100, fixed_hessian=fixed_hessian)
+            traj = run(f, cfg, -np.ones(5))
+            assert len(traj.records) == 101
+            hessian_calls = (1 if fixed_hessian else 100) if reads_hessian else 0
+            assert calls == Counter(value=101, gradient=100, hessian=hessian_calls)
+
+    @pytest.mark.parametrize("method, variant", METHOD_VARIANTS)
+    def test_steps_reach_traced_layers(self, method, variant, monkeypatch):
+        # the steps must keep calling these through the module globals that
+        # perfbench's tracer rebinds, or its per-layer spans go silent
+        calls = Counter()
+        layers = [
+            (optimizers, "spectral_learning_rate"),
+            (optimizers, "bound_diagonal"),
+            (optimizers, "new_quadratic_gradient"),
+            (gradients, "spectral_bounds"),
+            (gradients, "newton_ratios"),
+            (gradients, "solve"),
+            (gradients, "pseudoinverse"),
+        ]
+        for module, name in layers:
+            original = getattr(module, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+        f = synthetic(grad=[1.0, 2.0], hess=[[1.0, 1.0], [1.0, 1.0]])
+        cfg = config(method, qg_variant=variant, max_iterations=20)
+        traj = run(f, cfg, [0.0, 0.0])
+        assert len(traj.records) == 21
+        assert calls == {name: 20 for name in LAYERS_REACHED[method, variant]}
 
     @pytest.mark.parametrize("method", ALL_METHODS)
     def test_steps_dispatch_through_module_attributes(self, method, monkeypatch):
@@ -358,3 +442,11 @@ class TestConfigValidation:
 
         with pytest.raises(InvalidInput):
             OptimizerConfig(method=Method.ADAM, stepsize=0.0)
+
+    @pytest.mark.parametrize("epsilon", [0.0, -1e-8, math.nan])
+    def test_rejects_nonpositive_epsilon_accel(self, epsilon):
+        # raised before any run starts, not at the first step that reads it
+        from quadgrad import InvalidEpsilon
+
+        with pytest.raises(InvalidEpsilon):
+            OptimizerConfig(method=Method.GD_SPECTRAL, epsilon_accel=epsilon)
