@@ -21,6 +21,10 @@ from .linalg import as_square_matrix, as_vector, pseudoinverse, solve, spectral_
 
 DEFAULT_EPSILON = 1e-8
 
+# Rows per block of the absolute row sums: each block's |.| temporary is
+# 64 rows, not a copy of the whole matrix.
+_ROW_BLOCK = 64
+
 
 class Variant(enum.Enum):
     """Which diagonal-accelerator construction produced a quadratic gradient."""
@@ -68,16 +72,34 @@ def _check_epsilon(epsilon: float) -> float:
     return float(epsilon)
 
 
+def _abs_row_sums(m: np.ndarray) -> np.ndarray:
+    """``np.sum(np.abs(m), axis=1)`` without an n x n temporary, same bits.
+
+    A C-ordered row is reduced the same way alone or inside the whole
+    matrix, so summing blocks of rows changes nothing. Other layouts keep
+    the one-shot sum: there a one-row tail block would be reduced pairwise
+    where the whole matrix is reduced sequentially, and the last bit differs.
+    """
+    if m.shape[0] <= _ROW_BLOCK or not m.flags.c_contiguous:
+        return np.sum(np.abs(m), axis=1)
+    sums = np.empty(m.shape[0])
+    for i in range(0, m.shape[0], _ROW_BLOCK):
+        rows = slice(i, i + _ROW_BLOCK)
+        np.sum(np.abs(m[rows]), axis=1, out=sums[rows])
+    return sums
+
+
 def bound_diagonal(hbar, epsilon: float = DEFAULT_EPSILON) -> DiagonalAccelerator:
     """Accelerator with entries 1 / (epsilon + sum_i |hbar_ji|).
 
     ``hbar`` is a Hessian bound matrix (or the Hessian itself); the row sums
     run over absolute values so the sign convention of the bound does not
-    matter.
+    matter. A C-ordered matrix is summed in blocks of rows, so no copy of it
+    is made.
     """
     eps = _check_epsilon(epsilon)
     m = as_square_matrix(hbar)
-    diag = 1.0 / (eps + np.sum(np.abs(m), axis=1))
+    diag = 1.0 / (eps + _abs_row_sums(m))
     return DiagonalAccelerator(diag=diag, epsilon=eps, variant=Variant.ORIGINAL)
 
 

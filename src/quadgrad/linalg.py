@@ -134,7 +134,8 @@ def solve(a, b) -> np.ndarray:
     # an exactly zero pivot (info > 0) fails the pivot test below
     lu, piv, _ = scipy.linalg.lapack.dgetrf(m)
     pivots = np.abs(np.diag(lu))
-    scale = max(np.max(np.abs(m)), np.finfo(float).tiny)
+    # max|a| of finite entries, without an |a| copy next to the LU factor
+    scale = max(m.max(), -m.min(), np.finfo(float).tiny)
     if np.min(pivots) < DEFAULT_PIVOT_TOL * scale:
         raise SingularMatrix("pivot below tolerance; matrix is numerically singular")
     x, _ = scipy.linalg.lapack.dgetrs(lu, piv, rhs)

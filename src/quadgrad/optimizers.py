@@ -10,7 +10,8 @@ Every ``step_*`` is a pure update rule on arrays: it takes ``g`` and ``h``,
 the oriented gradient and Hessian at ``state.theta``, and never sees the
 objective. ``run()`` owns every evaluation: the gradient once per step, the
 Hessian once per step only for methods that read it (or once at ``x0`` when
-``fixed_hessian`` is set), and both multiplied by the sign of the sense.
+``fixed_hessian`` is set), both negated for a maximisation problem and
+passed on as the objective returned them otherwise.
 """
 
 from __future__ import annotations
@@ -238,49 +239,61 @@ def _reads_hessian(config: OptimizerConfig) -> bool:
 def run(f: ObjectiveFunction, config: OptimizerConfig, x0) -> Trajectory:
     """Iterate until the budget, a vanishing gradient, or divergence.
 
-    The gradient is evaluated once per step and shared by the ``grad_tol``
-    check and the step; the Hessian once per step after that check (once at
-    ``x0`` under ``fixed_hessian``), and only for methods that read it.
+    Raises ``InvalidInput`` before iterating when the objective is not
+    finite at ``x0``. The gradient is evaluated once per step and shared by
+    the ``grad_tol`` check and the step; the Hessian once per step after
+    that check (once at ``x0`` under ``fixed_hessian``), and only for
+    methods that read it. ``run()`` neither copies nor writes the arrays the
+    objective returns: a minimised objective's gradient and Hessian reach
+    the step as they are, a maximised one's are negated into new arrays.
     Divergence (a step that raises a ``QuadGradError`` or ``LinAlgError`` on
     a breakdown, a non-finite iterate, any coordinate beyond
     ``divergence_bound``, or a non-finite objective) truncates the
     trajectory and sets the flag; it is never raised to the caller. The
     objective is not evaluated at an iterate that failed the bound.
+    Floating-point overflow and invalid operations raise no warnings: the
+    run's checks see their inf and NaN results instead.
     """
     state = init_state(f, x0)
     step = _STEPS.get(config.method)
     if step is None:
         raise InvalidInput(f"unknown method {config.method!r}")
-    sign = 1.0 if f.sense is Sense.MINIMIZE else -1.0
+    maximize = f.sense is Sense.MAXIMIZE
+
+    def orient(a):
+        return -1.0 * a if maximize else a
+
     reads_hessian = _reads_hessian(config)
     fresh_hessian = reads_hessian and not config.fixed_hessian
-    frozen = None
-    if reads_hessian and config.fixed_hessian:
-        frozen = sign * f.hessian(state.theta)
-    records = [TrajectoryRecord(0, f.value(state.theta), state.theta.copy())]
-    diverged = False
-    for t in range(1, config.max_iterations + 1):
-        g = sign * f.gradient(state.theta)
-        # sqrt(g.dot(g)) is np.linalg.norm(g) without its call overhead, which
-        # pays for the errstate; an overflowed norm is inf and fails grad_tol
-        with np.errstate(over="ignore"):
-            gradient_norm = math.sqrt(g.dot(g))
-        if gradient_norm <= config.grad_tol:
-            break
-        h = sign * f.hessian(state.theta) if fresh_hessian else frozen
-        try:
-            state = step(state, config, g, h)
-        except (QuadGradError, np.linalg.LinAlgError):
-            diverged = True
-            break
-        # free this step's Hessian before the next one is allocated: holding
-        # it alive moved n=1000 step times by up to 2x either way (allocator)
-        del h
-        # NaN and inf fail the comparison too, so this one test catches both
-        within = np.all(np.abs(state.theta) <= config.divergence_bound)
-        objective = f.value(state.theta) if within else math.nan
+    with np.errstate(all="ignore"):
+        objective = f.value(state.theta)
         if not math.isfinite(objective):
-            diverged = True
-            break
-        records.append(TrajectoryRecord(t, objective, state.theta.copy()))
+            raise InvalidInput(f"objective is not finite at x0: {objective}")
+        frozen = None
+        if reads_hessian and config.fixed_hessian:
+            frozen = orient(f.hessian(state.theta))
+        records = [TrajectoryRecord(0, objective, state.theta.copy())]
+        diverged = False
+        for t in range(1, config.max_iterations + 1):
+            g = orient(f.gradient(state.theta))
+            # sqrt(g.dot(g)) is np.linalg.norm(g) without its call overhead;
+            # an overflowed norm is inf and fails grad_tol
+            if math.sqrt(g.dot(g)) <= config.grad_tol:
+                break
+            h = orient(f.hessian(state.theta)) if fresh_hessian else frozen
+            try:
+                state = step(state, config, g, h)
+            except (QuadGradError, np.linalg.LinAlgError):
+                diverged = True
+                break
+            # free this step's Hessian before the next one is allocated: holding
+            # it alive moved n=1000 step times by up to 2x either way (allocator)
+            del h
+            # NaN and inf fail the comparison too, so this one test catches both
+            within = np.all(np.abs(state.theta) <= config.divergence_bound)
+            objective = f.value(state.theta) if within else math.nan
+            if not math.isfinite(objective):
+                diverged = True
+                break
+            records.append(TrajectoryRecord(t, objective, state.theta.copy()))
     return Trajectory(records=records, diverged=diverged)

@@ -1,4 +1,6 @@
-"""Shared random-matrix generators for the test suite."""
+"""Shared random-matrix generators and measurements for the test suite."""
+
+import tracemalloc
 
 import numpy as np
 
@@ -24,3 +26,19 @@ def random_rank_deficient_symmetric(rng, n, rank):
 
 def random_nonzero_vector(rng, n, low=0.1, high=2.0):
     return rng.uniform(low, high, n) * rng.choice([-1.0, 1.0], n)
+
+
+def peak_traced_bytes(fn, *args):
+    """Peak bytes that ``fn(*args)`` allocates beyond what is live at the call.
+
+    numpy reports its data buffers to tracemalloc, so this counts every
+    temporary array the call makes.
+    """
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()

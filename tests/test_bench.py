@@ -193,6 +193,14 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    def test_nonfinite_objective_at_x0_exit_code(self, capsys):
+        code = main(["--experiment", "lemma-lr", "--function", "rosenbrock:2",
+                     "--x0", "1e80,1e80", "--iters", "3"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not finite at x0" in captured.err
+
     def test_reruns_byte_identical(self, tmp_path, capsys):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for path in paths:

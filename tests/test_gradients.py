@@ -13,11 +13,27 @@ from quadgrad import (
     quadratic_gradient,
     ratio_diagonal,
     solve,
+    rosenbrock,
     spectral_learning_rate,
 )
-from helpers import random_invertible_symmetric, random_nonzero_vector, random_symmetric
+from helpers import (
+    peak_traced_bytes,
+    random_invertible_symmetric,
+    random_nonzero_vector,
+    random_symmetric,
+)
 
 H_F = np.array([[-4.0, 2.0], [2.0, -2.0]])
+
+# Every memory layout a caller can hand bound_diagonal, built at order n
+LAYOUTS = {
+    "c-order": lambda rng, n: rng.standard_normal((n, n)),
+    "f-order": lambda rng, n: np.asfortranarray(rng.standard_normal((n, n))),
+    "transposed": lambda rng, n: rng.standard_normal((n, n)).T,
+    "row-strided": lambda rng, n: rng.standard_normal((2 * n, n))[::2],
+    "column-strided": lambda rng, n: rng.standard_normal((n, 2 * n))[:, ::2],
+    "int": lambda rng, n: rng.integers(-1000, 1000, (n, n)),
+}
 
 
 class TestBoundDiagonal:
@@ -58,6 +74,20 @@ class TestBoundDiagonal:
         for c in (2.0, 8.0, 0.25):
             scaled = bound_diagonal(c * h, epsilon=c * 1e-6)
             np.testing.assert_array_equal(scaled.diag, base.diag / c)
+
+    # 64 is the row-block size: one block, one block plus a one-row tail, ...
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 257, 1000])
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    def test_row_sums_bit_identical_to_one_shot_sum(self, layout, n):
+        m = LAYOUTS[layout](np.random.default_rng(n), n)
+        eps = 1e-8
+        expected = 1.0 / (eps + np.sum(np.abs(m), axis=1))
+        got = bound_diagonal(m, epsilon=eps).diag
+        np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+
+    def test_makes_no_copy_of_the_matrix(self):
+        h = rosenbrock(300).hessian(np.linspace(-2.0, 2.0, 300))
+        assert peak_traced_bytes(bound_diagonal, h) < 0.5 * h.nbytes
 
 
 class TestQuadraticGradient:

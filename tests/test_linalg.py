@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from quadgrad import (
     InvalidMatrix,
@@ -12,7 +13,8 @@ from quadgrad import (
     solve,
     spectral_bounds,
 )
-from helpers import random_rank_deficient_symmetric, random_symmetric
+from quadgrad.linalg import DEFAULT_PIVOT_TOL
+from helpers import peak_traced_bytes, random_rank_deficient_symmetric, random_symmetric
 
 # Constant Hessian of the concave-quadratic counterexample; its eigenvalues
 # are the roots of lambda^2 + 6*lambda + 4, i.e. -3 +- sqrt(5).
@@ -143,6 +145,54 @@ class TestSolve:
             b = rng.standard_normal(n)
             x = solve(a, b)
             assert np.linalg.norm(a @ x - b) <= 1e-8 * (1.0 + np.linalg.norm(b))
+
+    @staticmethod
+    def reference_solve(m, b):
+        """``solve`` with its pivot scale written as max|a| over an |a| copy."""
+        lu, piv, _ = scipy.linalg.lapack.dgetrf(m)
+        scale = max(np.max(np.abs(m)), np.finfo(float).tiny)
+        if np.min(np.abs(np.diag(lu))) < DEFAULT_PIVOT_TOL * scale:
+            raise SingularMatrix("pivot below tolerance")
+        return scipy.linalg.lapack.dgetrs(lu, piv, b)[0]
+
+    def test_same_bits_and_raises_as_abs_scale(self):
+        rng = np.random.default_rng(12)
+        systems = [
+            (-np.zeros((3, 3)), np.ones(3)),
+            (np.zeros((3, 3)), np.ones(3)),
+            (-np.ones((4, 4)), np.ones(4)),
+        ]
+        for k in range(400):
+            n = int(rng.integers(1, 40))
+            kind = k % 5
+            if kind == 0:
+                a = rng.standard_normal((n, n))
+            elif kind == 1:
+                a = random_rank_deficient_symmetric(rng, n, int(rng.integers(0, n)))
+            elif kind == 2:
+                a = -np.abs(rng.standard_normal((n, n)))  # max|a| is -min(a)
+            elif kind == 3:
+                a = random_symmetric(rng, n, scale=10.0 ** rng.uniform(-300, 300))
+            else:
+                a = rng.standard_normal((n, n))
+                a[:, -1] = a[:, 0] * (1.0 + 1e-14)  # nearly singular
+            systems.append((a, rng.standard_normal(n)))
+        raised = 0
+        for a, b in systems:
+            try:
+                expected = self.reference_solve(a, b)
+            except SingularMatrix:
+                raised += 1
+                with pytest.raises(SingularMatrix):
+                    solve(a, b)
+                continue
+            assert solve(a, b).tobytes() == expected.tobytes()
+        assert 0 < raised < len(systems)
+
+    def test_holds_only_the_lu_factor(self):
+        a = np.random.default_rng(13).standard_normal((300, 300))
+        b = np.ones(300)
+        assert peak_traced_bytes(solve, a, b) <= 1.1 * a.nbytes
 
 
 def penrose_residuals(a, a_pinv):

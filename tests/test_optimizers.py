@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -8,7 +9,9 @@ import pytest
 import quadgrad.gradients as gradients
 import quadgrad.linalg as linalg
 import quadgrad.optimizers as optimizers
+from helpers import peak_traced_bytes
 from quadgrad import (
+    InvalidInput,
     Method,
     ObjectiveFunction,
     OptimizerConfig,
@@ -419,6 +422,67 @@ class TestRun:
         )
         fresh = run(f, config(Method.GD_SPECTRAL, max_iterations=20), [-1.0, -1.0])
         assert frozen.records[2].objective != fresh.records[2].objective
+
+    @pytest.mark.parametrize("method, variant", METHOD_VARIANTS)
+    def test_holds_one_hessian_per_step(self, method, variant):
+        # the objective's Hessian plus O(n) work; the Newton-ratio solve
+        # also needs its LU factor
+        f = rosenbrock(300)
+        h = f.hessian(-np.ones(300))
+        cfg = config(method, stepsize=1.0, qg_variant=variant, max_iterations=3)
+        peak = peak_traced_bytes(run, f, cfg, -np.ones(300))
+        limit = 2.5 if variant is Variant.NEW else 1.5
+        assert peak <= limit * h.nbytes
+
+    @pytest.mark.parametrize("sense", list(Sense))
+    def test_steps_get_the_objectives_own_arrays(self, sense, monkeypatch):
+        returned = []
+
+        def record(a):
+            returned.append(a)
+            return a
+
+        f = synthetic(grad=[1.0, 2.0], hess=[[3.0, 1.0], [1.0, 2.0]], sense=sense)
+        f = dataclasses.replace(
+            f,
+            gradient=lambda x, _g=f.gradient: record(_g(x)),
+            hessian=lambda x, _h=f.hessian: record(_h(x)),
+        )
+        seen = []
+
+        def spy(state, config, g, h):
+            seen.append((g, h))
+            return state
+
+        monkeypatch.setattr(optimizers, "step_gd_spectral", spy)
+        run(f, config(Method.GD_SPECTRAL, max_iterations=3), [0.0, 0.0])
+        assert len(seen) == 3 and len(returned) == 6
+        for (g, h), own_g, own_h in zip(seen, returned[::2], returned[1::2]):
+            # never written: the objective hands out copies of these constants
+            np.testing.assert_array_equal(own_g, [1.0, 2.0])
+            np.testing.assert_array_equal(own_h, [[3.0, 1.0], [1.0, 2.0]])
+            if sense is Sense.MINIMIZE:
+                assert g is own_g and h is own_h
+            else:
+                assert g is not own_g and h is not own_h
+                np.testing.assert_array_equal(g, -own_g)
+                np.testing.assert_array_equal(h, -own_h)
+
+    @pytest.mark.parametrize("method, variant", METHOD_VARIANTS)
+    def test_nonfinite_objective_at_x0_raises_before_iterating(self, method, variant):
+        f, calls = counted(rosenbrock(2))
+        cfg = config(method, qg_variant=variant, max_iterations=3)
+        with pytest.raises(InvalidInput, match="not finite at x0"):
+            run(f, cfg, [1e80, 1e80])
+        assert calls == Counter(value=1)
+
+    def test_overflow_mid_run_raises_no_warning(self):
+        # the objective at x0 is 1e282, finite; Adam's qg * qg overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = run(rosenbrock(2), config(Method.ADAM), [1e70, 1e70])
+        assert traj.records[0].objective == pytest.approx(1e282)
+        assert [r.iteration for r in traj.records] == list(range(len(traj.records)))
 
     def test_maximization_improves_objective(self):
         f = quadratic_counterexample()
