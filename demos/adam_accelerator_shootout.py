@@ -5,9 +5,10 @@ stepsize eta over {1.0, 1.5, 2.0}, at the short (30) and long (300)
 horizons. Each run writes a three-method CSV to demos/out/ and the summary
 table below prints the final loss per column.
 
-Watch the AdamNewQG column on the long horizon: the pseudoinverse-based
-accelerator is the erratic one, and a diverged run shows up as nan padding
-rather than an exception.
+Watch the AdamNewQG column on the long horizon: the accelerator built from
+the Newton ratios is the erratic one. Every one of its steps in this sweep
+is an exact solve; the pseudoinverse is only a fallback for singular cases.
+A diverged run shows up as nan padding rather than an exception.
 """
 
 import pathlib

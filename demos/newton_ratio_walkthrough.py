@@ -2,7 +2,7 @@
 
 Maximize F(x1, x2) = -2*x1^2 + 2*x1*x2 - x2^2. At (-1, -1.5) the gradient
 is (1, 1) and the Newton step H^-1 g equals diag(r) g with r = (-1, -1.5).
-The resulting accelerator 1/(eps + |r|) is a perfectly usable diagonal, but
+The resulting accelerator 1/(EPSILON + |r|) is a perfectly usable diagonal, but
 diag(r) is NOT a Loewner lower bound for the Hessian, so the fixed-Hessian
 convergence guarantee that backs the row-sum accelerator does not transfer.
 The script then shows the pseudoinverse fallback for singular cases.
@@ -15,6 +15,7 @@ from quadgrad import (
     new_quadratic_gradient,
     newton_ratios,
     quadratic_counterexample,
+    ratio_diagonal,
     solve,
 )
 
@@ -33,9 +34,9 @@ print("check diag(r) @ g =", r.ratios * g)
 
 print()
 print("accelerators side by side:")
-print("  row-sum diagonal  :", bound_diagonal(h).diag)
-print("  ratio diagonal    :", 1.0 / (1e-8 + np.abs(r.ratios)))
-print("  new quadratic grad:", new_quadratic_gradient(h, g).vector)
+print("  row-sum diagonal  :", bound_diagonal(h))
+print("  ratio diagonal    :", ratio_diagonal(h, g))
+print("  new quadratic grad:", new_quadratic_gradient(h, g))
 
 # the bound condition fails: x^T (H - diag(r)) x should stay >= 0 for a
 # valid lower bound, but it goes negative

@@ -1,14 +1,14 @@
 """Quadratic-gradient optimization toolkit.
 
-Diagonal Hessian accelerators, the spectral-radius learning rate, the
-pseudoinverse-based Newton-ratio accelerator, enhanced NAG / Adagrad / Adam
-optimizers, the benchmark objective suite, and a CSV comparison harness.
+Diagonal Hessian accelerators (reciprocal row sums, and the Newton-ratio
+accelerator with a pseudoinverse fallback for singular cases), the
+spectral-radius learning rate, enhanced NAG / Adagrad / Adam optimizers, the
+benchmark objective suite, and a CSV comparison harness.
 """
 
 from .errors import (
     DimensionError,
     InvalidDimension,
-    InvalidEpsilon,
     InvalidInput,
     InvalidMatrix,
     QuadGradError,
@@ -28,14 +28,11 @@ from .functions import (
     standard_suite,
 )
 from .gradients import (
-    DiagonalAccelerator,
     NewtonRatios,
-    QuadraticGradient,
     Variant,
     bound_diagonal,
     new_quadratic_gradient,
     newton_ratios,
-    quadratic_gradient,
     ratio_diagonal,
     spectral_learning_rate,
 )
@@ -73,7 +70,6 @@ __all__ = [
     "QuadGradError",
     "InvalidMatrix",
     "SingularMatrix",
-    "InvalidEpsilon",
     "DimensionError",
     "InvalidInput",
     "InvalidDimension",
@@ -88,12 +84,9 @@ __all__ = [
     "finite_difference_check",
     "get_function",
     "standard_suite",
-    "DiagonalAccelerator",
-    "QuadraticGradient",
     "NewtonRatios",
     "Variant",
     "bound_diagonal",
-    "quadratic_gradient",
     "newton_ratios",
     "ratio_diagonal",
     "new_quadratic_gradient",

@@ -37,19 +37,22 @@ DEFAULT_ENHANCED_ETA = 1.0
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A function, a start point, a budget, and an ordered set of methods."""
+    """A function, a start point, and an ordered set of methods.
+
+    Each method runs to its own ``max_iterations``; the table has one row
+    more than the largest budget.
+    """
 
     function_id: str
     x0: np.ndarray
-    iterations: int
     methods: tuple[tuple[str, OptimizerConfig], ...]
 
     def __post_init__(self):
+        if not self.methods:
+            raise QuadGradError("an experiment needs at least one method")
         labels = [label for label, _ in self.methods]
         if len(set(labels)) != len(labels):
             raise QuadGradError(f"duplicate method labels: {labels}")
-        if self.iterations < 1:
-            raise QuadGradError("iterations must be >= 1")
 
 
 @dataclass(eq=False)
@@ -102,14 +105,13 @@ def _loss_column(f: ObjectiveFunction, trajectory: Trajectory, iterations: int) 
 def run_experiment(spec: ExperimentSpec) -> CsvTable:
     """Run every method in the spec and assemble the loss table."""
     f = get_function(spec.function_id)
+    iterations = max(config.max_iterations for _, config in spec.methods)
     columns = [
-        _loss_column(f, run(f, config, spec.x0), spec.iterations)
+        _loss_column(f, run(f, config, spec.x0), iterations)
         for _, config in spec.methods
     ]
     header = ["Iterations"] + [label for label, _ in spec.methods]
-    rows = [
-        [float(i)] + [col[i] for col in columns] for i in range(spec.iterations + 1)
-    ]
+    rows = [[float(i)] + [col[i] for col in columns] for i in range(iterations + 1)]
     return CsvTable(header=header, rows=rows)
 
 
@@ -147,8 +149,7 @@ def experiment_lemma_lr(
         )
     )
     return run_experiment(
-        ExperimentSpec(function_id=function_id, x0=start, iterations=iterations,
-                       methods=methods)
+        ExperimentSpec(function_id=function_id, x0=start, methods=methods)
     )
 
 
@@ -179,8 +180,7 @@ def experiment_adam_qg(
                                       fixed_hessian=fixed_hessian)),
     )
     return run_experiment(
-        ExperimentSpec(function_id=f.name, x0=start, iterations=iterations,
-                       methods=methods)
+        ExperimentSpec(function_id=f.name, x0=start, methods=methods)
     )
 
 

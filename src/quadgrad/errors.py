@@ -13,10 +13,6 @@ class SingularMatrix(QuadGradError):
     """Linear solve hit a pivot too small to trust; take the pseudoinverse path."""
 
 
-class InvalidEpsilon(QuadGradError):
-    """A stabilising epsilon must be strictly positive."""
-
-
 class DimensionError(QuadGradError):
     """Operand dimensions do not match."""
 

@@ -16,10 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InvalidEpsilon, InvalidInput, SingularMatrix
+from .errors import DimensionError, InvalidInput, SingularMatrix
 from .linalg import as_square_matrix, as_vector, pseudoinverse, solve, spectral_bounds
 
-DEFAULT_EPSILON = 1e-8
+# Guards every 1/(EPSILON + ...) against division by zero; not a tuning knob.
+EPSILON = 1e-8
 
 # Rows per block of the absolute row sums: each block's |.| temporary is
 # 64 rows, not a copy of the whole matrix.
@@ -27,31 +28,10 @@ _ROW_BLOCK = 64
 
 
 class Variant(enum.Enum):
-    """Which diagonal-accelerator construction produced a quadratic gradient."""
+    """Which diagonal accelerator an enhanced Adam run applies to its gradient."""
 
     ORIGINAL = "original"  # reciprocal absolute row sums of a bound matrix
     NEW = "new"  # reciprocal |Newton step / gradient| ratios
-
-
-@dataclass(frozen=True)
-class DiagonalAccelerator:
-    """Strictly positive diagonal that premultiplies a gradient."""
-
-    diag: np.ndarray
-    epsilon: float
-    variant: Variant
-
-    @property
-    def dim(self) -> int:
-        return self.diag.shape[0]
-
-
-@dataclass(frozen=True)
-class QuadraticGradient:
-    """An accelerated gradient ``vector = accelerator.diag * g`` (elementwise)."""
-
-    vector: np.ndarray
-    accelerator: DiagonalAccelerator
 
 
 @dataclass(frozen=True)
@@ -64,12 +44,6 @@ class NewtonRatios:
 
     ratios: np.ndarray
     used_pseudoinverse: bool
-
-
-def _check_epsilon(epsilon: float) -> float:
-    if not epsilon > 0.0:
-        raise InvalidEpsilon(f"epsilon must be > 0, got {epsilon}")
-    return float(epsilon)
 
 
 def _abs_row_sums(m: np.ndarray) -> np.ndarray:
@@ -89,28 +63,15 @@ def _abs_row_sums(m: np.ndarray) -> np.ndarray:
     return sums
 
 
-def bound_diagonal(hbar, epsilon: float = DEFAULT_EPSILON) -> DiagonalAccelerator:
-    """Accelerator with entries 1 / (epsilon + sum_i |hbar_ji|).
+def bound_diagonal(hbar) -> np.ndarray:
+    """Accelerator diagonal with entries 1 / (EPSILON + sum_i |hbar_ji|).
 
     ``hbar`` is a Hessian bound matrix (or the Hessian itself); the row sums
     run over absolute values so the sign convention of the bound does not
     matter. A C-ordered matrix is summed in blocks of rows, so no copy of it
     is made.
     """
-    eps = _check_epsilon(epsilon)
-    m = as_square_matrix(hbar)
-    diag = 1.0 / (eps + _abs_row_sums(m))
-    return DiagonalAccelerator(diag=diag, epsilon=eps, variant=Variant.ORIGINAL)
-
-
-def quadratic_gradient(accelerator: DiagonalAccelerator, g) -> QuadraticGradient:
-    """Elementwise product of an accelerator diagonal and a gradient."""
-    grad = as_vector(g)
-    if grad.shape[0] != accelerator.dim:
-        raise DimensionError(
-            f"accelerator dim {accelerator.dim} != gradient dim {grad.shape[0]}"
-        )
-    return QuadraticGradient(vector=accelerator.diag * grad, accelerator=accelerator)
+    return 1.0 / (EPSILON + _abs_row_sums(as_square_matrix(hbar)))
 
 
 def newton_ratios(h, g) -> NewtonRatios:
@@ -138,24 +99,20 @@ def newton_ratios(h, g) -> NewtonRatios:
     return NewtonRatios(ratios=ratios, used_pseudoinverse=True)
 
 
-def ratio_diagonal(h, g, epsilon: float = DEFAULT_EPSILON) -> DiagonalAccelerator:
-    """Accelerator with entries 1 / (epsilon + |r_i|) from the Newton ratios."""
-    eps = _check_epsilon(epsilon)
-    r = newton_ratios(h, g)
-    diag = 1.0 / (eps + np.abs(r.ratios))
-    return DiagonalAccelerator(diag=diag, epsilon=eps, variant=Variant.NEW)
+def ratio_diagonal(h, g) -> np.ndarray:
+    """Accelerator diagonal with entries 1 / (EPSILON + |r_i|) from the Newton ratios."""
+    return 1.0 / (EPSILON + np.abs(newton_ratios(h, g).ratios))
 
 
-def new_quadratic_gradient(h, g, epsilon: float = DEFAULT_EPSILON) -> QuadraticGradient:
-    """Quadratic gradient with entries g_i / (epsilon + |r_i|).
+def new_quadratic_gradient(h, g) -> np.ndarray:
+    """Quadratic gradient with entries g_i / (EPSILON + |r_i|).
 
     A zero ratio can only arise together with a zero gradient entry, so the
-    guarded 1/epsilon accelerator entry never amplifies anything.
+    guarded 1/EPSILON accelerator entry never amplifies anything.
     """
-    return quadratic_gradient(ratio_diagonal(h, g, epsilon), g)
+    return ratio_diagonal(h, g) * as_vector(g)
 
 
-def spectral_learning_rate(h, epsilon: float = DEFAULT_EPSILON) -> float:
-    """1 / (epsilon + spectral radius of h), for a symmetric matrix h."""
-    eps = _check_epsilon(epsilon)
-    return 1.0 / (eps + spectral_bounds(h).spectral_radius)
+def spectral_learning_rate(h) -> float:
+    """1 / (EPSILON + spectral radius of h), for a symmetric matrix h."""
+    return 1.0 / (EPSILON + spectral_bounds(h).spectral_radius)

@@ -22,16 +22,20 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionError, InvalidEpsilon, InvalidInput, QuadGradError
+from .errors import DimensionError, InvalidInput, QuadGradError
 from .functions import ObjectiveFunction, Sense
-from .gradients import (
-    DEFAULT_EPSILON,
-    Variant,
-    bound_diagonal,
-    new_quadratic_gradient,
-    spectral_learning_rate,
-)
+from .gradients import Variant, bound_diagonal, new_quadratic_gradient, spectral_learning_rate
 from .linalg import as_vector
+
+# Adam's moment decay rates and denominator guard, as in Kingma and Ba; the
+# enhanced Adagrad shares the guard.
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON_ADAM = 1e-8
+# run() stops when the gradient norm falls to GRAD_TOL, and flags a run whose
+# iterate has a coordinate beyond DIVERGENCE_BOUND in magnitude.
+GRAD_TOL = 1e-12
+DIVERGENCE_BOUND = 1e12
 
 
 class Method(enum.Enum):
@@ -52,32 +56,21 @@ class OptimizerConfig:
     selects the accelerator for ENHANCED_ADAM; None means the identity
     accelerator, which makes the enhanced method coincide with the plain one.
     ``fixed_hessian`` freezes all second-order information at the starting
-    point instead of re-evaluating per iteration.
+    point instead of re-evaluating per iteration. Adam's decay rates, the
+    guards and the stopping thresholds are the module constants above.
     """
 
     method: Method
     stepsize: float = 0.1
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon_accel: float = DEFAULT_EPSILON
-    epsilon_adam: float = 1e-8
     qg_variant: Variant | None = None
     max_iterations: int = 100
-    divergence_bound: float = 1e12
-    grad_tol: float = 1e-12
     fixed_hessian: bool = False
 
     def __post_init__(self):
-        if not 0.0 <= self.beta1 < 1.0:
-            raise InvalidInput(f"beta1 must be in [0, 1), got {self.beta1}")
-        if not 0.0 <= self.beta2 < 1.0:
-            raise InvalidInput(f"beta2 must be in [0, 1), got {self.beta2}")
         if not self.stepsize > 0.0:
             raise InvalidInput(f"stepsize must be > 0, got {self.stepsize}")
         if self.max_iterations < 1:
             raise InvalidInput("max_iterations must be >= 1")
-        if not self.epsilon_accel > 0.0:
-            raise InvalidEpsilon(f"epsilon_accel must be > 0, got {self.epsilon_accel}")
 
 
 @dataclass(frozen=True)
@@ -138,7 +131,7 @@ def step_gd_spectral(
 ) -> OptimizerState:
     """Plain gradient descent whose learning rate is the reciprocal spectral
     radius of the current Hessian."""
-    lr = spectral_learning_rate(h, config.epsilon_accel)
+    lr = spectral_learning_rate(h)
     return _advance(state, state.theta - lr * g)
 
 
@@ -162,10 +155,9 @@ def step_nag(
     new and previous lookahead points with the Nesterov weight sequence
     (a_0 = 1, a_{t+1} = (1 + sqrt(1 + 4 a_t^2)) / 2, gamma_t = (a_t - 1) / a_{t+1}).
     """
-    lr = spectral_learning_rate(h, config.epsilon_accel)
+    lr = spectral_learning_rate(h)
     if enhanced:
-        accel = bound_diagonal(h, config.epsilon_accel)
-        update = (1.0 + lr) * accel.diag * g
+        update = (1.0 + lr) * bound_diagonal(h) * g
     else:
         update = lr * g
     v_new = state.theta - update
@@ -178,18 +170,17 @@ def step_enhanced_adagrad(
     state: OptimizerState, config: OptimizerConfig, g: np.ndarray, h: np.ndarray
 ) -> OptimizerState:
     """Adagrad on the row-sum quadratic gradient with a (1 + eta) numerator."""
-    accel = bound_diagonal(h, config.epsilon_accel)
-    qg = accel.diag * g
+    qg = bound_diagonal(h) * g
     accum = state.adagrad_accum + qg * qg
-    scale = (1.0 + config.stepsize) / (config.epsilon_adam + np.sqrt(accum))
+    scale = (1.0 + config.stepsize) / (EPSILON_ADAM + np.sqrt(accum))
     return _advance(state, state.theta - scale * qg, adagrad_accum=accum)
 
 
 def _accelerated(config, g, h):
     if config.qg_variant is Variant.ORIGINAL:
-        return bound_diagonal(h, config.epsilon_accel).diag * g
+        return bound_diagonal(h) * g
     if config.qg_variant is Variant.NEW:
-        return new_quadratic_gradient(h, g, config.epsilon_accel).vector
+        return new_quadratic_gradient(h, g)
     return g
 
 
@@ -208,13 +199,11 @@ def step_adam(
     """
     qg = _accelerated(config, g, h) if enhanced else g
     t = state.t + 1
-    m = config.beta1 * state.m + (1.0 - config.beta1) * qg
-    v = config.beta2 * state.v + (1.0 - config.beta2) * qg * qg
-    m_hat = m / (1.0 - config.beta1**t)
-    v_hat = v / (1.0 - config.beta2**t)
-    theta_new = state.theta - config.stepsize * m_hat / (
-        np.sqrt(v_hat) + config.epsilon_adam
-    )
+    m = BETA1 * state.m + (1.0 - BETA1) * qg
+    v = BETA2 * state.v + (1.0 - BETA2) * qg * qg
+    m_hat = m / (1.0 - BETA1**t)
+    v_hat = v / (1.0 - BETA2**t)
+    theta_new = state.theta - config.stepsize * m_hat / (np.sqrt(v_hat) + EPSILON_ADAM)
     return _advance(state, theta_new, m=m, v=v)
 
 
@@ -241,14 +230,14 @@ def run(f: ObjectiveFunction, config: OptimizerConfig, x0) -> Trajectory:
 
     Raises ``InvalidInput`` before iterating when the objective is not
     finite at ``x0``. The gradient is evaluated once per step and shared by
-    the ``grad_tol`` check and the step; the Hessian once per step after
+    the ``GRAD_TOL`` check and the step; the Hessian once per step after
     that check (once at ``x0`` under ``fixed_hessian``), and only for
     methods that read it. ``run()`` neither copies nor writes the arrays the
     objective returns: a minimised objective's gradient and Hessian reach
     the step as they are, a maximised one's are negated into new arrays.
     Divergence (a step that raises a ``QuadGradError`` or ``LinAlgError`` on
     a breakdown, a non-finite iterate, any coordinate beyond
-    ``divergence_bound``, or a non-finite objective) truncates the
+    ``DIVERGENCE_BOUND``, or a non-finite objective) truncates the
     trajectory and sets the flag; it is never raised to the caller. The
     objective is not evaluated at an iterate that failed the bound.
     Floating-point overflow and invalid operations raise no warnings: the
@@ -277,8 +266,8 @@ def run(f: ObjectiveFunction, config: OptimizerConfig, x0) -> Trajectory:
         for t in range(1, config.max_iterations + 1):
             g = orient(f.gradient(state.theta))
             # sqrt(g.dot(g)) is np.linalg.norm(g) without its call overhead;
-            # an overflowed norm is inf and fails grad_tol
-            if math.sqrt(g.dot(g)) <= config.grad_tol:
+            # an overflowed norm is inf and fails GRAD_TOL
+            if math.sqrt(g.dot(g)) <= GRAD_TOL:
                 break
             h = orient(f.hessian(state.theta)) if fresh_hessian else frozen
             try:
@@ -290,7 +279,7 @@ def run(f: ObjectiveFunction, config: OptimizerConfig, x0) -> Trajectory:
             # it alive moved n=1000 step times by up to 2x either way (allocator)
             del h
             # NaN and inf fail the comparison too, so this one test catches both
-            within = np.all(np.abs(state.theta) <= config.divergence_bound)
+            within = np.all(np.abs(state.theta) <= DIVERGENCE_BOUND)
             objective = f.value(state.theta) if within else math.nan
             if not math.isfinite(objective):
                 diverged = True

@@ -9,6 +9,7 @@ from quadgrad import (
     InvalidDimension,
     Method,
     OptimizerConfig,
+    QuadGradError,
     experiment_adam_qg,
     experiment_lemma_lr,
     run_experiment,
@@ -105,29 +106,48 @@ class TestAdamQgExperiment:
 
 class TestDivergencePadding:
     def test_nan_rows_after_divergence(self):
+        # Adam's first step is sign-like, so it moves every coordinate by
+        # about the stepsize, beyond DIVERGENCE_BOUND
         spec = ExperimentSpec(
             function_id="rosenbrock:2",
             x0=np.array([-1.0, -1.0]),
-            iterations=20,
             methods=(
                 (
                     "blowup",
                     OptimizerConfig(
                         method=Method.ENHANCED_ADAM,
-                        stepsize=1e6,
+                        stepsize=1e13,
                         qg_variant=None,
                         max_iterations=20,
-                        divergence_bound=1e3,
                     ),
                 ),
             ),
         )
         table = run_experiment(spec)
         assert len(table.rows) == 21
+        assert math.isnan(table.rows[1][1])
         assert math.isnan(table.rows[-1][1])
         assert "nan" in table.emit().splitlines()[-1]
         # the partial prefix stays numeric
         assert math.isfinite(table.rows[0][1])
+
+    def test_rows_cover_the_largest_budget(self):
+        # each method runs its own budget; a shorter column repeats its last value
+        spec = ExperimentSpec(
+            function_id="booth",
+            x0=np.zeros(2),
+            methods=(
+                ("short", OptimizerConfig(Method.GD_SPECTRAL, max_iterations=3)),
+                ("long", OptimizerConfig(Method.GD_SPECTRAL, max_iterations=10)),
+            ),
+        )
+        table = run_experiment(spec)
+        assert [row[0] for row in table.rows] == list(range(11))
+        short = [row[1] for row in table.rows]
+        long = [row[2] for row in table.rows]
+        assert short[:4] == long[:4]
+        assert short[4:] == [short[3]] * 7
+        assert long[10] < long[3]
 
 
 class TestDefaults:
@@ -140,13 +160,16 @@ class TestDefaults:
 
     def test_duplicate_labels_rejected(self):
         cfg = OptimizerConfig(method=Method.ADAM, max_iterations=3)
-        with pytest.raises(Exception):
+        with pytest.raises(QuadGradError):
             ExperimentSpec(
                 function_id="booth",
                 x0=np.zeros(2),
-                iterations=3,
                 methods=(("same", cfg), ("same", cfg)),
             )
+
+    def test_no_methods_rejected(self):
+        with pytest.raises(QuadGradError):
+            ExperimentSpec(function_id="booth", x0=np.zeros(2), methods=())
 
 
 class TestCli:

@@ -1,0 +1,14 @@
+"""The demos that write no files run end to end against the current API."""
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+
+
+@pytest.mark.parametrize("script", ["newton_ratio_walkthrough.py", "spectral_rate_descent.py"])
+def test_demo_runs(script, capsys):
+    runpy.run_path(str(DEMOS / script), run_name="__main__")
+    assert capsys.readouterr().out

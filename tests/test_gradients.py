@@ -5,17 +5,15 @@ import pytest
 
 from quadgrad import (
     DimensionError,
-    InvalidEpsilon,
-    Variant,
     bound_diagonal,
     new_quadratic_gradient,
     newton_ratios,
-    quadratic_gradient,
     ratio_diagonal,
     solve,
     rosenbrock,
     spectral_learning_rate,
 )
+from quadgrad.gradients import EPSILON
 from helpers import (
     peak_traced_bytes,
     random_invertible_symmetric,
@@ -38,51 +36,31 @@ LAYOUTS = {
 
 class TestBoundDiagonal:
     def test_identity_rows(self):
-        accel = bound_diagonal(np.eye(2), epsilon=1e-8)
-        np.testing.assert_allclose(accel.diag, [1.0 / (1.0 + 1e-8)] * 2)
-        assert accel.variant is Variant.ORIGINAL
+        diag = bound_diagonal(np.eye(2))
+        np.testing.assert_allclose(diag, [1.0 / (1.0 + EPSILON)] * 2)
 
     def test_counterexample_row_sums(self):
-        accel = bound_diagonal(H_F, epsilon=1e-8)
-        np.testing.assert_allclose(accel.diag, [1.0 / 6.0, 1.0 / 4.0], rtol=1e-8)
+        np.testing.assert_allclose(bound_diagonal(H_F), [1.0 / 6.0, 1.0 / 4.0], rtol=1e-8)
 
     def test_zero_matrix_epsilon_only(self):
-        accel = bound_diagonal(np.zeros((2, 2)), epsilon=0.1)
-        np.testing.assert_allclose(accel.diag, [10.0, 10.0])
-
-    @pytest.mark.parametrize("epsilon", [0.0, -1e-8])
-    def test_rejects_nonpositive_epsilon(self, epsilon):
-        with pytest.raises(InvalidEpsilon):
-            bound_diagonal(np.eye(2), epsilon=epsilon)
+        np.testing.assert_array_equal(bound_diagonal(np.zeros((2, 2))), [1.0 / EPSILON] * 2)
 
     def test_reciprocal_row_sum_identity(self):
         # the literal construction: diag[j] * (eps + rowsum_j) == 1 to roundoff
         rng = np.random.default_rng(21)
         for _ in range(50):
             n = int(rng.integers(2, 11))
-            h = random_symmetric(rng, n)
-            eps = 10.0 ** rng.uniform(-10, -1)
-            accel = bound_diagonal(h, epsilon=eps)
-            products = accel.diag * (eps + np.sum(np.abs(h), axis=1))
+            h = random_symmetric(rng, n, scale=10.0 ** rng.uniform(-10, 2))
+            products = bound_diagonal(h) * (EPSILON + np.sum(np.abs(h), axis=1))
             np.testing.assert_allclose(products, np.ones(n), rtol=1e-15)
-
-    def test_scaling_hbar_and_epsilon_scales_diag_exactly(self):
-        # 1/(c*eps + c*rowsum) = (1/c) * 1/(eps + rowsum); exact for c = 2^k
-        rng = np.random.default_rng(22)
-        h = random_symmetric(rng, 4)
-        base = bound_diagonal(h, epsilon=1e-6)
-        for c in (2.0, 8.0, 0.25):
-            scaled = bound_diagonal(c * h, epsilon=c * 1e-6)
-            np.testing.assert_array_equal(scaled.diag, base.diag / c)
 
     # 64 is the row-block size: one block, one block plus a one-row tail, ...
     @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 257, 1000])
     @pytest.mark.parametrize("layout", list(LAYOUTS))
     def test_row_sums_bit_identical_to_one_shot_sum(self, layout, n):
         m = LAYOUTS[layout](np.random.default_rng(n), n)
-        eps = 1e-8
-        expected = 1.0 / (eps + np.sum(np.abs(m), axis=1))
-        got = bound_diagonal(m, epsilon=eps).diag
+        expected = 1.0 / (EPSILON + np.sum(np.abs(m), axis=1))
+        got = bound_diagonal(m)
         np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
 
     def test_makes_no_copy_of_the_matrix(self):
@@ -91,36 +69,14 @@ class TestBoundDiagonal:
 
 
 class TestQuadraticGradient:
-    def test_elementwise_product(self):
-        accel = bound_diagonal(H_F, epsilon=1e-8)
-        qg = quadratic_gradient(accel, [1.0, 1.0])
-        np.testing.assert_allclose(qg.vector, [1.0 / 6.0, 1.0 / 4.0], rtol=1e-8)
-        assert qg.accelerator.variant is Variant.ORIGINAL
-
-    def test_zero_gradient(self):
-        accel = bound_diagonal(np.eye(3))
-        np.testing.assert_array_equal(
-            quadratic_gradient(accel, np.zeros(3)).vector, np.zeros(3)
-        )
-
-    def test_identity_accelerator(self):
-        accel = bound_diagonal(np.zeros((2, 2)), epsilon=1.0)
-        np.testing.assert_allclose(
-            quadratic_gradient(accel, [2.5, -0.5]).vector, [2.5, -0.5]
-        )
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            quadratic_gradient(bound_diagonal(np.eye(2)), [1.0, 2.0, 3.0])
-
     def test_sign_preservation(self):
         rng = np.random.default_rng(23)
         for _ in range(30):
             n = int(rng.integers(2, 8))
             h = random_invertible_symmetric(rng, n)
             g = random_nonzero_vector(rng, n)
-            original = quadratic_gradient(bound_diagonal(h), g).vector
-            fresh = new_quadratic_gradient(h, g).vector
+            original = bound_diagonal(h) * g
+            fresh = new_quadratic_gradient(h, g)
             np.testing.assert_array_equal(np.sign(original), np.sign(g))
             np.testing.assert_array_equal(np.sign(fresh), np.sign(g))
 
@@ -178,42 +134,40 @@ class TestNewtonRatios:
 
 class TestNewQuadraticGradient:
     def test_counterexample_vector(self):
-        qg = new_quadratic_gradient(H_F, [1.0, 1.0], epsilon=1e-8)
-        np.testing.assert_allclose(qg.vector, [1.0, 1.0 / 1.5], rtol=1e-7)
-        assert qg.accelerator.variant is Variant.NEW
+        qg = new_quadratic_gradient(H_F, [1.0, 1.0])
+        np.testing.assert_allclose(qg, [1.0, 1.0 / 1.5], rtol=1e-7)
 
     def test_identity_hessian(self):
-        qg = new_quadratic_gradient(np.eye(2), [2.0, -3.0], epsilon=1e-8)
-        np.testing.assert_allclose(qg.vector, [2.0, -3.0], rtol=1e-7)
+        qg = new_quadratic_gradient(np.eye(2), [2.0, -3.0])
+        np.testing.assert_allclose(qg, [2.0, -3.0], rtol=1e-7)
 
     def test_zero_gradient(self):
-        qg = new_quadratic_gradient(H_F, np.zeros(2))
-        np.testing.assert_array_equal(qg.vector, np.zeros(2))
+        np.testing.assert_array_equal(new_quadratic_gradient(H_F, np.zeros(2)), np.zeros(2))
 
     def test_zero_ratio_entries_do_not_blow_up(self):
         # gradient entries of zero produce zero ratios; the guarded 1/eps
         # accelerator entry multiplies a zero gradient entry
-        qg = new_quadratic_gradient(np.eye(3), [1.0, 0.0, 2.0], epsilon=1e-8)
-        accel = ratio_diagonal(np.eye(3), [1.0, 0.0, 2.0], epsilon=1e-8)
-        assert accel.diag[1] == pytest.approx(1e8)
-        assert qg.vector[1] == 0.0
-        assert np.all(np.isfinite(qg.vector))
+        qg = new_quadratic_gradient(np.eye(3), [1.0, 0.0, 2.0])
+        diag = ratio_diagonal(np.eye(3), [1.0, 0.0, 2.0])
+        assert diag[1] == pytest.approx(1.0 / EPSILON)
+        assert qg[1] == 0.0
+        assert np.all(np.isfinite(qg))
 
-    def test_rejects_nonpositive_epsilon(self):
-        with pytest.raises(InvalidEpsilon):
-            new_quadratic_gradient(H_F, [1.0, 1.0], epsilon=0.0)
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionError):
+            new_quadratic_gradient(np.eye(2), [1.0, 2.0, 3.0])
 
 
 class TestSpectralLearningRate:
     def test_identity(self):
-        assert spectral_learning_rate(np.eye(2), 1e-8) == pytest.approx(1.0, rel=1e-7)
+        assert spectral_learning_rate(np.eye(2)) == pytest.approx(1.0, rel=1e-7)
 
     def test_booth_hessian(self):
-        rate = spectral_learning_rate([[10.0, 8.0], [8.0, 10.0]], 1e-8)
+        rate = spectral_learning_rate([[10.0, 8.0], [8.0, 10.0]])
         assert rate == pytest.approx(1.0 / 18.0, rel=1e-8)
 
     def test_counterexample_hessian(self):
-        rate = spectral_learning_rate(H_F, 1e-8)
+        rate = spectral_learning_rate(H_F)
         assert rate == pytest.approx(1.0 / (3.0 + math.sqrt(5.0)), rel=1e-8)
 
     def test_positive_and_finite(self):
