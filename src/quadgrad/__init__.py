@@ -44,6 +44,7 @@ from .linalg import (
     spectral_bounds,
 )
 from .optimizers import (
+    Curvature,
     Method,
     OptimizerConfig,
     OptimizerState,
@@ -96,6 +97,7 @@ __all__ = [
     "spectral_bounds",
     "solve",
     "pseudoinverse",
+    "Curvature",
     "Method",
     "OptimizerConfig",
     "OptimizerState",

@@ -6,18 +6,22 @@ run on its negation internally, while trajectories always record the
 original objective value. States are immutable snapshots; every step
 returns a fresh one with the counter advanced by exactly 1.
 
-Every ``step_*`` is a pure update rule on arrays: it takes ``g`` and ``h``,
-the oriented gradient and Hessian at ``state.theta``, and never sees the
-objective. ``run()`` owns every evaluation: the gradient once per step, the
-Hessian once per step only for methods that read it (or once at ``x0`` when
-``fixed_hessian`` is set), both negated for a maximisation problem and
-passed on as the objective returned them otherwise.
+Every ``step_*`` is a pure update rule: it takes ``g``, the oriented
+gradient at ``state.theta``, and ``h``, a ``Curvature`` holding the oriented
+Hessian there, and never sees the objective. ``run()`` owns every
+evaluation: the gradient once per step, the Hessian once per step only for
+methods that read it (or once at ``x0`` when ``fixed_hessian`` is set), both
+negated for a maximisation problem and passed on as the objective returned
+them otherwise. The spectral learning rate and the row-sum diagonal depend
+on the Hessian alone, so ``Curvature`` computes each at most once per
+Hessian: once per step, or once per run under ``fixed_hessian``.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -56,8 +60,11 @@ class OptimizerConfig:
     selects the accelerator for ENHANCED_ADAM; None means the identity
     accelerator, which makes the enhanced method coincide with the plain one.
     ``fixed_hessian`` freezes all second-order information at the starting
-    point instead of re-evaluating per iteration. Adam's decay rates, the
-    guards and the stopping thresholds are the module constants above.
+    point instead of re-evaluating per iteration: the Hessian, its spectral
+    learning rate and its row-sum diagonal are each derived once per run.
+    Adam's decay rates, the guards and the stopping thresholds are the
+    module constants above. A field of the wrong type or out of range raises
+    ``InvalidInput`` here, before any run starts.
     """
 
     method: Method
@@ -67,10 +74,21 @@ class OptimizerConfig:
     fixed_hessian: bool = False
 
     def __post_init__(self):
-        if not self.stepsize > 0.0:
-            raise InvalidInput(f"stepsize must be > 0, got {self.stepsize}")
-        if self.max_iterations < 1:
-            raise InvalidInput("max_iterations must be >= 1")
+        if not isinstance(self.method, Method):
+            raise InvalidInput(f"method must be a Method, got {self.method!r}")
+        if (isinstance(self.stepsize, bool) or not isinstance(self.stepsize, numbers.Real)
+                or not 0.0 < self.stepsize < math.inf):
+            raise InvalidInput(f"stepsize must be a finite number > 0, got {self.stepsize!r}")
+        if self.qg_variant is not None and not isinstance(self.qg_variant, Variant):
+            raise InvalidInput(f"qg_variant must be a Variant or None, got {self.qg_variant!r}")
+        if (isinstance(self.max_iterations, bool)
+                or not isinstance(self.max_iterations, numbers.Integral)
+                or self.max_iterations < 1):
+            raise InvalidInput(
+                f"max_iterations must be an integer >= 1, got {self.max_iterations!r}"
+            )
+        if not isinstance(self.fixed_hessian, (bool, np.bool_)):
+            raise InvalidInput(f"fixed_hessian must be a bool, got {self.fixed_hessian!r}")
 
 
 @dataclass(frozen=True)
@@ -122,17 +140,47 @@ def init_state(f: ObjectiveFunction, x0) -> OptimizerState:
     )
 
 
+class Curvature:
+    """One oriented Hessian ``h`` and the quantities derived from it alone.
+
+    ``learning_rate`` and ``bound`` call ``spectral_learning_rate`` and
+    ``bound_diagonal`` through this module's names at first use and keep the
+    result, so each is computed at most once per Hessian. A computation that
+    raises keeps nothing. ``h`` must not be written while the holder is in use.
+    """
+
+    __slots__ = ("h", "_learning_rate", "_bound")
+
+    def __init__(self, h: np.ndarray):
+        self.h = h
+        self._learning_rate = None
+        self._bound = None
+
+    @property
+    def learning_rate(self) -> float:
+        """``spectral_learning_rate(h)``."""
+        if self._learning_rate is None:
+            self._learning_rate = spectral_learning_rate(self.h)
+        return self._learning_rate
+
+    @property
+    def bound(self) -> np.ndarray:
+        """``bound_diagonal(h)``; callers must not write it."""
+        if self._bound is None:
+            self._bound = bound_diagonal(self.h)
+        return self._bound
+
+
 def _advance(state: OptimizerState, theta_new: np.ndarray, **updates) -> OptimizerState:
     return replace(state, t=state.t + 1, theta=theta_new, **updates)
 
 
 def step_gd_spectral(
-    state: OptimizerState, config: OptimizerConfig, g: np.ndarray, h: np.ndarray
+    state: OptimizerState, config: OptimizerConfig, g: np.ndarray, h: Curvature
 ) -> OptimizerState:
     """Plain gradient descent whose learning rate is the reciprocal spectral
     radius of the current Hessian."""
-    lr = spectral_learning_rate(h)
-    return _advance(state, state.theta - lr * g)
+    return _advance(state, state.theta - h.learning_rate * g)
 
 
 def _nag_schedule(a: float) -> tuple[float, float]:
@@ -145,7 +193,7 @@ def step_nag(
     state: OptimizerState,
     config: OptimizerConfig,
     g: np.ndarray,
-    h: np.ndarray,
+    h: Curvature,
     enhanced: bool,
 ) -> OptimizerState:
     """One accelerated-gradient step.
@@ -155,9 +203,9 @@ def step_nag(
     new and previous lookahead points with the Nesterov weight sequence
     (a_0 = 1, a_{t+1} = (1 + sqrt(1 + 4 a_t^2)) / 2, gamma_t = (a_t - 1) / a_{t+1}).
     """
-    lr = spectral_learning_rate(h)
+    lr = h.learning_rate
     if enhanced:
-        update = (1.0 + lr) * bound_diagonal(h) * g
+        update = (1.0 + lr) * h.bound * g
     else:
         update = lr * g
     v_new = state.theta - update
@@ -167,10 +215,10 @@ def step_nag(
 
 
 def step_enhanced_adagrad(
-    state: OptimizerState, config: OptimizerConfig, g: np.ndarray, h: np.ndarray
+    state: OptimizerState, config: OptimizerConfig, g: np.ndarray, h: Curvature
 ) -> OptimizerState:
     """Adagrad on the row-sum quadratic gradient with a (1 + eta) numerator."""
-    qg = bound_diagonal(h) * g
+    qg = h.bound * g
     accum = state.adagrad_accum + qg * qg
     scale = (1.0 + config.stepsize) / (EPSILON_ADAM + np.sqrt(accum))
     return _advance(state, state.theta - scale * qg, adagrad_accum=accum)
@@ -178,9 +226,9 @@ def step_enhanced_adagrad(
 
 def _accelerated(config, g, h):
     if config.qg_variant is Variant.ORIGINAL:
-        return bound_diagonal(h) * g
+        return h.bound * g
     if config.qg_variant is Variant.NEW:
-        return new_quadratic_gradient(h, g)
+        return new_quadratic_gradient(h.h, g)
     return g
 
 
@@ -188,7 +236,7 @@ def step_adam(
     state: OptimizerState,
     config: OptimizerConfig,
     g: np.ndarray,
-    h: np.ndarray | None,
+    h: Curvature | None,
     enhanced: bool,
 ) -> OptimizerState:
     """One Adam step with bias correction.
@@ -232,9 +280,12 @@ def run(f: ObjectiveFunction, config: OptimizerConfig, x0) -> Trajectory:
     finite at ``x0``. The gradient is evaluated once per step and shared by
     the ``GRAD_TOL`` check and the step; the Hessian once per step after
     that check (once at ``x0`` under ``fixed_hessian``), and only for
-    methods that read it. ``run()`` neither copies nor writes the arrays the
-    objective returns: a minimised objective's gradient and Hessian reach
-    the step as they are, a maximised one's are negated into new arrays.
+    methods that read it. Each Hessian reaches the step in a ``Curvature``,
+    which derives its spectral learning rate and row-sum diagonal at most
+    once: per step, or per run under ``fixed_hessian``. ``run()`` neither
+    copies nor writes the arrays the objective returns: a minimised
+    objective's gradient and Hessian reach the step as they are, a maximised
+    one's are negated into new arrays.
     Divergence (a step that raises a ``QuadGradError`` or ``LinAlgError`` on
     a breakdown, a non-finite iterate, any coordinate beyond
     ``DIVERGENCE_BOUND``, or a non-finite objective) truncates the
@@ -244,9 +295,7 @@ def run(f: ObjectiveFunction, config: OptimizerConfig, x0) -> Trajectory:
     run's checks see their inf and NaN results instead.
     """
     state = init_state(f, x0)
-    step = _STEPS.get(config.method)
-    if step is None:
-        raise InvalidInput(f"unknown method {config.method!r}")
+    step = _STEPS[config.method]
     maximize = f.sense is Sense.MAXIMIZE
 
     def orient(a):
@@ -260,7 +309,7 @@ def run(f: ObjectiveFunction, config: OptimizerConfig, x0) -> Trajectory:
             raise InvalidInput(f"objective is not finite at x0: {objective}")
         frozen = None
         if reads_hessian and config.fixed_hessian:
-            frozen = orient(f.hessian(state.theta))
+            frozen = Curvature(orient(f.hessian(state.theta)))
         records = [TrajectoryRecord(0, objective, state.theta.copy())]
         diverged = False
         for t in range(1, config.max_iterations + 1):
@@ -269,7 +318,7 @@ def run(f: ObjectiveFunction, config: OptimizerConfig, x0) -> Trajectory:
             # an overflowed norm is inf and fails GRAD_TOL
             if math.sqrt(g.dot(g)) <= GRAD_TOL:
                 break
-            h = orient(f.hessian(state.theta)) if fresh_hessian else frozen
+            h = Curvature(orient(f.hessian(state.theta))) if fresh_hessian else frozen
             try:
                 state = step(state, config, g, h)
             except (QuadGradError, np.linalg.LinAlgError):

@@ -9,12 +9,14 @@ import pytest
 import quadgrad.gradients as gradients
 import quadgrad.linalg as linalg
 import quadgrad.optimizers as optimizers
-from helpers import peak_traced_bytes
+from helpers import peak_traced_bytes, random_rank_deficient_symmetric
 from quadgrad import (
+    Curvature,
     InvalidInput,
     Method,
     ObjectiveFunction,
     OptimizerConfig,
+    QuadGradError,
     Sense,
     Variant,
     booth,
@@ -59,8 +61,9 @@ def grad(f, state):
 
 
 def hess(f, state):
-    """The oriented Hessian at ``state.theta``, as ``run()`` hands it to a step."""
-    return sign(f) * f.hessian(state.theta)
+    """The oriented Hessian at ``state.theta`` in a fresh ``Curvature``, as
+    ``run()`` hands it to a step."""
+    return Curvature(sign(f) * f.hessian(state.theta))
 
 
 def counted(f):
@@ -114,6 +117,63 @@ LAYERS_REACHED = {
         "new_quadratic_gradient", "newton_ratios", "solve", "pseudoinverse"
     },
 }
+
+# The layers that depend on the Hessian alone: a frozen run reaches them
+# once, at its first step; the Newton ratios also read g, so every step.
+DERIVED_ONCE = {"spectral_learning_rate", "spectral_bounds", "bound_diagonal"}
+
+
+def layer_calls(method, variant, fixed_hessian, steps):
+    """Calls per layer that a run of ``steps`` steps makes."""
+    return {
+        name: 1 if fixed_hessian and name in DERIVED_ONCE else steps
+        for name in LAYERS_REACHED[method, variant]
+    }
+
+
+# a Hessian evaluated every step, and one frozen at x0
+FRESH_AND_FROZEN = pytest.mark.parametrize("fixed_hessian", [False, True],
+                                           ids=["fresh", "frozen"])
+
+# run()'s dispatch, written out from the public step functions
+STEP_RULE = {
+    Method.GD_SPECTRAL: step_gd_spectral,
+    Method.NAG_SPECTRAL: lambda s, c, g, h: step_nag(s, c, g, h, enhanced=False),
+    Method.ENHANCED_NAG: lambda s, c, g, h: step_nag(s, c, g, h, enhanced=True),
+    Method.ENHANCED_ADAGRAD: step_enhanced_adagrad,
+    Method.ADAM: lambda s, c, g, h: step_adam(s, c, g, h, enhanced=False),
+    Method.ENHANCED_ADAM: lambda s, c, g, h: step_adam(s, c, g, h, enhanced=True),
+}
+
+
+def records(traj):
+    return traj.diverged, [
+        (r.iteration, r.objective, r.iterate.tobytes()) for r in traj.records
+    ]
+
+
+def frozen_reference(f, cfg, x0):
+    """``records`` of a frozen-Hessian run(), rebuilt as a plain loop over
+    the step functions that hands every step a fresh ``Curvature`` of the
+    Hessian at ``x0``, so nothing derived from it is reused between steps."""
+    state = init_state(f, x0)
+    frozen = hess(f, state).h
+    rows = [(0, f.value(state.theta), state.theta.tobytes())]
+    with np.errstate(all="ignore"):
+        for t in range(1, cfg.max_iterations + 1):
+            g = grad(f, state)
+            if math.sqrt(g.dot(g)) <= optimizers.GRAD_TOL:
+                break
+            try:
+                state = STEP_RULE[cfg.method](state, cfg, g, Curvature(frozen))
+            except (QuadGradError, np.linalg.LinAlgError):
+                return True, rows
+            within = np.all(np.abs(state.theta) <= optimizers.DIVERGENCE_BOUND)
+            objective = f.value(state.theta) if within else math.nan
+            if not math.isfinite(objective):
+                return True, rows
+            rows.append((t, objective, state.theta.tobytes()))
+    return False, rows
 
 
 class TestGdSpectral:
@@ -329,10 +389,12 @@ class TestRun:
             "nan-gradient-adam-newqg",
         ],
     )
-    def test_nonfinite_iterate_flags_run(self, gradient, hessian, method):
+    @FRESH_AND_FROZEN
+    def test_nonfinite_iterate_flags_run(self, gradient, hessian, method, fixed_hessian):
         f = synthetic(grad=gradient, hess=hessian)
         # only ENHANCED_ADAM reads qg_variant
-        cfg = config(method, max_iterations=10, qg_variant=Variant.NEW)
+        cfg = config(method, max_iterations=10, qg_variant=Variant.NEW,
+                     fixed_hessian=fixed_hessian)
         traj = run(f, cfg, [0.0, 0.0])
         assert traj.diverged
         assert len(traj.records) == 1
@@ -351,10 +413,12 @@ class TestRun:
             hessian_calls = (1 if fixed_hessian else 100) if reads_hessian else 0
             assert calls == Counter(value=101, gradient=100, hessian=hessian_calls)
 
+    @FRESH_AND_FROZEN
     @pytest.mark.parametrize("method, variant", METHOD_VARIANTS)
-    def test_steps_reach_traced_layers(self, method, variant, monkeypatch):
+    def test_steps_reach_traced_layers(self, method, variant, fixed_hessian, monkeypatch):
         # the steps must keep calling these through the module globals that
-        # perfbench's tracer rebinds, or its per-layer spans go silent
+        # perfbench's tracer rebinds, or its per-layer spans go silent; a
+        # frozen Hessian's learning rate and row sums are derived once
         calls = Counter()
         layers = [
             (optimizers, "spectral_learning_rate"),
@@ -374,10 +438,45 @@ class TestRun:
 
             monkeypatch.setattr(module, name, counting)
         f = synthetic(grad=[1.0, 2.0], hess=[[1.0, 1.0], [1.0, 1.0]])
-        cfg = config(method, qg_variant=variant, max_iterations=20)
+        cfg = config(method, qg_variant=variant, max_iterations=20,
+                     fixed_hessian=fixed_hessian)
         traj = run(f, cfg, [0.0, 0.0])
         assert len(traj.records) == 21
-        assert calls == {name: 20 for name in LAYERS_REACHED[method, variant]}
+        assert calls == layer_calls(method, variant, fixed_hessian, 20)
+
+    @pytest.mark.parametrize("objective", ["rosenbrock-30", "dense-singular"])
+    @pytest.mark.parametrize("method, variant", METHOD_VARIANTS)
+    def test_frozen_run_equals_rederiving_every_step(self, method, variant, objective):
+        # deriving the frozen Hessian's rate and row sums once keeps every bit
+        if objective == "rosenbrock-30":
+            f, x0 = rosenbrock(30), -np.ones(30)
+        else:
+            rng = np.random.default_rng(7)
+            f = synthetic(grad=rng.uniform(-2.0, 2.0, 6),
+                          hess=random_rank_deficient_symmetric(rng, 6, 3), dim=6)
+            x0 = np.zeros(6)
+        cfg = config(method, stepsize=0.5, qg_variant=variant, max_iterations=50,
+                     fixed_hessian=True)
+        expected = frozen_reference(f, cfg, x0)
+        assert len(expected[1]) > 2
+        assert records(run(f, cfg, x0)) == expected
+
+    @pytest.mark.parametrize("method, variant", METHOD_VARIANTS)
+    def test_objective_reusing_its_hessian_buffer(self, method, variant):
+        # every Hessian lands in one buffer, so a cache keyed on the array's
+        # identity would hand later steps the first step's derived values
+        f = rosenbrock(10)
+        buffer = np.empty((10, 10))
+
+        def hessian_in_place(x):
+            np.copyto(buffer, f.hessian(x))
+            return buffer
+
+        reusing = dataclasses.replace(f, hessian=hessian_in_place)
+        cfg = config(method, stepsize=0.5, qg_variant=variant, max_iterations=50)
+        expected = records(run(f, cfg, -np.ones(10)))
+        assert len(expected[1]) == 51
+        assert records(run(reusing, cfg, -np.ones(10))) == expected
 
     @pytest.mark.parametrize("method", ALL_METHODS)
     def test_steps_dispatch_through_module_attributes(self, method, monkeypatch):
@@ -398,11 +497,6 @@ class TestRun:
         assert calls == {STEP_FUNCTION[method]: 20}
 
     def test_tridiagonal_path_keeps_trajectories_bit_identical(self, monkeypatch):
-        def records(traj):
-            return traj.diverged, [
-                (r.iteration, r.objective, r.iterate.tobytes()) for r in traj.records
-            ]
-
         f = rosenbrock(30)
         x0 = -np.ones(30)
         methods = [Method.GD_SPECTRAL, Method.NAG_SPECTRAL, Method.ENHANCED_NAG]
@@ -461,12 +555,13 @@ class TestRun:
             # never written: the objective hands out copies of these constants
             np.testing.assert_array_equal(own_g, [1.0, 2.0])
             np.testing.assert_array_equal(own_h, [[3.0, 1.0], [1.0, 2.0]])
+            assert isinstance(h, Curvature)
             if sense is Sense.MINIMIZE:
-                assert g is own_g and h is own_h
+                assert g is own_g and h.h is own_h
             else:
-                assert g is not own_g and h is not own_h
+                assert g is not own_g and h.h is not own_h
                 np.testing.assert_array_equal(g, -own_g)
-                np.testing.assert_array_equal(h, -own_h)
+                np.testing.assert_array_equal(h.h, -own_h)
 
     @pytest.mark.parametrize("method, variant", METHOD_VARIANTS)
     def test_nonfinite_objective_at_x0_raises_before_iterating(self, method, variant):
@@ -499,7 +594,31 @@ class TestConfigValidation:
                           "fixed_hessian"]
 
     def test_rejects_bad_stepsize(self):
-        from quadgrad import InvalidInput
-
         with pytest.raises(InvalidInput):
             OptimizerConfig(method=Method.ADAM, stepsize=0.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("method", "adam"),
+            ("stepsize", "0.1"),
+            ("stepsize", math.inf),
+            ("stepsize", math.nan),
+            ("stepsize", True),
+            ("qg_variant", "new"),
+            ("max_iterations", 2.5),
+            ("max_iterations", "3"),
+            ("max_iterations", True),
+            ("fixed_hessian", "no"),
+            ("fixed_hessian", 1),
+        ],
+    )
+    def test_rejects_wrong_type_or_range(self, field, value):
+        fields = {"method": Method.ENHANCED_ADAM, field: value}
+        with pytest.raises(InvalidInput, match=field):
+            OptimizerConfig(**fields)
+
+    def test_accepts_numpy_scalars(self):
+        cfg = OptimizerConfig(Method.ADAM, stepsize=np.float64(0.5),
+                              max_iterations=np.int64(3), fixed_hessian=np.bool_(True))
+        assert len(run(booth(), cfg, [0.0, 0.0]).records) == 4

@@ -13,7 +13,7 @@ import quadgrad.bench as bench
 import quadgrad.gradients as gradients
 import quadgrad.optimizers as optimizers
 from quadgrad import Variant
-from test_optimizers import LAYERS_REACHED, METHOD_VARIANTS, config, synthetic
+from test_optimizers import FRESH_AND_FROZEN, METHOD_VARIANTS, config, layer_calls, synthetic
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -24,8 +24,9 @@ def snapshot():
     return modules, bench.CsvTable.emit
 
 
+@FRESH_AND_FROZEN
 @pytest.mark.parametrize("method, variant", METHOD_VARIANTS)
-def test_tracer_counts_every_layer_reached(method, variant, monkeypatch):
+def test_tracer_counts_every_layer_reached(method, variant, fixed_hessian, monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from tracing import Tracer
 
@@ -35,8 +36,9 @@ def test_tracer_counts_every_layer_reached(method, variant, monkeypatch):
     try:
         # singular Hessian: the Newton-ratio solve falls back to the pseudoinverse
         f = tracer.objective(synthetic(grad=[1.0, 2.0], hess=[[1.0, 1.0], [1.0, 1.0]]))
-        traj = optimizers.run(f, config(method, qg_variant=variant, max_iterations=20),
-                              [0.0, 0.0])
+        cfg = config(method, qg_variant=variant, max_iterations=20,
+                     fixed_hessian=fixed_hessian)
+        traj = optimizers.run(f, cfg, [0.0, 0.0])
         totals = tracer.drain()
     finally:
         tracer.uninstall()
@@ -49,11 +51,12 @@ def test_tracer_counts_every_layer_reached(method, variant, monkeypatch):
     assert len(traj.records) == 21
     calls = totals["calls"]
     reached = {
-        name.split(".", 1)[1]
+        name.split(".", 1)[1]: count
         for name, count in calls.items()
         if count and name.startswith(("linalg.", "gradients."))
     }
-    assert reached == LAYERS_REACHED[method, variant]
+    # a frozen run derives its spectral rate and row sums once
+    assert reached == layer_calls(method, variant, fixed_hessian, 20)
     assert calls["optimizers.run"] == 1
     assert calls["optimizers.step"] == 20
     singular = 20 if variant is Variant.NEW else 0
