@@ -57,15 +57,20 @@ from .optimizers import (
     step_gd_spectral,
     step_nag,
 )
-from .bench import (
-    CsvTable,
-    ExperimentSpec,
-    experiment_adam_qg,
-    experiment_lemma_lr,
-    run_experiment,
-)
 
 __version__ = "0.1.0"
+
+_BENCH_NAMES = {"bench", "CsvTable", "ExperimentSpec", "experiment_adam_qg",
+                "experiment_lemma_lr", "run_experiment"}
+
+
+def __getattr__(name):
+    # bench is imported at first use, not with the package, so that
+    # ``python -m quadgrad.bench`` finds it absent and executes it only once
+    if name not in _BENCH_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import quadgrad.bench as bench
+    return bench if name == "bench" else getattr(bench, name)
 
 __all__ = [
     "QuadGradError",

@@ -50,7 +50,7 @@ def rosenbrock(n: int) -> ObjectiveFunction:
 
     def value(x):
         x = np.asarray(x, dtype=float)
-        return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+        return float((100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2).sum())
 
     def gradient(x):
         x = np.asarray(x, dtype=float)
@@ -63,13 +63,14 @@ def rosenbrock(n: int) -> ObjectiveFunction:
     def hessian(x):
         x = np.asarray(x, dtype=float)
         h = np.zeros((n, n))
-        diag = np.zeros(n)
+        # strided views of the diagonal, superdiagonal and subdiagonal
+        flat = h.reshape(-1)
+        diag = flat[:: n + 1]
         diag[:-1] = 1200.0 * x[:-1] ** 2 - 400.0 * x[1:] + 2.0
         diag[1:] += 200.0
         off = -400.0 * x[:-1]
-        h[np.arange(n), np.arange(n)] = diag
-        h[np.arange(n - 1), np.arange(1, n)] = off
-        h[np.arange(1, n), np.arange(n - 1)] = off
+        flat[1 :: n + 1] = off
+        flat[n :: n + 1] = off
         return h
 
     return ObjectiveFunction(

@@ -55,11 +55,11 @@ def _abs_row_sums(m: np.ndarray) -> np.ndarray:
     where the whole matrix is reduced sequentially, and the last bit differs.
     """
     if m.shape[0] <= _ROW_BLOCK or not m.flags.c_contiguous:
-        return np.sum(np.abs(m), axis=1)
+        return abs(m).sum(axis=1)
     sums = np.empty(m.shape[0])
     for i in range(0, m.shape[0], _ROW_BLOCK):
         rows = slice(i, i + _ROW_BLOCK)
-        np.sum(np.abs(m[rows]), axis=1, out=sums[rows])
+        abs(m[rows]).sum(axis=1, out=sums[rows])
     return sums
 
 
@@ -88,9 +88,9 @@ def newton_ratios(h, g) -> NewtonRatios:
         raise DimensionError(
             f"matrix order {m.shape[0]} != gradient dim {grad.shape[0]}"
         )
-    if not (np.all(np.isfinite(m)) and np.all(np.isfinite(grad))):
+    if not (np.isfinite(m).all() and np.isfinite(grad).all()):
         raise InvalidInput("newton_ratios requires finite inputs")
-    if np.all(grad != 0.0):
+    if (grad != 0.0).all():
         try:
             return NewtonRatios(ratios=solve(m, grad) / grad, used_pseudoinverse=False)
         except SingularMatrix:

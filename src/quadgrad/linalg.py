@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionError, InvalidMatrix, SingularMatrix
+from .errors import DimensionError, InvalidInput, InvalidMatrix, SingularMatrix
 
 DEFAULT_SYMMETRY_TOL = 1e-9
 DEFAULT_PIVOT_TOL = 1e-12
@@ -24,7 +24,8 @@ DEFAULT_RANK_TOL = 1e-12
 # LAPACK dsyevd rescales a matrix whose largest lower-triangle entry lies
 # outside [_RMIN, _RMAX] (sqrt(safe minimum / precision) and its inverse)
 # before reducing it; dsterf alone matches its bits only inside that range.
-_RMIN = math.sqrt(np.finfo(float).tiny / np.finfo(float).eps)
+_TINY = np.finfo(float).tiny
+_RMIN = math.sqrt(_TINY / np.finfo(float).eps)
 _RMAX = 1.0 / _RMIN
 
 
@@ -40,9 +41,21 @@ class SpectralBounds:
     spectral_radius: float
 
 
+def _as_float_array(a) -> np.ndarray:
+    """``a`` as a float64 array; InvalidInput unless it holds bool, integer or
+    float numbers (complex input is refused, not cast under a ComplexWarning)."""
+    try:
+        arr = np.asarray(a)
+    except (TypeError, ValueError) as exc:  # ragged nesting
+        raise InvalidInput(f"expected real numbers: {exc}") from None
+    if arr.dtype.kind not in "biuf":
+        raise InvalidInput(f"expected real numbers, got dtype {arr.dtype}")
+    return np.asarray(arr, dtype=float)
+
+
 def as_square_matrix(a) -> np.ndarray:
     """Coerce to a float64 square matrix, raising InvalidMatrix otherwise."""
-    m = np.asarray(a, dtype=float)
+    m = _as_float_array(a)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise InvalidMatrix(f"expected a square matrix, got shape {m.shape}")
     return m
@@ -50,7 +63,7 @@ def as_square_matrix(a) -> np.ndarray:
 
 def as_vector(v) -> np.ndarray:
     """Coerce to a float64 vector, raising DimensionError otherwise."""
-    x = np.asarray(v, dtype=float)
+    x = _as_float_array(v)
     if x.ndim != 1 or x.shape[0] < 1:
         raise DimensionError(f"expected a vector, got shape {x.shape}")
     return x
@@ -129,14 +142,14 @@ def solve(a, b) -> np.ndarray:
         raise DimensionError(
             f"matrix order {m.shape[0]} does not match vector length {rhs.shape[0]}"
         )
-    if not (np.all(np.isfinite(m)) and np.all(np.isfinite(rhs))):
+    if not (np.isfinite(m).all() and np.isfinite(rhs).all()):
         raise InvalidMatrix("solve requires finite inputs")
     # an exactly zero pivot (info > 0) fails the pivot test below
     lu, piv, _ = scipy.linalg.lapack.dgetrf(m)
-    pivots = np.abs(np.diag(lu))
+    pivots = abs(lu.diagonal())
     # max|a| of finite entries, without an |a| copy next to the LU factor
-    scale = max(m.max(), -m.min(), np.finfo(float).tiny)
-    if np.min(pivots) < DEFAULT_PIVOT_TOL * scale:
+    scale = max(m.max(), -m.min(), _TINY)
+    if pivots.min() < DEFAULT_PIVOT_TOL * scale:
         raise SingularMatrix("pivot below tolerance; matrix is numerically singular")
     x, _ = scipy.linalg.lapack.dgetrs(lu, piv, rhs)
     return x
@@ -149,7 +162,7 @@ def pseudoinverse(a) -> np.ndarray:
     zero. The result satisfies the four Penrose conditions to roundoff.
     """
     m = as_square_matrix(a)
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise InvalidMatrix("pseudoinverse requires finite entries")
     u, sigma, vt = np.linalg.svd(m)
     if sigma[0] == 0.0:

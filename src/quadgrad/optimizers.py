@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,7 +127,7 @@ def init_state(f: ObjectiveFunction, x0) -> OptimizerState:
     theta = as_vector(x0).copy()
     if theta.shape[0] != f.dim:
         raise DimensionError(f"x0 has dim {theta.shape[0]}, objective needs {f.dim}")
-    if not np.all(np.isfinite(theta)):
+    if not np.isfinite(theta).all():
         raise InvalidInput("x0 must be finite")
     zeros = np.zeros_like(theta)
     return OptimizerState(
@@ -172,7 +172,8 @@ class Curvature:
 
 
 def _advance(state: OptimizerState, theta_new: np.ndarray, **updates) -> OptimizerState:
-    return replace(state, t=state.t + 1, theta=theta_new, **updates)
+    # the constructor takes about half the time of dataclasses.replace
+    return OptimizerState(**{**vars(state), "t": state.t + 1, "theta": theta_new, **updates})
 
 
 def step_gd_spectral(
@@ -328,7 +329,7 @@ def run(f: ObjectiveFunction, config: OptimizerConfig, x0) -> Trajectory:
             # it alive moved n=1000 step times by up to 2x either way (allocator)
             del h
             # NaN and inf fail the comparison too, so this one test catches both
-            within = np.all(np.abs(state.theta) <= DIVERGENCE_BOUND)
+            within = (abs(state.theta) <= DIVERGENCE_BOUND).all()
             objective = f.value(state.theta) if within else math.nan
             if not math.isfinite(objective):
                 diverged = True

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import quadgrad
 from quadgrad import (
     CsvTable,
     ExperimentSpec,
@@ -192,6 +197,23 @@ class TestCli:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == ADAM_HEADER
         assert len(lines) == 12
+
+    def test_module_form_runs_once_without_runpy_warning(self):
+        # importing the package must not import quadgrad.bench, or runpy
+        # warns and executes the module a second time
+        src = str(Path(quadgrad.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "quadgrad.bench",
+             "--experiment", "lemma-lr", "--function", "booth", "--iters", "2"],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        lines = proc.stdout.splitlines()
+        assert lines[0] == LEMMA_HEADER
+        assert len(lines) == 4
 
     def test_unknown_function_exit_code(self, capsys):
         assert main(["--function", "nosuch"]) == 3

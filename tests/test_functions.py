@@ -40,6 +40,29 @@ class TestRosenbrock:
         with pytest.raises(InvalidDimension):
             rosenbrock(1)
 
+    @pytest.mark.parametrize("n", [2, 3, 64, 65, 400, 1000])
+    def test_hessian_matches_index_scatter_bit_for_bit(self, n):
+        x = np.random.default_rng(n).uniform(-2.0, 2.0, n)
+        expected = scatter_hessian(x)
+        assert rosenbrock(n).hessian(x).view(np.int64).tobytes() == (
+            expected.view(np.int64).tobytes()
+        )
+
+
+def scatter_hessian(x):
+    """Rosenbrock's Hessian at ``x`` built by np.arange index scatter, the
+    reference for the strided builder."""
+    n = x.shape[0]
+    h = np.zeros((n, n))
+    diag = np.zeros(n)
+    diag[:-1] = 1200.0 * x[:-1] ** 2 - 400.0 * x[1:] + 2.0
+    diag[1:] += 200.0
+    off = -400.0 * x[:-1]
+    h[np.arange(n), np.arange(n)] = diag
+    h[np.arange(n - 1), np.arange(1, n)] = off
+    h[np.arange(1, n), np.arange(n - 1)] = off
+    return h
+
 
 class TestBeale:
     def test_minimum(self):

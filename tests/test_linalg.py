@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from quadgrad import (
+    InvalidInput,
     InvalidMatrix,
     SingularMatrix,
     is_symmetric,
@@ -13,7 +14,7 @@ from quadgrad import (
     solve,
     spectral_bounds,
 )
-from quadgrad.linalg import DEFAULT_PIVOT_TOL
+from quadgrad.linalg import DEFAULT_PIVOT_TOL, as_square_matrix, as_vector
 from helpers import peak_traced_bytes, random_rank_deficient_symmetric, random_symmetric
 
 # Constant Hessian of the concave-quadratic counterexample; its eigenvalues
@@ -242,3 +243,27 @@ class TestPseudoinverse:
 def test_is_symmetric_tolerance():
     assert is_symmetric([[1.0, 2.0], [2.0, 1.0]])
     assert not is_symmetric([[1.0, 2.0], [2.1, 1.0]], tol=1e-6)
+
+
+@pytest.mark.parametrize("coerce, bad", [
+    (as_vector, [1j, 0.0]),
+    (as_vector, np.array([1.0 + 1j, 0.0])),
+    (as_vector, ["a", "b"]),
+    (as_vector, [[1.0], [1.0, 2.0]]),
+    (as_square_matrix, [[1.0, 1j], [1j, 1.0]]),
+    (as_square_matrix, np.eye(2, dtype=complex)),
+    (as_square_matrix, [["1", "0"], ["0", "1"]]),
+    (as_square_matrix, [[1.0, 0.0], [0.0]]),
+    (as_square_matrix, np.array([[1.0, None], [None, 1.0]])),
+])
+def test_coercion_refuses_non_real_input(coerce, bad):
+    with pytest.raises(InvalidInput, match="expected real numbers"):
+        coerce(bad)
+
+
+@pytest.mark.parametrize("good", [[1, 2], [True, False], np.array([1, 2], dtype=np.float32),
+                                  np.array([3, 4], dtype=np.uint8)])
+def test_coercion_converts_real_dtypes_to_float64(good):
+    x = as_vector(good)
+    assert x.dtype == np.float64
+    np.testing.assert_array_equal(x, np.asarray(good, dtype=float))

@@ -16,6 +16,7 @@ from quadgrad import (
     Method,
     ObjectiveFunction,
     OptimizerConfig,
+    OptimizerState,
     QuadGradError,
     Sense,
     Variant,
@@ -571,6 +572,20 @@ class TestRun:
             run(f, cfg, [1e80, 1e80])
         assert calls == Counter(value=1)
 
+    @pytest.mark.parametrize("x0", [
+        [1j, 0], np.array([1 + 1j, 0]), np.array([1 + 0j, 0]), ["a", "b"], ["1", "2"],
+        [[1.0], [1.0, 2.0]], [None, 0.0],
+    ], ids=["complex-list", "complex-array", "real-valued-complex", "strings",
+            "numeric-strings", "ragged", "object"])
+    def test_non_real_x0_raises_typed_error_before_iterating(self, x0):
+        # a complex array is refused, not cast to real under a ComplexWarning
+        f, calls = counted(booth())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput, match="expected real numbers"):
+                run(f, config(Method.GD_SPECTRAL), x0)
+        assert calls == Counter()
+
     def test_overflow_mid_run_raises_no_warning(self):
         # the objective at x0 is 1e282, finite; Adam's qg * qg overflows
         with warnings.catch_warnings():
@@ -585,6 +600,33 @@ class TestRun:
         objectives = traj.objectives()
         assert objectives[-1] > objectives[0]
         assert abs(objectives[-1]) <= 1e-6
+
+
+# The OptimizerState fields each update rule writes; it carries the rest forward.
+FIELDS_WRITTEN = {
+    Method.GD_SPECTRAL: {"t", "theta"},
+    Method.NAG_SPECTRAL: {"t", "theta", "momentum_prev", "nag_a"},
+    Method.ENHANCED_NAG: {"t", "theta", "momentum_prev", "nag_a"},
+    Method.ENHANCED_ADAGRAD: {"t", "theta", "adagrad_accum"},
+    Method.ADAM: {"t", "theta", "m", "v"},
+    Method.ENHANCED_ADAM: {"t", "theta", "m", "v"},
+}
+
+
+@pytest.mark.parametrize("method, variant", METHOD_VARIANTS)
+def test_step_carries_unwritten_fields_forward_as_the_same_objects(method, variant):
+    state = OptimizerState(t=3, theta=np.array([0.5, -0.3]), momentum_prev=np.array([0.4, -0.2]),
+                           m=np.array([0.1, 0.2]), v=np.array([0.3, 0.4]),
+                           adagrad_accum=np.array([1.0, 2.0]), nag_a=2.0)
+    g = np.array([1.0, 2.0])
+    h = Curvature(np.array([[2.0, 1.0], [1.0, 3.0]]))
+    new = STEP_RULE[method](state, config(method, qg_variant=variant), g, h)
+    assert new.t == 4
+    carried = {field.name for field in dataclasses.fields(OptimizerState)
+               if getattr(new, field.name) is getattr(state, field.name)}
+    assert carried == {field.name for field in dataclasses.fields(OptimizerState)} - (
+        FIELDS_WRITTEN[method]
+    )
 
 
 class TestConfigValidation:
