@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDimension, QuadGradError, UnknownFunction
+from .errors import QuadGradError, UnknownFunction
 from .functions import ObjectiveFunction, Sense, get_function, rosenbrock
 from .gradients import Variant
 from .optimizers import Method, OptimizerConfig, Trajectory, run
@@ -139,7 +139,7 @@ def experiment_lemma_lr(
 ) -> CsvTable:
     """Spectral-rate comparison: raw gradient vs plain NAG vs enhanced NAG."""
     f = get_function(function_id)
-    start = default_x0(f) if x0 is None else np.asarray(x0, dtype=float)
+    start = default_x0(f) if x0 is None else x0
     methods = tuple(
         (label, OptimizerConfig(method=method, max_iterations=iterations,
                                 fixed_hessian=fixed_hessian))
@@ -157,17 +157,14 @@ def experiment_adam_qg(
     n_vars: int,
     iterations: int = 30,
     eta: float = DEFAULT_ENHANCED_ETA,
-    alpha: float = DEFAULT_ADAM_ALPHA,
     x0=None,
     fixed_hessian: bool = False,
 ) -> CsvTable:
-    """Plain Adam vs quadratic-gradient Adam variants on Rosenbrock(n_vars)."""
-    if n_vars < 2:
-        raise InvalidDimension(f"adam-qg needs n_vars >= 2, got {n_vars}")
+    """Plain Adam (stepsize DEFAULT_ADAM_ALPHA) vs the QG Adam variants on Rosenbrock(n_vars)."""
     f = rosenbrock(n_vars)
-    start = default_x0(f) if x0 is None else np.asarray(x0, dtype=float)
+    start = default_x0(f) if x0 is None else x0
     methods = (
-        ("Adam", OptimizerConfig(method=Method.ADAM, stepsize=alpha,
+        ("Adam", OptimizerConfig(method=Method.ADAM, stepsize=DEFAULT_ADAM_ALPHA,
                                  max_iterations=iterations,
                                  fixed_hessian=fixed_hessian)),
         ("AdamOldQG", OptimizerConfig(method=Method.ENHANCED_ADAM, stepsize=eta,

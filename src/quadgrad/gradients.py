@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InvalidInput, SingularMatrix
+from .errors import DimensionError, InvalidInput, InvalidMatrix, SingularMatrix
 from .linalg import as_square_matrix, as_vector, pseudoinverse, solve, spectral_bounds
 
 # Guards every 1/(EPSILON + ...) against division by zero; not a tuning knob.
@@ -80,7 +80,7 @@ def newton_ratios(h, g) -> NewtonRatios:
     When ``h`` is invertible and no gradient entry is zero this is computed
     exactly as r_i = solve(h, g)_i / g_i. Otherwise r comes from the
     pseudoinverse of h @ diag(g), which agrees with the exact form whenever
-    both exist.
+    both exist. Raises InvalidInput when h or g has a non-finite entry.
     """
     m = as_square_matrix(h)
     grad = as_vector(g)
@@ -88,13 +88,16 @@ def newton_ratios(h, g) -> NewtonRatios:
         raise DimensionError(
             f"matrix order {m.shape[0]} != gradient dim {grad.shape[0]}"
         )
-    if not (np.isfinite(m).all() and np.isfinite(grad).all()):
-        raise InvalidInput("newton_ratios requires finite inputs")
     if (grad != 0.0).all():
+        # solve scans both inputs for non-finite entries before it factors
         try:
             return NewtonRatios(ratios=solve(m, grad) / grad, used_pseudoinverse=False)
         except SingularMatrix:
             pass
+        except InvalidMatrix:
+            raise InvalidInput("newton_ratios requires finite inputs") from None
+    elif not (np.isfinite(m).all() and np.isfinite(grad).all()):
+        raise InvalidInput("newton_ratios requires finite inputs")
     ratios = pseudoinverse(m * grad[np.newaxis, :]) @ grad
     return NewtonRatios(ratios=ratios, used_pseudoinverse=True)
 

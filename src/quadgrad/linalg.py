@@ -17,9 +17,9 @@ import scipy.linalg
 
 from .errors import DimensionError, InvalidInput, InvalidMatrix, SingularMatrix
 
-DEFAULT_SYMMETRY_TOL = 1e-9
-DEFAULT_PIVOT_TOL = 1e-12
-DEFAULT_RANK_TOL = 1e-12
+SYMMETRY_TOL = 1e-9
+PIVOT_TOL = 1e-12
+RANK_TOL = 1e-12
 
 # LAPACK dsyevd rescales a matrix whose largest lower-triangle entry lies
 # outside [_RMIN, _RMAX] (sqrt(safe minimum / precision) and its inverse)
@@ -31,14 +31,15 @@ _RMAX = 1.0 / _RMIN
 
 @dataclass(frozen=True)
 class SpectralBounds:
-    """Extreme eigenvalues of a symmetric matrix.
-
-    ``spectral_radius`` is ``max(|lambda_min|, |lambda_max|)``.
-    """
+    """Extreme eigenvalues of a symmetric matrix."""
 
     lambda_min: float
     lambda_max: float
-    spectral_radius: float
+
+    @property
+    def spectral_radius(self) -> float:
+        """``max(|lambda_min|, |lambda_max|)``."""
+        return max(abs(self.lambda_min), abs(self.lambda_max))
 
 
 def _as_float_array(a) -> np.ndarray:
@@ -69,14 +70,14 @@ def as_vector(v) -> np.ndarray:
     return x
 
 
-def is_symmetric(a, tol: float = DEFAULT_SYMMETRY_TOL) -> bool:
-    """True when |a_ij - a_ji| <= tol * (1 + max|a|) for all entries."""
+def is_symmetric(a) -> bool:
+    """True when |a_ij - a_ji| <= SYMMETRY_TOL * (1 + max|a|) for all entries."""
     m = as_square_matrix(a)
     scale = 1.0 + np.max(np.abs(m), initial=0.0)
-    return bool(np.max(np.abs(m - m.T), initial=0.0) <= tol * scale)
+    return bool(np.max(np.abs(m - m.T), initial=0.0) <= SYMMETRY_TOL * scale)
 
 
-def _tridiagonal_eigenvalues(m: np.ndarray, tol: float) -> np.ndarray | None:
+def _tridiagonal_eigenvalues(m: np.ndarray) -> np.ndarray | None:
     """Ascending eigenvalues of a finite tridiagonal ``m``; None for other input.
 
     ``np.linalg.eigvalsh`` (LAPACK dsyevd on the lower triangle) reduces the
@@ -101,7 +102,7 @@ def _tridiagonal_eigenvalues(m: np.ndarray, tol: float) -> np.ndarray | None:
     if anrm > _RMAX or 0.0 < anrm < _RMIN:
         return None
     scale = 1.0 + max(anrm, abs(upper).max())
-    if not abs(lower - upper).max() <= tol * scale:
+    if not abs(lower - upper).max() <= SYMMETRY_TOL * scale:
         raise InvalidMatrix("matrix is not symmetric within tolerance")
     eigenvalues, info = scipy.linalg.lapack.dsterf(d, lower)
     if info != 0:
@@ -109,31 +110,29 @@ def _tridiagonal_eigenvalues(m: np.ndarray, tol: float) -> np.ndarray | None:
     return eigenvalues
 
 
-def spectral_bounds(h, tol: float = DEFAULT_SYMMETRY_TOL) -> SpectralBounds:
+def spectral_bounds(h) -> SpectralBounds:
     """Smallest and largest eigenvalue of a symmetric matrix.
 
-    Raises InvalidMatrix for non-finite entries or asymmetry beyond ``tol``.
+    Raises InvalidMatrix for non-finite entries or asymmetry beyond ``SYMMETRY_TOL``.
     A tridiagonal matrix takes LAPACK dsterf directly; the result is
     identical to ``np.linalg.eigvalsh``.
     """
     m = as_square_matrix(h)
     if not np.isfinite(m).all():
         raise InvalidMatrix("matrix has non-finite entries")
-    eigenvalues = _tridiagonal_eigenvalues(m, tol)
+    eigenvalues = _tridiagonal_eigenvalues(m)
     if eigenvalues is None:
-        if not is_symmetric(m, tol):
+        if not is_symmetric(m):
             raise InvalidMatrix("matrix is not symmetric within tolerance")
         eigenvalues = np.linalg.eigvalsh(m)
-    lo = float(eigenvalues[0])
-    hi = float(eigenvalues[-1])
-    return SpectralBounds(lo, hi, max(abs(lo), abs(hi)))
+    return SpectralBounds(float(eigenvalues[0]), float(eigenvalues[-1]))
 
 
 def solve(a, b) -> np.ndarray:
     """Solve ``a @ x = b`` by partially pivoted LU (LAPACK dgetrf/dgetrs).
 
     Raises SingularMatrix when any pivot falls below
-    ``DEFAULT_PIVOT_TOL * max|a|``, signalling the caller to switch to the
+    ``PIVOT_TOL * max|a|``, signalling the caller to switch to the
     pseudoinverse path.
     """
     m = as_square_matrix(a)
@@ -149,7 +148,7 @@ def solve(a, b) -> np.ndarray:
     pivots = abs(lu.diagonal())
     # max|a| of finite entries, without an |a| copy next to the LU factor
     scale = max(m.max(), -m.min(), _TINY)
-    if pivots.min() < DEFAULT_PIVOT_TOL * scale:
+    if pivots.min() < PIVOT_TOL * scale:
         raise SingularMatrix("pivot below tolerance; matrix is numerically singular")
     x, _ = scipy.linalg.lapack.dgetrs(lu, piv, rhs)
     return x
@@ -158,7 +157,7 @@ def solve(a, b) -> np.ndarray:
 def pseudoinverse(a) -> np.ndarray:
     """Moore-Penrose pseudoinverse via SVD.
 
-    Singular values below ``DEFAULT_RANK_TOL * sigma_max * order`` are treated as
+    Singular values below ``RANK_TOL * sigma_max * order`` are treated as
     zero. The result satisfies the four Penrose conditions to roundoff.
     """
     m = as_square_matrix(a)
@@ -167,7 +166,7 @@ def pseudoinverse(a) -> np.ndarray:
     u, sigma, vt = np.linalg.svd(m)
     if sigma[0] == 0.0:
         return np.zeros_like(m.T)
-    cutoff = DEFAULT_RANK_TOL * sigma[0] * m.shape[0]
+    cutoff = RANK_TOL * sigma[0] * m.shape[0]
     inv_sigma = np.zeros_like(sigma)
     keep = sigma > cutoff
     inv_sigma[keep] = 1.0 / sigma[keep]

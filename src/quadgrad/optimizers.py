@@ -57,8 +57,9 @@ class OptimizerConfig:
 
     ``stepsize`` is the Adam alpha for the plain method and the eta of the
     enhanced methods; the spectral-rate methods ignore it. ``qg_variant``
-    selects the accelerator for ENHANCED_ADAM; None means the identity
-    accelerator, which makes the enhanced method coincide with the plain one.
+    selects the accelerator of ENHANCED_ADAM and is refused on any other
+    method; None means the identity accelerator, which makes the enhanced
+    method coincide with the plain one.
     ``fixed_hessian`` freezes all second-order information at the starting
     point instead of re-evaluating per iteration: the Hessian, its spectral
     learning rate and its row-sum diagonal are each derived once per run.
@@ -81,6 +82,8 @@ class OptimizerConfig:
             raise InvalidInput(f"stepsize must be a finite number > 0, got {self.stepsize!r}")
         if self.qg_variant is not None and not isinstance(self.qg_variant, Variant):
             raise InvalidInput(f"qg_variant must be a Variant or None, got {self.qg_variant!r}")
+        if self.qg_variant is not None and self.method is not Method.ENHANCED_ADAM:
+            raise InvalidInput(f"qg_variant applies to ENHANCED_ADAM only, not {self.method}")
         if (isinstance(self.max_iterations, bool)
                 or not isinstance(self.max_iterations, numbers.Integral)
                 or self.max_iterations < 1):
@@ -184,33 +187,22 @@ def step_gd_spectral(
     return _advance(state, state.theta - h.learning_rate * g)
 
 
-def _nag_schedule(a: float) -> tuple[float, float]:
-    a_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * a * a))
-    gamma = (a - 1.0) / a_next
-    return a_next, gamma
-
-
 def step_nag(
-    state: OptimizerState,
-    config: OptimizerConfig,
-    g: np.ndarray,
-    h: Curvature,
-    enhanced: bool,
+    state: OptimizerState, config: OptimizerConfig, g: np.ndarray, h: Curvature
 ) -> OptimizerState:
     """One accelerated-gradient step.
 
-    Plain form steps by the spectral learning rate; the enhanced form steps
-    by (1 + lr) times the row-sum-accelerated gradient. Both then blend the
+    NAG_SPECTRAL steps by the spectral learning rate; ENHANCED_NAG steps by
+    (1 + lr) times the row-sum-accelerated gradient. Both then blend the
     new and previous lookahead points with the Nesterov weight sequence
     (a_0 = 1, a_{t+1} = (1 + sqrt(1 + 4 a_t^2)) / 2, gamma_t = (a_t - 1) / a_{t+1}).
     """
     lr = h.learning_rate
-    if enhanced:
-        update = (1.0 + lr) * h.bound * g
-    else:
-        update = lr * g
-    v_new = state.theta - update
-    a_next, gamma = _nag_schedule(state.nag_a)
+    enhanced = config.method is Method.ENHANCED_NAG
+    v_new = state.theta - ((1.0 + lr) * h.bound * g if enhanced else lr * g)
+    a = state.nag_a
+    a_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * a * a))
+    gamma = (a - 1.0) / a_next
     theta_new = (1.0 - gamma) * v_new + gamma * state.momentum_prev
     return _advance(state, theta_new, momentum_prev=v_new, nag_a=a_next)
 
@@ -225,28 +217,24 @@ def step_enhanced_adagrad(
     return _advance(state, state.theta - scale * qg, adagrad_accum=accum)
 
 
-def _accelerated(config, g, h):
-    if config.qg_variant is Variant.ORIGINAL:
-        return h.bound * g
-    if config.qg_variant is Variant.NEW:
-        return new_quadratic_gradient(h.h, g)
-    return g
+# The gradient Adam feeds its moments, per qg_variant (always None for ADAM)
+_ACCELERATED = {
+    None: lambda g, h: g,
+    Variant.ORIGINAL: lambda g, h: h.bound * g,
+    Variant.NEW: lambda g, h: new_quadratic_gradient(h.h, g),
+}
 
 
 def step_adam(
-    state: OptimizerState,
-    config: OptimizerConfig,
-    g: np.ndarray,
-    h: Curvature | None,
-    enhanced: bool,
+    state: OptimizerState, config: OptimizerConfig, g: np.ndarray, h: Curvature | None
 ) -> OptimizerState:
     """One Adam step with bias correction.
 
-    The enhanced form feeds the accelerated gradient (per ``qg_variant``)
-    into both moment accumulators; everything else is the standard update.
-    ``h`` is read only by the enhanced form with a ``qg_variant``.
+    The accelerated gradient (per ``qg_variant``) feeds both moment
+    accumulators; everything else is the standard update. ``h`` is read
+    only with a ``qg_variant``, so it may be None without one.
     """
-    qg = _accelerated(config, g, h) if enhanced else g
+    qg = _ACCELERATED[config.qg_variant](g, h)
     t = state.t + 1
     m = BETA1 * state.m + (1.0 - BETA1) * qg
     v = BETA2 * state.v + (1.0 - BETA2) * qg * qg
@@ -256,34 +244,41 @@ def step_adam(
     return _advance(state, theta_new, m=m, v=v)
 
 
-# The lambdas look the step functions up by module attribute at call time,
+# Method -> (its step function's name, whether it reads the Hessian without a
+# qg_variant). run() looks the name up in the module globals when it starts,
 # so a rebound ``step_*`` (a wrapper installed from outside) is the one run.
 _STEPS = {
-    Method.GD_SPECTRAL: lambda s, c, g, h: step_gd_spectral(s, c, g, h),
-    Method.NAG_SPECTRAL: lambda s, c, g, h: step_nag(s, c, g, h, enhanced=False),
-    Method.ENHANCED_NAG: lambda s, c, g, h: step_nag(s, c, g, h, enhanced=True),
-    Method.ENHANCED_ADAGRAD: lambda s, c, g, h: step_enhanced_adagrad(s, c, g, h),
-    Method.ADAM: lambda s, c, g, h: step_adam(s, c, g, h, enhanced=False),
-    Method.ENHANCED_ADAM: lambda s, c, g, h: step_adam(s, c, g, h, enhanced=True),
+    Method.GD_SPECTRAL: ("step_gd_spectral", True),
+    Method.NAG_SPECTRAL: ("step_nag", True),
+    Method.ENHANCED_NAG: ("step_nag", True),
+    Method.ENHANCED_ADAGRAD: ("step_enhanced_adagrad", True),
+    Method.ADAM: ("step_adam", False),
+    Method.ENHANCED_ADAM: ("step_adam", False),
 }
 
 
-def _reads_hessian(config: OptimizerConfig) -> bool:
-    if config.method is Method.ENHANCED_ADAM:
-        return config.qg_variant is not None
-    return config.method is not Method.ADAM
+def _checked(name: str, a, shape: tuple[int, ...]) -> np.ndarray:
+    """``a``, the objective's ``name``; InvalidInput unless a real ndarray of ``shape``."""
+    if not (isinstance(a, np.ndarray) and a.dtype.kind in "biuf" and a.shape == shape):
+        got = f"{a.dtype} {a.shape}" if isinstance(a, np.ndarray) else type(a).__name__
+        raise InvalidInput(f"the objective's {name} must be a real array of shape {shape}, "
+                           f"got {got}")
+    return a
 
 
 def run(f: ObjectiveFunction, config: OptimizerConfig, x0) -> Trajectory:
     """Iterate until the budget, a vanishing gradient, or divergence.
 
     Raises ``InvalidInput`` before iterating when the objective is not
-    finite at ``x0``. The gradient is evaluated once per step and shared by
-    the ``GRAD_TOL`` check and the step; the Hessian once per step after
-    that check (once at ``x0`` under ``fixed_hessian``), and only for
-    methods that read it. Each Hessian reaches the step in a ``Curvature``,
-    which derives its spectral learning rate and row-sum diagonal at most
-    once: per step, or per run under ``fixed_hessian``. ``run()`` neither
+    finite at ``x0``, and before the first step when its first gradient is
+    not a real ndarray of shape (n,), or its first Hessian (for a method that
+    reads one) not one of shape (n, n); later evaluations are not checked.
+    The gradient is evaluated once per step and shared by the ``GRAD_TOL``
+    check and the step; the Hessian once per step after that check (once at
+    ``x0`` under ``fixed_hessian``), and only for methods that read it. Each
+    Hessian reaches the step in a ``Curvature``, which derives its spectral
+    learning rate and row-sum diagonal at most once: per step, or per run
+    under ``fixed_hessian``. ``run()`` neither
     copies nor writes the arrays the objective returns: a minimised
     objective's gradient and Hessian reach the step as they are, a maximised
     one's are negated into new arrays.
@@ -296,30 +291,35 @@ def run(f: ObjectiveFunction, config: OptimizerConfig, x0) -> Trajectory:
     run's checks see their inf and NaN results instead.
     """
     state = init_state(f, x0)
-    step = _STEPS[config.method]
+    step_name, reads_hessian = _STEPS[config.method]
+    step = globals()[step_name]
+    reads_hessian = reads_hessian or config.qg_variant is not None
+    n = f.dim
     maximize = f.sense is Sense.MAXIMIZE
 
     def orient(a):
         return -1.0 * a if maximize else a
 
-    reads_hessian = _reads_hessian(config)
+    def curvature(x, first):
+        h = f.hessian(x)
+        return Curvature(orient(_checked("Hessian", h, (n, n)) if first else h))
+
     fresh_hessian = reads_hessian and not config.fixed_hessian
     with np.errstate(all="ignore"):
         objective = f.value(state.theta)
         if not math.isfinite(objective):
             raise InvalidInput(f"objective is not finite at x0: {objective}")
-        frozen = None
-        if reads_hessian and config.fixed_hessian:
-            frozen = Curvature(orient(f.hessian(state.theta)))
+        frozen = curvature(state.theta, True) if reads_hessian and config.fixed_hessian else None
         records = [TrajectoryRecord(0, objective, state.theta.copy())]
         diverged = False
         for t in range(1, config.max_iterations + 1):
-            g = orient(f.gradient(state.theta))
+            g = f.gradient(state.theta)
+            g = orient(_checked("gradient", g, (n,)) if t == 1 else g)
             # sqrt(g.dot(g)) is np.linalg.norm(g) without its call overhead;
             # an overflowed norm is inf and fails GRAD_TOL
             if math.sqrt(g.dot(g)) <= GRAD_TOL:
                 break
-            h = Curvature(orient(f.hessian(state.theta))) if fresh_hessian else frozen
+            h = curvature(state.theta, t == 1) if fresh_hessian else frozen
             try:
                 state = step(state, config, g, h)
             except (QuadGradError, np.linalg.LinAlgError):

@@ -12,6 +12,7 @@ from quadgrad import (
     CsvTable,
     ExperimentSpec,
     InvalidDimension,
+    InvalidInput,
     Method,
     OptimizerConfig,
     QuadGradError,
@@ -107,6 +108,22 @@ class TestAdamQgExperiment:
     def test_twenty_variables_completes(self):
         table = experiment_adam_qg(20, iterations=30)
         assert len(table.rows) == 31
+
+
+EXPERIMENTS = {
+    "lemma-lr": lambda x0: experiment_lemma_lr("booth", x0=x0, iterations=3),
+    "adam-qg": lambda x0: experiment_adam_qg(2, iterations=3, x0=x0),
+}
+
+
+class TestExperimentStartPoints:
+    # both experiments hand x0 to run() as given, so its typed check decides
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    @pytest.mark.parametrize("x0", [[1j, 0], ["a", "b"], [[1.0], [1.0, 2.0]]],
+                             ids=["complex", "strings", "ragged"])
+    def test_non_real_x0_raises_typed_error(self, experiment, x0):
+        with pytest.raises(InvalidInput, match="expected real numbers"):
+            EXPERIMENTS[experiment](x0)
 
 
 class TestDivergencePadding:

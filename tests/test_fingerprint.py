@@ -1,9 +1,11 @@
-"""tools/fingerprint.py on a reduced grid: its digest repeats and sees one flipped bit."""
+"""tools/fingerprint.py on reduced grids: its digests repeat and see one flipped bit."""
 
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from quadgrad import experiment_adam_qg
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
@@ -31,3 +33,31 @@ def test_digest_repeats_and_changes_with_one_iterate_bit(fingerprint):
     flipped_count, flipped = fingerprint.digest(runs)
     assert flipped_count == count
     assert flipped != digest
+
+
+def test_csv_digest_repeats_and_changes_with_one_byte(fingerprint):
+    # one CSV of the CLI grid: adam-qg at n=2, eta 1.5, 5 iterations
+    argvs = list(fingerprint.cli_arguments(sizes=(2,), etas=("1.5",), horizons=(5,),
+                                           functions=()))
+    assert argvs == [["--experiment", "adam-qg", "--nvars", "2", "--eta", "1.5",
+                      "--iters", "5"]]
+    csvs = [fingerprint.cli_csv(argv) for argv in argvs]
+    assert csvs[0] == experiment_adam_qg(2, iterations=5, eta=1.5).emit().encode()
+    count, digest = fingerprint.csv_digest(csvs)
+    assert count == 1
+    assert fingerprint.csv_digest(fingerprint.cli_csv(argv) for argv in argvs) == (1, digest)
+
+    flipped = bytearray(csvs[0])
+    flipped[-2] ^= 1
+    assert fingerprint.csv_digest([bytes(flipped)]) != (1, digest)
+
+
+def test_cli_grid_covers_the_paper_panels(fingerprint):
+    argvs = list(fingerprint.cli_arguments())
+    assert len(argvs) == 24 + 5
+    assert sum(argv[1] == "adam-qg" for argv in argvs) == 24
+
+
+def test_failing_cli_call_raises(fingerprint):
+    with pytest.raises(RuntimeError, match="exited 3"):
+        fingerprint.cli_csv(["--function", "nosuch"])

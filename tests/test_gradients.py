@@ -5,6 +5,7 @@ import pytest
 
 from quadgrad import (
     DimensionError,
+    InvalidInput,
     bound_diagonal,
     new_quadratic_gradient,
     newton_ratios,
@@ -114,13 +115,17 @@ class TestNewtonRatios:
             newton_step = solve(h, g)
             assert np.max(np.abs(r.ratios * g - newton_step)) <= 1e-8
 
-    def test_rejects_nonfinite_input(self):
-        from quadgrad import InvalidInput
-
-        with pytest.raises(InvalidInput):
-            newton_ratios(np.array([[np.nan, 0.0], [0.0, 1.0]]), [1.0, 1.0])
-        with pytest.raises(InvalidInput):
-            newton_ratios(np.eye(2), [np.inf, 1.0])
+    # a gradient without zeros takes the exact solve, which makes the scan;
+    # one with a zero entry is scanned before the pseudoinverse
+    @pytest.mark.parametrize("h, g", [
+        ([[np.nan, 0.0], [0.0, 1.0]], [1.0, 1.0]),
+        (np.eye(2), [np.inf, 1.0]),
+        ([[np.nan, 0.0], [0.0, 1.0]], [1.0, 0.0]),
+        (np.eye(2), [np.nan, 0.0]),
+    ], ids=["nan-h", "inf-g", "nan-h-zero-g", "nan-g-zero-g"])
+    def test_rejects_nonfinite_input(self, h, g):
+        with pytest.raises(InvalidInput, match="newton_ratios requires finite inputs"):
+            newton_ratios(np.array(h), g)
 
     def test_counterexample_breaks_loewner_bound(self):
         # x^T (H_F - diag(r)) x goes negative: the ratio diagonal is not a

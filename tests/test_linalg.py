@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,13 +9,14 @@ from quadgrad import (
     InvalidInput,
     InvalidMatrix,
     SingularMatrix,
+    SpectralBounds,
     is_symmetric,
     pseudoinverse,
     rosenbrock,
     solve,
     spectral_bounds,
 )
-from quadgrad.linalg import DEFAULT_PIVOT_TOL, as_square_matrix, as_vector
+from quadgrad.linalg import PIVOT_TOL, SYMMETRY_TOL, as_square_matrix, as_vector
 from helpers import peak_traced_bytes, random_rank_deficient_symmetric, random_symmetric
 
 # Constant Hessian of the concave-quadratic counterexample; its eigenvalues
@@ -93,24 +95,30 @@ class TestTridiagonalPath:
         b = spectral_bounds([[-3.0]])
         assert (b.lambda_min, b.lambda_max, b.spectral_radius) == (-3.0, -3.0, 3.0)
 
-    @pytest.mark.parametrize("tol", [1e-9, 0.1])
-    def test_symmetry_decided_as_is_symmetric(self, tol):
-        # mismatches from a quarter to four times tol * (1 + max|a|); at the
-        # larger tol the mismatched upper entry is itself the largest entry
+    @pytest.mark.parametrize("scale", [1.0, 1e-6])
+    def test_symmetry_decided_as_is_symmetric(self, scale):
+        # mismatches from a quarter to four times SYMMETRY_TOL * (1 + max|a|),
+        # plus one that passes only because the mismatched upper entry, itself
+        # the largest entry, raises max|a|: a scale that left that entry out
+        # would refuse it. At scale 1 the rounding of 1 + mismatch is larger
+        # than that margin; the matrix scaled down to 1e-6 resolves it.
         diagonal = np.array([0.1, -0.2, 0.05, 0.15])
         lower = np.array([0.05, 1.0, 0.025])
+        mismatches = list(np.geomspace(0.25, 4.0, 41) * SYMMETRY_TOL * (1.0 + scale))
+        mismatches.append(SYMMETRY_TOL * (1.0 + scale) * (1.0 + SYMMETRY_TOL / 2.0))
         outcomes = set()
-        for mismatch in np.geomspace(0.25, 4.0, 41) * tol * 2.0:
-            upper = lower.copy()
+        for mismatch in mismatches:
+            upper = scale * lower
             upper[1] += mismatch
-            t = np.diag(diagonal) + np.diag(lower, -1) + np.diag(upper, 1)
-            outcomes.add(is_symmetric(t, tol))
-            if is_symmetric(t, tol):
-                b = spectral_bounds(t, tol)
+            t = scale * (np.diag(diagonal) + np.diag(lower, -1)) + np.diag(upper, 1)
+            assert np.abs(t).max() == t[1, 2]
+            outcomes.add(is_symmetric(t))
+            if is_symmetric(t):
+                b = spectral_bounds(t)
                 assert b.lambda_max == np.linalg.eigvalsh(t)[-1]
             else:
                 with pytest.raises(InvalidMatrix, match="not symmetric"):
-                    spectral_bounds(t, tol)
+                    spectral_bounds(t)
         assert outcomes == {True, False}
 
     def test_only_dense_input_reaches_eigvalsh(self, monkeypatch):
@@ -152,7 +160,7 @@ class TestSolve:
         """``solve`` with its pivot scale written as max|a| over an |a| copy."""
         lu, piv, _ = scipy.linalg.lapack.dgetrf(m)
         scale = max(np.max(np.abs(m)), np.finfo(float).tiny)
-        if np.min(np.abs(np.diag(lu))) < DEFAULT_PIVOT_TOL * scale:
+        if np.min(np.abs(np.diag(lu))) < PIVOT_TOL * scale:
             raise SingularMatrix("pivot below tolerance")
         return scipy.linalg.lapack.dgetrs(lu, piv, b)[0]
 
@@ -241,8 +249,17 @@ class TestPseudoinverse:
 
 
 def test_is_symmetric_tolerance():
+    # SYMMETRY_TOL * (1 + max|a|) is about 3e-9 here
     assert is_symmetric([[1.0, 2.0], [2.0, 1.0]])
-    assert not is_symmetric([[1.0, 2.0], [2.1, 1.0]], tol=1e-6)
+    assert is_symmetric([[1.0, 2.0], [2.0 + 2e-9, 1.0]])
+    assert not is_symmetric([[1.0, 2.0], [2.0 + 4e-9, 1.0]])
+
+
+def test_spectral_radius_is_derived_from_the_extremes():
+    assert [field.name for field in dataclasses.fields(SpectralBounds)] == [
+        "lambda_min", "lambda_max"]
+    assert SpectralBounds(-3.0, 2.0).spectral_radius == 3.0
+    assert SpectralBounds(-1.0, 2.5).spectral_radius == 2.5
 
 
 @pytest.mark.parametrize("coerce, bad", [

@@ -31,9 +31,6 @@ from quadgrad import (
     step_nag,
 )
 
-ALL_METHODS = list(Method)
-
-
 def synthetic(grad, hess, dim=2, sense=Sense.MINIMIZE):
     """Objective with constant gradient/Hessian, for stepping arithmetic tests."""
     g = np.asarray(grad, dtype=float)
@@ -136,17 +133,6 @@ def layer_calls(method, variant, fixed_hessian, steps):
 FRESH_AND_FROZEN = pytest.mark.parametrize("fixed_hessian", [False, True],
                                            ids=["fresh", "frozen"])
 
-# run()'s dispatch, written out from the public step functions
-STEP_RULE = {
-    Method.GD_SPECTRAL: step_gd_spectral,
-    Method.NAG_SPECTRAL: lambda s, c, g, h: step_nag(s, c, g, h, enhanced=False),
-    Method.ENHANCED_NAG: lambda s, c, g, h: step_nag(s, c, g, h, enhanced=True),
-    Method.ENHANCED_ADAGRAD: step_enhanced_adagrad,
-    Method.ADAM: lambda s, c, g, h: step_adam(s, c, g, h, enhanced=False),
-    Method.ENHANCED_ADAM: lambda s, c, g, h: step_adam(s, c, g, h, enhanced=True),
-}
-
-
 def records(traj):
     return traj.diverged, [
         (r.iteration, r.objective, r.iterate.tobytes()) for r in traj.records
@@ -166,7 +152,8 @@ def frozen_reference(f, cfg, x0):
             if math.sqrt(g.dot(g)) <= optimizers.GRAD_TOL:
                 break
             try:
-                state = STEP_RULE[cfg.method](state, cfg, g, Curvature(frozen))
+                state = getattr(optimizers, STEP_FUNCTION[cfg.method])(
+                    state, cfg, g, Curvature(frozen))
             except (QuadGradError, np.linalg.LinAlgError):
                 return True, rows
             within = np.all(np.abs(state.theta) <= optimizers.DIVERGENCE_BOUND)
@@ -210,7 +197,7 @@ class TestNag:
         f = booth()
         cfg = config(Method.NAG_SPECTRAL)
         state = init_state(f, [0.0, 0.0])
-        state = step_nag(state, cfg, grad(f, state), hess(f, state), enhanced=False)
+        state = step_nag(state, cfg, grad(f, state), hess(f, state))
         # gamma_0 = 0, so beta_1 = V_1 = the plain spectral-rate step
         np.testing.assert_allclose(state.theta, [34.0 / 18.0, 38.0 / 18.0], atol=1e-7)
         np.testing.assert_array_equal(state.theta, state.momentum_prev)
@@ -221,7 +208,7 @@ class TestNag:
         f = quadratic_counterexample()
         cfg = config(Method.ENHANCED_NAG)
         state = init_state(f, [-1.0, -1.5])
-        state = step_nag(state, cfg, grad(f, state), hess(f, state), enhanced=True)
+        state = step_nag(state, cfg, grad(f, state), hess(f, state))
         np.testing.assert_allclose(
             state.theta,
             [-0.801502832787444, -1.2022542494292874],
@@ -232,7 +219,7 @@ class TestNag:
         f = quadratic_counterexample()
         cfg = config(Method.NAG_SPECTRAL)
         state = init_state(f, [0.0, 0.0])
-        state = step_nag(state, cfg, grad(f, state), hess(f, state), enhanced=False)
+        state = step_nag(state, cfg, grad(f, state), hess(f, state))
         np.testing.assert_array_equal(state.theta, [0.0, 0.0])
         np.testing.assert_array_equal(state.momentum_prev, [0.0, 0.0])
 
@@ -242,7 +229,7 @@ class TestNag:
         state = init_state(f, [-1.0, -1.0])
         for _ in range(50):
             a_prev = state.nag_a
-            state = step_nag(state, cfg, grad(f, state), hess(f, state), enhanced=True)
+            state = step_nag(state, cfg, grad(f, state), hess(f, state))
             # gamma_t = (a_t - 1) / a_{t+1}
             assert 0.0 <= (a_prev - 1.0) / state.nag_a < 1.0
 
@@ -283,7 +270,7 @@ class TestAdam:
         cfg = config(Method.ADAM, stepsize=0.1)
         state = init_state(f, [-1.2, 1.0])
         g = f.gradient([-1.2, 1.0])
-        state = step_adam(state, cfg, grad(f, state), None, enhanced=False)
+        state = step_adam(state, cfg, grad(f, state), None)
         expected = np.array([-1.2, 1.0]) - 0.1 * np.sign(g)
         np.testing.assert_allclose(state.theta, expected, atol=1e-6)
 
@@ -292,7 +279,7 @@ class TestAdam:
         cfg = config(Method.ADAM, stepsize=0.1)
         state = init_state(f, [2.0, -1.0])
         for _ in range(5):
-            state = step_adam(state, cfg, grad(f, state), None, enhanced=False)
+            state = step_adam(state, cfg, grad(f, state), None)
         np.testing.assert_array_equal(state.theta, [2.0, -1.0])
         np.testing.assert_array_equal(state.m, [0.0, 0.0])
         np.testing.assert_array_equal(state.v, [0.0, 0.0])
@@ -303,12 +290,11 @@ class TestAdam:
         enhanced_cfg = config(Method.ENHANCED_ADAM, stepsize=0.1, qg_variant=None)
         plain = init_state(f, [-1.2, 1.0])
         enhanced = init_state(f, [-1.2, 1.0])
+        # both take the identity accelerator's path, so every bit agrees
         for _ in range(25):
-            plain = step_adam(plain, plain_cfg, grad(f, plain), None, enhanced=False)
-            enhanced = step_adam(
-                enhanced, enhanced_cfg, grad(f, enhanced), None, enhanced=True
-            )
-            assert np.max(np.abs(plain.theta - enhanced.theta)) <= 1e-12
+            plain = step_adam(plain, plain_cfg, grad(f, plain), None)
+            enhanced = step_adam(enhanced, enhanced_cfg, grad(f, enhanced), None)
+            np.testing.assert_array_equal(plain.theta, enhanced.theta)
 
     def test_moment_invariants(self):
         f = rosenbrock(2)
@@ -319,7 +305,7 @@ class TestAdam:
             largest_gradient = max(
                 largest_gradient, float(np.max(np.abs(f.gradient(state.theta))))
             )
-            state = step_adam(state, cfg, grad(f, state), None, enhanced=False)
+            state = step_adam(state, cfg, grad(f, state), None)
             assert np.all(state.v >= 0.0)
             assert np.max(np.abs(state.m)) <= largest_gradient + 1e-12
 
@@ -330,10 +316,10 @@ class TestRun:
         assert traj.records[-1].objective <= 1e-6
         assert not traj.diverged
 
-    @pytest.mark.parametrize("method", ALL_METHODS)
-    def test_constant_trajectory_from_optimum(self, method):
+    @pytest.mark.parametrize("method, variant", METHOD_VARIANTS)
+    def test_constant_trajectory_from_optimum(self, method, variant):
         f = booth()
-        cfg = config(method, max_iterations=10, qg_variant=Variant.ORIGINAL)
+        cfg = config(method, max_iterations=10, qg_variant=variant)
         traj = run(f, cfg, [1.0, 3.0])
         assert all(r.objective == 0.0 for r in traj.records)
         for record in traj.records:
@@ -349,10 +335,10 @@ class TestRun:
         traj = run(booth(), config(Method.GD_SPECTRAL, max_iterations=7), [0.0, 0.0])
         assert [r.iteration for r in traj.records] == list(range(8))
 
-    @pytest.mark.parametrize("method", ALL_METHODS)
-    def test_deterministic(self, method):
+    @pytest.mark.parametrize("method, variant", METHOD_VARIANTS)
+    def test_deterministic(self, method, variant):
         f = rosenbrock(2)
-        cfg = config(method, stepsize=0.5, max_iterations=40, qg_variant=Variant.NEW)
+        cfg = config(method, stepsize=0.5, max_iterations=40, qg_variant=variant)
         first = run(f, cfg, [-1.0, -1.0])
         second = run(f, cfg, [-1.0, -1.0])
         assert first.diverged == second.diverged
@@ -374,13 +360,13 @@ class TestRun:
     # step that breaks down can flag these runs: the NaN gradient under plain
     # Adam makes a NaN iterate, the last three make the step raise
     @pytest.mark.parametrize(
-        "gradient, hessian, method",
+        "gradient, hessian, method, variant",
         [
-            ([1e300, 0.0], np.zeros((2, 2)), Method.GD_SPECTRAL),
-            ([np.nan, 0.0], np.zeros((2, 2)), Method.ADAM),
-            ([1.0, 1.0], [[np.nan, 0.0], [0.0, 1.0]], Method.GD_SPECTRAL),
-            ([1.0, 1.0], [[1.0, 2.0], [0.0, 1.0]], Method.NAG_SPECTRAL),
-            ([np.nan, 0.0], np.eye(2), Method.ENHANCED_ADAM),
+            ([1e300, 0.0], np.zeros((2, 2)), Method.GD_SPECTRAL, None),
+            ([np.nan, 0.0], np.zeros((2, 2)), Method.ADAM, None),
+            ([1.0, 1.0], [[np.nan, 0.0], [0.0, 1.0]], Method.GD_SPECTRAL, None),
+            ([1.0, 1.0], [[1.0, 2.0], [0.0, 1.0]], Method.NAG_SPECTRAL, None),
+            ([np.nan, 0.0], np.eye(2), Method.ENHANCED_ADAM, Variant.NEW),
         ],
         ids=[
             "huge-gradient-gd-spectral",
@@ -391,10 +377,10 @@ class TestRun:
         ],
     )
     @FRESH_AND_FROZEN
-    def test_nonfinite_iterate_flags_run(self, gradient, hessian, method, fixed_hessian):
+    def test_nonfinite_iterate_flags_run(self, gradient, hessian, method, variant,
+                                         fixed_hessian):
         f = synthetic(grad=gradient, hess=hessian)
-        # only ENHANCED_ADAM reads qg_variant
-        cfg = config(method, max_iterations=10, qg_variant=Variant.NEW,
+        cfg = config(method, max_iterations=10, qg_variant=variant,
                      fixed_hessian=fixed_hessian)
         traj = run(f, cfg, [0.0, 0.0])
         assert traj.diverged
@@ -479,8 +465,8 @@ class TestRun:
         assert len(expected[1]) == 51
         assert records(run(reusing, cfg, -np.ones(10))) == expected
 
-    @pytest.mark.parametrize("method", ALL_METHODS)
-    def test_steps_dispatch_through_module_attributes(self, method, monkeypatch):
+    @pytest.mark.parametrize("method, variant", METHOD_VARIANTS)
+    def test_steps_dispatch_through_module_attributes(self, method, variant, monkeypatch):
         # a step_* rebound on the module (e.g. a tracing wrapper) must be the
         # one run() calls, once per step
         calls = Counter()
@@ -492,7 +478,7 @@ class TestRun:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(optimizers, name, counting)
-        cfg = config(method, max_iterations=20, qg_variant=Variant.NEW)
+        cfg = config(method, max_iterations=20, qg_variant=variant)
         traj = run(rosenbrock(2), cfg, [-1.0, -1.0])
         assert len(traj.records) == 21
         assert calls == {STEP_FUNCTION[method]: 20}
@@ -503,7 +489,7 @@ class TestRun:
         methods = [Method.GD_SPECTRAL, Method.NAG_SPECTRAL, Method.ENHANCED_NAG]
         cfgs = [config(m, max_iterations=50) for m in methods]
         banded = [records(run(f, cfg, x0)) for cfg in cfgs]
-        monkeypatch.setattr(linalg, "_tridiagonal_eigenvalues", lambda m, tol: None)
+        monkeypatch.setattr(linalg, "_tridiagonal_eigenvalues", lambda m: None)
         dense = [records(run(f, cfg, x0)) for cfg in cfgs]
         assert all(len(r[1]) == 51 for r in banded)
         assert banded == dense
@@ -586,6 +572,38 @@ class TestRun:
                 run(f, config(Method.GD_SPECTRAL), x0)
         assert calls == Counter()
 
+    # each objective returns its first gradient or Hessian in a form a step
+    # would misread: a list has no .dot, a (1,) gradient broadcasts over a
+    # 2-D iterate, a 3x3 Hessian fails only some steps, a list cannot be
+    # negated for a maximisation problem
+    @pytest.mark.parametrize("gradient, hessian, method, sense, name", [
+        ([1.0, 2.0], np.eye(2), Method.ADAM, Sense.MINIMIZE, "gradient"),
+        (np.array([1.0]), np.eye(2), Method.ADAM, Sense.MINIMIZE, "gradient"),
+        (np.ones((2, 1)), np.eye(2), Method.ADAM, Sense.MINIMIZE, "gradient"),
+        (np.array([1j, 0.0]), np.eye(2), Method.ADAM, Sense.MINIMIZE, "gradient"),
+        (np.array(["a", "b"]), np.eye(2), Method.ADAM, Sense.MINIMIZE, "gradient"),
+        (np.ones(2), np.eye(3), Method.ENHANCED_ADAGRAD, Sense.MINIMIZE, "Hessian"),
+        (np.ones(2), np.eye(3), Method.GD_SPECTRAL, Sense.MINIMIZE, "Hessian"),
+        (np.ones(2), [[1.0, 0.0], [0.0, 1.0]], Method.GD_SPECTRAL, Sense.MAXIMIZE, "Hessian"),
+    ], ids=["list-gradient", "short-gradient", "column-gradient", "complex-gradient",
+            "string-gradient", "oversized-hessian-enhanced-adagrad",
+            "oversized-hessian-gd-spectral", "list-hessian-maximize"])
+    @FRESH_AND_FROZEN
+    def test_malformed_first_output_raises_before_any_step(
+            self, gradient, hessian, method, sense, name, fixed_hessian, monkeypatch):
+        f, calls = counted(ObjectiveFunction(
+            name="malformed", dim=2, sense=sense, value=lambda x: 0.0,
+            gradient=lambda x: gradient, hessian=lambda x: hessian))
+        monkeypatch.setattr(optimizers, STEP_FUNCTION[method],
+                            lambda *args: pytest.fail("a step ran"))
+        cfg = config(method, fixed_hessian=fixed_hessian)
+        with pytest.raises(InvalidInput, match=f"objective's {name} must be a real array"):
+            run(f, cfg, [0.0, 0.0])
+        reads_hessian = method is not Method.ADAM
+        # the frozen Hessian is evaluated, and checked, before the first gradient
+        gradient_calls = 0 if fixed_hessian and name == "Hessian" else 1
+        assert calls == Counter(value=1, gradient=gradient_calls, hessian=int(reads_hessian))
+
     def test_overflow_mid_run_raises_no_warning(self):
         # the objective at x0 is 1e282, finite; Adam's qg * qg overflows
         with warnings.catch_warnings():
@@ -620,7 +638,8 @@ def test_step_carries_unwritten_fields_forward_as_the_same_objects(method, varia
                            adagrad_accum=np.array([1.0, 2.0]), nag_a=2.0)
     g = np.array([1.0, 2.0])
     h = Curvature(np.array([[2.0, 1.0], [1.0, 3.0]]))
-    new = STEP_RULE[method](state, config(method, qg_variant=variant), g, h)
+    step = getattr(optimizers, STEP_FUNCTION[method])
+    new = step(state, config(method, qg_variant=variant), g, h)
     assert new.t == 4
     carried = {field.name for field in dataclasses.fields(OptimizerState)
                if getattr(new, field.name) is getattr(state, field.name)}
@@ -659,6 +678,17 @@ class TestConfigValidation:
         fields = {"method": Method.ENHANCED_ADAM, field: value}
         with pytest.raises(InvalidInput, match=field):
             OptimizerConfig(**fields)
+
+    @pytest.mark.parametrize("method", list(Method))
+    @pytest.mark.parametrize("variant", [None, *Variant])
+    def test_qg_variant_only_on_enhanced_adam(self, method, variant):
+        # the other methods would ignore it and alias the run without one,
+        # so 8 of the 18 pairs are valid: METHOD_VARIANTS
+        if (method, variant) in METHOD_VARIANTS:
+            assert OptimizerConfig(method, qg_variant=variant).qg_variant is variant
+        else:
+            with pytest.raises(InvalidInput, match="qg_variant"):
+                OptimizerConfig(method, qg_variant=variant)
 
     def test_accepts_numpy_scalars(self):
         cfg = OptimizerConfig(Method.ADAM, stepsize=np.float64(0.5),

@@ -1,4 +1,5 @@
-"""One SHA-256 over a grid of quadgrad runs, to show that a change keeps every output bit.
+"""SHA-256 digests over a grid of quadgrad runs and of CLI tables, to show
+that a change keeps every output bit.
 
     PYTHONPATH=src python3 tools/fingerprint.py
 
@@ -13,17 +14,25 @@ count and one SHA-256 over every run's diverged flag, objectives and iterate
 bytes, in grid order; two revisions that print the same digest produced the
 same bits on every run.
 
+A second line covers the CLI: the CSV bytes ``quadgrad-bench`` writes for
+the 24 adam-qg panels (n in {2, 5, 10, 20}, --eta in {1.0, 1.5, 2.0}, 30 and
+300 iterations) and for lemma-lr on the five functions of the paper's
+figures at 30 iterations, each from its documented start point, hashed in
+that order.
+
 Standard library and quadgrad only; nothing under ``perfbench/`` is imported.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import itertools
 import random
 import struct
 
-from quadgrad import Method, OptimizerConfig, Variant, get_function, run
+from quadgrad import Method, OptimizerConfig, Variant, bench, get_function, run
 
 METHODS = [(m, None) for m in Method if m is not Method.ENHANCED_ADAM] + [
     (Method.ENHANCED_ADAM, v) for v in (None, Variant.ORIGINAL, Variant.NEW)
@@ -35,6 +44,12 @@ STEPSIZES = (0.1, 1.5, 1e13)
 SCALES = (0.25, 1.0, 2.0)
 ITERATIONS = 30
 SEED = 0
+
+PANEL_SIZES = (2, 5, 10, 20)
+PANEL_ETAS = ("1.0", "1.5", "2.0")
+PANEL_HORIZONS = (30, 300)
+LEMMA_FUNCTIONS = ("booth", "beale", "himmelblau", "rosenbrock:2", "quadratic-counterexample")
+LEMMA_ITERATIONS = 30
 
 
 def trajectories(functions=FUNCTIONS, stepsizes=STEPSIZES, scales=SCALES,
@@ -64,9 +79,43 @@ def digest(runs) -> tuple[int, str]:
     return count, sha.hexdigest()
 
 
+def cli_arguments(sizes=PANEL_SIZES, etas=PANEL_ETAS, horizons=PANEL_HORIZONS,
+                  functions=LEMMA_FUNCTIONS):
+    """Yield the argument list of every CLI call of the grid, in grid order."""
+    for n, eta, iterations in itertools.product(sizes, etas, horizons):
+        yield ["--experiment", "adam-qg", "--nvars", str(n), "--eta", eta,
+               "--iters", str(iterations)]
+    for function_id in functions:
+        yield ["--experiment", "lemma-lr", "--function", function_id,
+               "--iters", str(LEMMA_ITERATIONS)]
+
+
+def cli_csv(argv) -> bytes:
+    """The CSV bytes the CLI writes to stdout for ``argv``; raises unless it exits 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = bench.main(argv)
+    if code != 0:
+        raise RuntimeError(f"quadgrad-bench {' '.join(argv)} exited {code}")
+    return out.getvalue().encode("utf-8")
+
+
+def csv_digest(csvs) -> tuple[int, str]:
+    """CSV count and the SHA-256 hex digest over each CSV's length and bytes."""
+    sha = hashlib.sha256()
+    count = 0
+    for csv in csvs:
+        count += 1
+        sha.update(struct.pack("<q", len(csv)))
+        sha.update(csv)
+    return count, sha.hexdigest()
+
+
 def main():
     count, hexdigest = digest(trajectories())
     print(f"runs {count} sha256 {hexdigest}")
+    count, hexdigest = csv_digest(cli_csv(argv) for argv in cli_arguments())
+    print(f"csvs {count} sha256 {hexdigest}")
 
 
 if __name__ == "__main__":
