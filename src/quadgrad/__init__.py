@@ -6,15 +6,7 @@ spectral-radius learning rate, enhanced NAG / Adagrad / Adam optimizers, the
 benchmark objective suite, and a CSV comparison harness.
 """
 
-from .errors import (
-    DimensionError,
-    InvalidDimension,
-    InvalidInput,
-    InvalidMatrix,
-    QuadGradError,
-    SingularMatrix,
-    UnknownFunction,
-)
+from .errors import InvalidInput, QuadGradError, SingularMatrix, UnknownFunction
 from .functions import (
     ObjectiveFunction,
     Sense,
@@ -60,8 +52,8 @@ from .optimizers import (
 
 __version__ = "0.1.0"
 
-_BENCH_NAMES = {"bench", "CsvTable", "ExperimentSpec", "experiment_adam_qg",
-                "experiment_lemma_lr", "run_experiment"}
+_BENCH_NAMES = {"bench", "CsvTable", "experiment_adam_qg", "experiment_lemma_lr",
+                "run_experiment"}
 
 
 def __getattr__(name):
@@ -74,11 +66,8 @@ def __getattr__(name):
 
 __all__ = [
     "QuadGradError",
-    "InvalidMatrix",
     "SingularMatrix",
-    "DimensionError",
     "InvalidInput",
-    "InvalidDimension",
     "UnknownFunction",
     "ObjectiveFunction",
     "Sense",
@@ -115,7 +104,6 @@ __all__ = [
     "step_enhanced_adagrad",
     "step_adam",
     "CsvTable",
-    "ExperimentSpec",
     "experiment_lemma_lr",
     "experiment_adam_qg",
     "run_experiment",

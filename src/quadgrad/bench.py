@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QuadGradError, UnknownFunction
+from .errors import InvalidInput, QuadGradError, UnknownFunction
 from .functions import ObjectiveFunction, Sense, get_function, rosenbrock
 from .gradients import Variant
 from .optimizers import Method, OptimizerConfig, Trajectory, run
@@ -33,26 +33,6 @@ ADAM_QG_COLUMNS = ("Adam", "AdamOldQG", "AdamNewQG")
 
 DEFAULT_ADAM_ALPHA = 0.1
 DEFAULT_ENHANCED_ETA = 1.0
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """A function, a start point, and an ordered set of methods.
-
-    Each method runs to its own ``max_iterations``; the table has one row
-    more than the largest budget.
-    """
-
-    function_id: str
-    x0: np.ndarray
-    methods: tuple[tuple[str, OptimizerConfig], ...]
-
-    def __post_init__(self):
-        if not self.methods:
-            raise QuadGradError("an experiment needs at least one method")
-        labels = [label for label, _ in self.methods]
-        if len(set(labels)) != len(labels):
-            raise QuadGradError(f"duplicate method labels: {labels}")
 
 
 @dataclass(eq=False)
@@ -102,15 +82,18 @@ def _loss_column(f: ObjectiveFunction, trajectory: Trajectory, iterations: int) 
     return values
 
 
-def run_experiment(spec: ExperimentSpec) -> CsvTable:
-    """Run every method in the spec and assemble the loss table."""
-    f = get_function(spec.function_id)
-    iterations = max(config.max_iterations for _, config in spec.methods)
-    columns = [
-        _loss_column(f, run(f, config, spec.x0), iterations)
-        for _, config in spec.methods
-    ]
-    header = ["Iterations"] + [label for label, _ in spec.methods]
+def run_experiment(f: ObjectiveFunction, x0, methods: dict[str, OptimizerConfig]) -> CsvTable:
+    """Run each method from ``x0`` on ``f`` and assemble the loss table.
+
+    ``methods`` maps each column label to its config, in column order. Each
+    method runs to its own ``max_iterations``; the table has one row more
+    than the largest budget.
+    """
+    if not isinstance(methods, dict) or not methods:
+        raise InvalidInput(f"methods must be a non-empty dict of label: config, got {methods!r}")
+    iterations = max(config.max_iterations for config in methods.values())
+    columns = [_loss_column(f, run(f, config, x0), iterations) for config in methods.values()]
+    header = ["Iterations", *methods]
     rows = [[float(i)] + [col[i] for col in columns] for i in range(iterations + 1)]
     return CsvTable(header=header, rows=rows)
 
@@ -139,18 +122,15 @@ def experiment_lemma_lr(
 ) -> CsvTable:
     """Spectral-rate comparison: raw gradient vs plain NAG vs enhanced NAG."""
     f = get_function(function_id)
-    start = default_x0(f) if x0 is None else x0
-    methods = tuple(
-        (label, OptimizerConfig(method=method, max_iterations=iterations,
-                                fixed_hessian=fixed_hessian))
+    methods = {
+        label: OptimizerConfig(method=method, max_iterations=iterations,
+                               fixed_hessian=fixed_hessian)
         for label, method in zip(
             LEMMA_LR_COLUMNS,
             (Method.GD_SPECTRAL, Method.NAG_SPECTRAL, Method.ENHANCED_NAG),
         )
-    )
-    return run_experiment(
-        ExperimentSpec(function_id=function_id, x0=start, methods=methods)
-    )
+    }
+    return run_experiment(f, default_x0(f) if x0 is None else x0, methods)
 
 
 def experiment_adam_qg(
@@ -162,23 +142,20 @@ def experiment_adam_qg(
 ) -> CsvTable:
     """Plain Adam (stepsize DEFAULT_ADAM_ALPHA) vs the QG Adam variants on Rosenbrock(n_vars)."""
     f = rosenbrock(n_vars)
-    start = default_x0(f) if x0 is None else x0
-    methods = (
-        ("Adam", OptimizerConfig(method=Method.ADAM, stepsize=DEFAULT_ADAM_ALPHA,
-                                 max_iterations=iterations,
-                                 fixed_hessian=fixed_hessian)),
-        ("AdamOldQG", OptimizerConfig(method=Method.ENHANCED_ADAM, stepsize=eta,
-                                      qg_variant=Variant.ORIGINAL,
-                                      max_iterations=iterations,
-                                      fixed_hessian=fixed_hessian)),
-        ("AdamNewQG", OptimizerConfig(method=Method.ENHANCED_ADAM, stepsize=eta,
-                                      qg_variant=Variant.NEW,
-                                      max_iterations=iterations,
-                                      fixed_hessian=fixed_hessian)),
-    )
-    return run_experiment(
-        ExperimentSpec(function_id=f.name, x0=start, methods=methods)
-    )
+    methods = {
+        "Adam": OptimizerConfig(method=Method.ADAM, stepsize=DEFAULT_ADAM_ALPHA,
+                                max_iterations=iterations,
+                                fixed_hessian=fixed_hessian),
+        "AdamOldQG": OptimizerConfig(method=Method.ENHANCED_ADAM, stepsize=eta,
+                                     qg_variant=Variant.ORIGINAL,
+                                     max_iterations=iterations,
+                                     fixed_hessian=fixed_hessian),
+        "AdamNewQG": OptimizerConfig(method=Method.ENHANCED_ADAM, stepsize=eta,
+                                     qg_variant=Variant.NEW,
+                                     max_iterations=iterations,
+                                     fixed_hessian=fixed_hessian),
+    }
+    return run_experiment(f, default_x0(f) if x0 is None else x0, methods)
 
 
 def _parse_x0(text: str) -> np.ndarray:
@@ -225,12 +202,9 @@ def main(argv=None) -> int:
             table = experiment_lemma_lr(args.function, x0=args.x0,
                                         iterations=args.iters,
                                         fixed_hessian=args.fixed_hessian)
-    except UnknownFunction as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except QuadGradError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, UnknownFunction) else 2
 
     text = table.emit()
     if args.out:

@@ -8,13 +8,14 @@ provides the independent cross-check used by the test suite.
 from __future__ import annotations
 
 import enum
+import numbers
 import re
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidDimension, UnknownFunction
+from .errors import InvalidInput, UnknownFunction
 
 
 class Sense(enum.Enum):
@@ -45,8 +46,10 @@ def rosenbrock(n: int) -> ObjectiveFunction:
     f(x) = sum_i 100*(x_{i+1} - x_i^2)^2 + (1 - x_i)^2.
     Minimum is at the all-ones vector, f = 0.
     """
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise InvalidInput(f"rosenbrock needs an integer n, got {n!r}")
     if n < 2:
-        raise InvalidDimension(f"rosenbrock needs n >= 2, got {n}")
+        raise InvalidInput(f"rosenbrock needs n >= 2, got {n}")
 
     def value(x):
         x = np.asarray(x, dtype=float)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InvalidInput, InvalidMatrix, SingularMatrix
+from .errors import InvalidInput, SingularMatrix
 from .linalg import as_square_matrix, as_vector, pseudoinverse, solve, spectral_bounds
 
 # Guards every 1/(EPSILON + ...) against division by zero; not a tuning knob.
@@ -85,7 +85,7 @@ def newton_ratios(h, g) -> NewtonRatios:
     m = as_square_matrix(h)
     grad = as_vector(g)
     if grad.shape[0] != m.shape[0]:
-        raise DimensionError(
+        raise InvalidInput(
             f"matrix order {m.shape[0]} != gradient dim {grad.shape[0]}"
         )
     if (grad != 0.0).all():
@@ -94,8 +94,6 @@ def newton_ratios(h, g) -> NewtonRatios:
             return NewtonRatios(ratios=solve(m, grad) / grad, used_pseudoinverse=False)
         except SingularMatrix:
             pass
-        except InvalidMatrix:
-            raise InvalidInput("newton_ratios requires finite inputs") from None
     elif not (np.isfinite(m).all() and np.isfinite(grad).all()):
         raise InvalidInput("newton_ratios requires finite inputs")
     ratios = pseudoinverse(m * grad[np.newaxis, :]) @ grad

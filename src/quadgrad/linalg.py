@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionError, InvalidInput, InvalidMatrix, SingularMatrix
+from .errors import InvalidInput, SingularMatrix
 
 SYMMETRY_TOL = 1e-9
 PIVOT_TOL = 1e-12
@@ -55,26 +55,31 @@ def _as_float_array(a) -> np.ndarray:
 
 
 def as_square_matrix(a) -> np.ndarray:
-    """Coerce to a float64 square matrix, raising InvalidMatrix otherwise."""
+    """Coerce to a float64 square matrix, raising InvalidInput otherwise."""
     m = _as_float_array(a)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-        raise InvalidMatrix(f"expected a square matrix, got shape {m.shape}")
+        raise InvalidInput(f"expected a square matrix, got shape {m.shape}")
     return m
 
 
 def as_vector(v) -> np.ndarray:
-    """Coerce to a float64 vector, raising DimensionError otherwise."""
+    """Coerce to a float64 vector, raising InvalidInput otherwise."""
     x = _as_float_array(v)
     if x.ndim != 1 or x.shape[0] < 1:
-        raise DimensionError(f"expected a vector, got shape {x.shape}")
+        raise InvalidInput(f"expected a vector, got shape {x.shape}")
     return x
 
 
 def is_symmetric(a) -> bool:
-    """True when |a_ij - a_ji| <= SYMMETRY_TOL * (1 + max|a|) for all entries."""
+    """True when |a_ij - a_ji| <= SYMMETRY_TOL * (1 + max|a|) for all entries.
+
+    Makes one n x n temporary and emits no floating-point warning.
+    """
     m = as_square_matrix(a)
-    scale = 1.0 + np.max(np.abs(m), initial=0.0)
-    return bool(np.max(np.abs(m - m.T), initial=0.0) <= SYMMETRY_TOL * scale)
+    with np.errstate(all="ignore"):
+        scale = 1.0 + max(m.max(), -m.min())
+        diff = m - m.T
+        return bool(np.abs(diff, out=diff).max() <= SYMMETRY_TOL * scale)
 
 
 def _tridiagonal_eigenvalues(m: np.ndarray) -> np.ndarray | None:
@@ -86,7 +91,7 @@ def _tridiagonal_eigenvalues(m: np.ndarray) -> np.ndarray | None:
     the subdiagonal returns the same bits without the O(n^3) reduction.
     Declines (None) when a nonzero lies off the three central diagonals or
     dsyevd would rescale. Applies the test of ``is_symmetric`` to the
-    off-diagonals and raises InvalidMatrix as ``spectral_bounds`` does.
+    off-diagonals and raises InvalidInput as ``spectral_bounds`` does.
     """
     d = m.diagonal()
     if d.shape[0] == 1:
@@ -103,7 +108,7 @@ def _tridiagonal_eigenvalues(m: np.ndarray) -> np.ndarray | None:
         return None
     scale = 1.0 + max(anrm, abs(upper).max())
     if not abs(lower - upper).max() <= SYMMETRY_TOL * scale:
-        raise InvalidMatrix("matrix is not symmetric within tolerance")
+        raise InvalidInput("matrix is not symmetric within tolerance")
     eigenvalues, info = scipy.linalg.lapack.dsterf(d, lower)
     if info != 0:
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -113,17 +118,17 @@ def _tridiagonal_eigenvalues(m: np.ndarray) -> np.ndarray | None:
 def spectral_bounds(h) -> SpectralBounds:
     """Smallest and largest eigenvalue of a symmetric matrix.
 
-    Raises InvalidMatrix for non-finite entries or asymmetry beyond ``SYMMETRY_TOL``.
+    Raises InvalidInput for non-finite entries or asymmetry beyond ``SYMMETRY_TOL``.
     A tridiagonal matrix takes LAPACK dsterf directly; the result is
     identical to ``np.linalg.eigvalsh``.
     """
     m = as_square_matrix(h)
     if not np.isfinite(m).all():
-        raise InvalidMatrix("matrix has non-finite entries")
+        raise InvalidInput("matrix has non-finite entries")
     eigenvalues = _tridiagonal_eigenvalues(m)
     if eigenvalues is None:
         if not is_symmetric(m):
-            raise InvalidMatrix("matrix is not symmetric within tolerance")
+            raise InvalidInput("matrix is not symmetric within tolerance")
         eigenvalues = np.linalg.eigvalsh(m)
     return SpectralBounds(float(eigenvalues[0]), float(eigenvalues[-1]))
 
@@ -138,11 +143,11 @@ def solve(a, b) -> np.ndarray:
     m = as_square_matrix(a)
     rhs = as_vector(b)
     if rhs.shape[0] != m.shape[0]:
-        raise DimensionError(
+        raise InvalidInput(
             f"matrix order {m.shape[0]} does not match vector length {rhs.shape[0]}"
         )
     if not (np.isfinite(m).all() and np.isfinite(rhs).all()):
-        raise InvalidMatrix("solve requires finite inputs")
+        raise InvalidInput("solve requires finite inputs")
     # an exactly zero pivot (info > 0) fails the pivot test below
     lu, piv, _ = scipy.linalg.lapack.dgetrf(m)
     pivots = abs(lu.diagonal())
@@ -162,7 +167,7 @@ def pseudoinverse(a) -> np.ndarray:
     """
     m = as_square_matrix(a)
     if not np.isfinite(m).all():
-        raise InvalidMatrix("pseudoinverse requires finite entries")
+        raise InvalidInput("pseudoinverse requires finite entries")
     u, sigma, vt = np.linalg.svd(m)
     if sigma[0] == 0.0:
         return np.zeros_like(m.T)

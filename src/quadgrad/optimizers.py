@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InvalidInput, QuadGradError
+from .errors import InvalidInput, QuadGradError
 from .functions import ObjectiveFunction, Sense
 from .gradients import Variant, bound_diagonal, new_quadratic_gradient, spectral_learning_rate
 from .linalg import as_vector
@@ -56,10 +56,10 @@ class OptimizerConfig:
     """Hyperparameters for one run.
 
     ``stepsize`` is the Adam alpha for the plain method and the eta of the
-    enhanced methods; the spectral-rate methods ignore it. ``qg_variant``
-    selects the accelerator of ENHANCED_ADAM and is refused on any other
-    method; None means the identity accelerator, which makes the enhanced
-    method coincide with the plain one.
+    enhanced methods, stored as a float; the spectral-rate methods ignore
+    it. ``qg_variant`` selects the accelerator of ENHANCED_ADAM and is
+    refused on any other method; None means the identity accelerator, which
+    makes the enhanced method coincide with the plain one.
     ``fixed_hessian`` freezes all second-order information at the starting
     point instead of re-evaluating per iteration: the Hessian, its spectral
     learning rate and its row-sum diagonal are each derived once per run.
@@ -77,9 +77,15 @@ class OptimizerConfig:
     def __post_init__(self):
         if not isinstance(self.method, Method):
             raise InvalidInput(f"method must be a Method, got {self.method!r}")
-        if (isinstance(self.stepsize, bool) or not isinstance(self.stepsize, numbers.Real)
-                or not 0.0 < self.stepsize < math.inf):
+        stepsize = self.stepsize
+        if isinstance(stepsize, numbers.Real) and not isinstance(stepsize, bool):
+            try:
+                stepsize = float(stepsize)
+            except OverflowError:  # an int beyond the float range stays an int
+                pass
+        if not (isinstance(stepsize, float) and 0.0 < stepsize < math.inf):
             raise InvalidInput(f"stepsize must be a finite number > 0, got {self.stepsize!r}")
+        object.__setattr__(self, "stepsize", stepsize)
         if self.qg_variant is not None and not isinstance(self.qg_variant, Variant):
             raise InvalidInput(f"qg_variant must be a Variant or None, got {self.qg_variant!r}")
         if self.qg_variant is not None and self.method is not Method.ENHANCED_ADAM:
@@ -129,7 +135,7 @@ def init_state(f: ObjectiveFunction, x0) -> OptimizerState:
     """Fresh state at ``x0`` with zeroed accumulators."""
     theta = as_vector(x0).copy()
     if theta.shape[0] != f.dim:
-        raise DimensionError(f"x0 has dim {theta.shape[0]}, objective needs {f.dim}")
+        raise InvalidInput(f"x0 has dim {theta.shape[0]}, objective needs {f.dim}")
     if not np.isfinite(theta).all():
         raise InvalidInput("x0 must be finite")
     zeros = np.zeros_like(theta)
@@ -269,10 +275,11 @@ def _checked(name: str, a, shape: tuple[int, ...]) -> np.ndarray:
 def run(f: ObjectiveFunction, config: OptimizerConfig, x0) -> Trajectory:
     """Iterate until the budget, a vanishing gradient, or divergence.
 
-    Raises ``InvalidInput`` before iterating when the objective is not
-    finite at ``x0``, and before the first step when its first gradient is
-    not a real ndarray of shape (n,), or its first Hessian (for a method that
-    reads one) not one of shape (n, n); later evaluations are not checked.
+    Raises ``InvalidInput`` before iterating when the objective's value at
+    ``x0`` is not a finite real number, and before the first step when its
+    first gradient is not a real ndarray of shape (n,), or its first Hessian
+    (for a method that reads one) not one of shape (n, n); later evaluations
+    are not checked.
     The gradient is evaluated once per step and shared by the ``GRAD_TOL``
     check and the step; the Hessian once per step after that check (once at
     ``x0`` under ``fixed_hessian``), and only for methods that read it. Each
@@ -307,6 +314,9 @@ def run(f: ObjectiveFunction, config: OptimizerConfig, x0) -> Trajectory:
     fresh_hessian = reads_hessian and not config.fixed_hessian
     with np.errstate(all="ignore"):
         objective = f.value(state.theta)
+        if not isinstance(objective, numbers.Real):
+            raise InvalidInput(f"the objective's value must be a real number, "
+                               f"got {type(objective).__name__}")
         if not math.isfinite(objective):
             raise InvalidInput(f"objective is not finite at x0: {objective}")
         frozen = curvature(state.theta, True) if reads_hessian and config.fixed_hessian else None

@@ -10,14 +10,13 @@ import pytest
 import quadgrad
 from quadgrad import (
     CsvTable,
-    ExperimentSpec,
-    InvalidDimension,
     InvalidInput,
     Method,
     OptimizerConfig,
-    QuadGradError,
+    booth,
     experiment_adam_qg,
     experiment_lemma_lr,
+    rosenbrock,
     run_experiment,
 )
 from quadgrad.bench import default_x0, main
@@ -98,7 +97,7 @@ class TestAdamQgExperiment:
             assert all(math.isnan(v) or math.isfinite(v) for v in row)
 
     def test_rejects_small_dimension(self):
-        with pytest.raises(InvalidDimension):
+        with pytest.raises(InvalidInput):
             experiment_adam_qg(1)
 
     def test_long_horizon_descends(self):
@@ -130,22 +129,9 @@ class TestDivergencePadding:
     def test_nan_rows_after_divergence(self):
         # Adam's first step is sign-like, so it moves every coordinate by
         # about the stepsize, beyond DIVERGENCE_BOUND
-        spec = ExperimentSpec(
-            function_id="rosenbrock:2",
-            x0=np.array([-1.0, -1.0]),
-            methods=(
-                (
-                    "blowup",
-                    OptimizerConfig(
-                        method=Method.ENHANCED_ADAM,
-                        stepsize=1e13,
-                        qg_variant=None,
-                        max_iterations=20,
-                    ),
-                ),
-            ),
-        )
-        table = run_experiment(spec)
+        blowup = OptimizerConfig(method=Method.ENHANCED_ADAM, stepsize=1e13,
+                                 qg_variant=None, max_iterations=20)
+        table = run_experiment(rosenbrock(2), np.array([-1.0, -1.0]), {"blowup": blowup})
         assert len(table.rows) == 21
         assert math.isnan(table.rows[1][1])
         assert math.isnan(table.rows[-1][1])
@@ -155,15 +141,10 @@ class TestDivergencePadding:
 
     def test_rows_cover_the_largest_budget(self):
         # each method runs its own budget; a shorter column repeats its last value
-        spec = ExperimentSpec(
-            function_id="booth",
-            x0=np.zeros(2),
-            methods=(
-                ("short", OptimizerConfig(Method.GD_SPECTRAL, max_iterations=3)),
-                ("long", OptimizerConfig(Method.GD_SPECTRAL, max_iterations=10)),
-            ),
-        )
-        table = run_experiment(spec)
+        table = run_experiment(booth(), np.zeros(2), {
+            "short": OptimizerConfig(Method.GD_SPECTRAL, max_iterations=3),
+            "long": OptimizerConfig(Method.GD_SPECTRAL, max_iterations=10),
+        })
         assert [row[0] for row in table.rows] == list(range(11))
         short = [row[1] for row in table.rows]
         long = [row[2] for row in table.rows]
@@ -180,18 +161,14 @@ class TestDefaults:
             default_x0(get_function("rosenbrock:4")), [-1.0, -1.0, -1.0, -1.0]
         )
 
-    def test_duplicate_labels_rejected(self):
-        cfg = OptimizerConfig(method=Method.ADAM, max_iterations=3)
-        with pytest.raises(QuadGradError):
-            ExperimentSpec(
-                function_id="booth",
-                x0=np.zeros(2),
-                methods=(("same", cfg), ("same", cfg)),
-            )
-
     def test_no_methods_rejected(self):
-        with pytest.raises(QuadGradError):
-            ExperimentSpec(function_id="booth", x0=np.zeros(2), methods=())
+        with pytest.raises(InvalidInput, match="non-empty dict"):
+            run_experiment(booth(), np.zeros(2), {})
+
+    def test_label_config_pairs_rejected(self):
+        # the tuple of (label, config) pairs the harness took before the dict
+        with pytest.raises(InvalidInput, match="non-empty dict"):
+            run_experiment(booth(), np.zeros(2), (("a", OptimizerConfig(Method.ADAM)),))
 
 
 class TestCli:

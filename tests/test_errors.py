@@ -1,0 +1,75 @@
+"""Bad input of every kind raises one type, InvalidInput, which the CLI maps to exit 2."""
+
+import numpy as np
+import pytest
+
+import quadgrad
+import quadgrad.errors as errors
+from quadgrad import (
+    InvalidInput,
+    Method,
+    OptimizerConfig,
+    booth,
+    experiment_adam_qg,
+    get_function,
+    newton_ratios,
+    pseudoinverse,
+    rosenbrock,
+    run,
+    solve,
+    spectral_bounds,
+)
+from quadgrad.bench import main
+
+DENSE_ASYMMETRIC = [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+
+# one call per raise site that had its own type before InvalidInput took them all
+BAD_INPUT = {
+    "non-square": lambda: spectral_bounds(np.ones((2, 3))),
+    "non-vector": lambda: solve(np.eye(2), np.ones((2, 1))),
+    "tridiagonal-asymmetric": lambda: spectral_bounds([[0.0, 1.0], [0.0, 0.0]]),
+    "non-finite-matrix": lambda: spectral_bounds([[np.nan, 0.0], [0.0, 1.0]]),
+    "dense-asymmetric": lambda: spectral_bounds(DENSE_ASYMMETRIC),
+    "solve-length-mismatch": lambda: solve(np.eye(2), [1.0, 2.0, 3.0]),
+    "solve-non-finite": lambda: solve(np.eye(2), [np.inf, 1.0]),
+    "pseudoinverse-non-finite": lambda: pseudoinverse([[np.inf, 0.0], [0.0, 1.0]]),
+    "newton-ratios-length-mismatch": lambda: newton_ratios(np.eye(2), [1.0, 2.0, 3.0]),
+    "newton-ratios-non-finite": lambda: newton_ratios([[np.nan, 0.0], [0.0, 1.0]], [1.0, 1.0]),
+    "x0-length-mismatch": lambda: run(booth(), OptimizerConfig(Method.ADAM), [0.0, 0.0, 0.0]),
+    "rosenbrock-n-below-two": lambda: rosenbrock(1),
+    "rosenbrock-id-n-below-two": lambda: get_function("rosenbrock:1"),
+    "adam-qg-n-below-two": lambda: experiment_adam_qg(1),
+}
+
+
+@pytest.mark.parametrize("call", BAD_INPUT.values(), ids=BAD_INPUT.keys())
+def test_bad_input_raises_exactly_invalid_input(call):
+    with pytest.raises(InvalidInput) as info:
+        call()
+    assert type(info.value) is InvalidInput
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--experiment", "adam-qg", "--nvars", "1"], "rosenbrock needs n >= 2, got 1"),
+    (["--function", "booth", "--x0", "1,2,3"], "x0 has dim 3, objective needs 2"),
+], ids=["nvars-1", "x0-length"])
+def test_cli_bad_input_exits_2_with_the_message(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_package_has_four_error_types():
+    defined = {name for name, value in vars(errors).items() if isinstance(value, type)}
+    assert defined == {"QuadGradError", "InvalidInput", "SingularMatrix", "UnknownFunction"}
+    assert all(issubclass(getattr(errors, name), errors.QuadGradError) for name in defined)
+
+
+def test_every_public_name_resolves():
+    # the bench names resolve lazily, through the package's __getattr__
+    for name in quadgrad.__all__:
+        assert getattr(quadgrad, name) is not None, name
+    for name in ("InvalidMatrix", "DimensionError", "InvalidDimension", "ExperimentSpec"):
+        assert name not in quadgrad.__all__
+        assert not hasattr(quadgrad, name)

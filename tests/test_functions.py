@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from quadgrad import (
-    InvalidDimension,
+    InvalidInput,
     Sense,
     UnknownFunction,
     beale,
@@ -36,8 +36,18 @@ class TestRosenbrock:
         assert f.value(np.ones(5)) == 0.0
 
     def test_rejects_dimension_below_two(self):
-        with pytest.raises(InvalidDimension):
+        with pytest.raises(InvalidInput):
             rosenbrock(1)
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, "5", None, True])
+    def test_rejects_non_integer_dimension(self, n):
+        with pytest.raises(InvalidInput, match="rosenbrock needs an integer n"):
+            rosenbrock(n)
+
+    def test_accepts_numpy_integer_dimension(self):
+        f = rosenbrock(np.int64(3))
+        assert f.name == "rosenbrock:3"
+        assert f.value(np.ones(3)) == 0.0
 
     @pytest.mark.parametrize("n", [2, 3, 64, 65, 400, 1000])
     def test_hessian_matches_index_scatter_bit_for_bit(self, n):
@@ -193,5 +203,5 @@ class TestRegistry:
             get_function("nosuch")
 
     def test_bad_rosenbrock_dimension(self):
-        with pytest.raises(InvalidDimension):
+        with pytest.raises(InvalidInput):
             get_function("rosenbrock:1")

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ import scipy.linalg
 
 from quadgrad import (
     InvalidInput,
-    InvalidMatrix,
     SingularMatrix,
     SpectralBounds,
     is_symmetric,
@@ -44,11 +44,11 @@ class TestSpectralBounds:
         assert b.spectral_radius == pytest.approx(3.0 + math.sqrt(5.0), abs=1e-12)
 
     def test_rejects_asymmetric(self):
-        with pytest.raises(InvalidMatrix):
+        with pytest.raises(InvalidInput):
             spectral_bounds([[0.0, 1.0], [0.0, 0.0]])
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(InvalidMatrix):
+        with pytest.raises(InvalidInput):
             spectral_bounds([[np.nan, 0.0], [0.0, 1.0]])
 
     def test_rayleigh_quotient_bounds(self):
@@ -117,7 +117,7 @@ class TestTridiagonalPath:
                 b = spectral_bounds(t)
                 assert b.lambda_max == np.linalg.eigvalsh(t)[-1]
             else:
-                with pytest.raises(InvalidMatrix, match="not symmetric"):
+                with pytest.raises(InvalidInput, match="not symmetric"):
                     spectral_bounds(t)
         assert outcomes == {True, False}
 
@@ -227,7 +227,7 @@ class TestPseudoinverse:
         np.testing.assert_allclose(pseudoinverse(a), a, atol=1e-15)
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(InvalidMatrix):
+        with pytest.raises(InvalidInput):
             pseudoinverse([[np.inf, 0.0], [0.0, 1.0]])
 
     def test_penrose_conditions_random(self):
@@ -253,6 +253,50 @@ def test_is_symmetric_tolerance():
     assert is_symmetric([[1.0, 2.0], [2.0, 1.0]])
     assert is_symmetric([[1.0, 2.0], [2.0 + 2e-9, 1.0]])
     assert not is_symmetric([[1.0, 2.0], [2.0 + 4e-9, 1.0]])
+
+
+def reference_is_symmetric(a):
+    """The symmetry test written with an |a| copy and an |a - a^T| copy."""
+    m = np.asarray(a, dtype=float)
+    with np.errstate(all="ignore"):
+        scale = 1.0 + np.max(np.abs(m))
+        return bool(np.max(np.abs(m - m.T)) <= SYMMETRY_TOL * scale)
+
+
+def test_is_symmetric_decides_as_the_reference():
+    rng = np.random.default_rng(31)
+    outcomes = set()
+    for trial in range(600):
+        n = int(rng.integers(1, 8))
+        a = random_symmetric(rng, n, scale=10.0 ** rng.integers(-6, 7))
+        kind = trial % 4
+        if kind == 1:  # asymmetric around the tolerance
+            a[rng.integers(n), rng.integers(n)] += rng.choice([1e-10, 1e-8]) * (1 + abs(a).max())
+        elif kind == 2:
+            a[rng.integers(n), rng.integers(n)] = np.nan
+        elif kind == 3:
+            i, j = rng.integers(n, size=2)
+            a[i, j] = rng.choice([np.inf, -np.inf])
+            if rng.random() < 0.5:
+                a[j, i] = a[i, j]
+        outcomes.add(is_symmetric(a))
+        assert is_symmetric(a) == reference_is_symmetric(a)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("a", [
+    [[np.inf, 0.0], [0.0, 1.0]],
+    [[1.0, -1e308], [1e308, 1.0]],
+], ids=["inf", "near-overflow"])
+def test_is_symmetric_warns_on_nothing(a):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not is_symmetric(a)
+
+
+def test_is_symmetric_makes_one_matrix_temporary():
+    h = random_symmetric(np.random.default_rng(32), 300)
+    assert peak_traced_bytes(is_symmetric, h) <= 1.1 * h.nbytes
 
 
 def test_spectral_radius_is_derived_from_the_extremes():

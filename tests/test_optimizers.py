@@ -2,6 +2,7 @@ import dataclasses
 import math
 import warnings
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -572,6 +573,25 @@ class TestRun:
                 run(f, config(Method.GD_SPECTRAL), x0)
         assert calls == Counter()
 
+    @pytest.mark.parametrize("value", [1j, "1.0", None, [1.0], np.array([1.0])],
+                             ids=["complex", "string", "none", "list", "shape-1-array"])
+    def test_non_real_objective_at_x0_raises_before_iterating(self, value):
+        f, calls = counted(ObjectiveFunction(
+            name="non-real", dim=2, sense=Sense.MINIMIZE, value=lambda x: value,
+            gradient=lambda x: np.ones(2), hessian=lambda x: np.eye(2)))
+        with pytest.raises(InvalidInput, match="objective's value must be a real number"):
+            run(f, config(Method.GD_SPECTRAL), [0.0, 0.0])
+        assert calls == Counter(value=1)
+
+    @pytest.mark.parametrize("value", [1, 1.0, np.float64(1.0), np.float32(1.0), np.int64(1)],
+                             ids=["int", "float", "float64", "float32", "int64"])
+    def test_real_scalar_objective_accepted(self, value):
+        f = ObjectiveFunction(name="scalar", dim=2, sense=Sense.MINIMIZE,
+                              value=lambda x: value, gradient=lambda x: np.ones(2),
+                              hessian=lambda x: np.eye(2))
+        traj = run(f, config(Method.GD_SPECTRAL, max_iterations=2), [0.0, 0.0])
+        assert [r.objective for r in traj.records] == [1.0, 1.0, 1.0]
+
     # each objective returns its first gradient or Hessian in a form a step
     # would misread: a list has no .dot, a (1,) gradient broadcasts over a
     # 2-D iterate, a 3x3 Hessian fails only some steps, a list cannot be
@@ -666,6 +686,8 @@ class TestConfigValidation:
             ("stepsize", math.inf),
             ("stepsize", math.nan),
             ("stepsize", True),
+            pytest.param("stepsize", 10**400, id="stepsize-int-1e400"),
+            pytest.param("stepsize", Fraction(10**400), id="stepsize-fraction-1e400"),
             ("qg_variant", "new"),
             ("max_iterations", 2.5),
             ("max_iterations", "3"),
@@ -689,6 +711,21 @@ class TestConfigValidation:
         else:
             with pytest.raises(InvalidInput, match="qg_variant"):
                 OptimizerConfig(method, qg_variant=variant)
+
+    @pytest.mark.parametrize("method, variant", METHOD_VARIANTS)
+    @pytest.mark.parametrize("stepsize", [Fraction(1, 10), 1, np.float32(0.1), np.int64(1)],
+                             ids=["fraction", "int", "float32", "int64"])
+    def test_stepsize_stored_as_float(self, stepsize, method, variant):
+        # a Fraction stepsize used to turn Adam's iterates into dtype object;
+        # the stored float gives the same bits as passing it directly
+        cfg = config(method, stepsize=stepsize, qg_variant=variant, max_iterations=3)
+        assert type(cfg.stepsize) is float and cfg.stepsize == float(stepsize)
+        as_float = config(method, stepsize=float(stepsize), qg_variant=variant,
+                          max_iterations=3)
+        for got, want in zip(run(rosenbrock(2), cfg, [-1.0, -1.0]).records,
+                             run(rosenbrock(2), as_float, [-1.0, -1.0]).records):
+            assert got.iterate.dtype == np.float64
+            assert got.iterate.tobytes() == want.iterate.tobytes()
 
     def test_accepts_numpy_scalars(self):
         cfg = OptimizerConfig(Method.ADAM, stepsize=np.float64(0.5),
