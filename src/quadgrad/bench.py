@@ -89,8 +89,10 @@ def run_experiment(f: ObjectiveFunction, x0, methods: dict[str, OptimizerConfig]
     method runs to its own ``max_iterations``; the table has one row more
     than the largest budget.
     """
-    if not isinstance(methods, dict) or not methods:
-        raise InvalidInput(f"methods must be a non-empty dict of label: config, got {methods!r}")
+    if not (isinstance(methods, dict) and methods
+            and all(isinstance(config, OptimizerConfig) for config in methods.values())):
+        raise InvalidInput(f"methods must be a non-empty dict of label: OptimizerConfig, "
+                           f"got {methods!r}")
     iterations = max(config.max_iterations for config in methods.values())
     columns = [_loss_column(f, run(f, config, x0), iterations) for config in methods.values()]
     header = ["Iterations", *methods]

@@ -2,18 +2,30 @@
 
 Everything here works on plain float64 numpy arrays: matrices are square
 (n, n) arrays, vectors are (n,) arrays. The heavy lifting is delegated to
-LAPACK through numpy/scipy; this module adds the validation and error
+LAPACK through numpy and scipy; this module adds the validation and error
 contracts the rest of the package relies on. Tridiagonal input to
 ``spectral_bounds`` skips the dense reduction and gives the same bits.
+
+The three scipy LAPACK routines used here (``dsterf``, ``dgetrf``,
+``dgetrs``) come from scipy's compiled wrapper module
+``scipy/linalg/_flapack``, loaded by file under the private name
+``quadgrad._flapack``: importing ``scipy.linalg`` for them would run the
+whole package, which took most of the start-up time of ``import quadgrad``.
+``scipy.linalg.lapack`` re-exports the same routines from that module, so
+the results are the same bits; it is the fallback when the file is not
+found. scipy's own import state is left alone: a later ``import
+scipy.linalg`` loads its ``_flapack`` as usual.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidInput, SingularMatrix
 
@@ -27,6 +39,28 @@ RANK_TOL = 1e-12
 _TINY = np.finfo(float).tiny
 _RMIN = math.sqrt(_TINY / np.finfo(float).eps)
 _RMAX = 1.0 / _RMIN
+
+
+def _load_lapack():
+    """scipy's compiled LAPACK wrappers, without importing ``scipy.linalg``.
+
+    ``find_spec("scipy")`` locates the package without running it; the
+    private module name keeps ``scipy.linalg._flapack`` for scipy to import.
+    """
+    linalg_dir = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0],
+                              "linalg")
+    finder = FileFinder(linalg_dir, (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    spec = finder.find_spec("quadgrad._flapack")
+    if spec is None:
+        from scipy.linalg import lapack
+
+        return lapack
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_lapack = _load_lapack()
 
 
 @dataclass(frozen=True)
@@ -73,11 +107,14 @@ def as_vector(v) -> np.ndarray:
 def is_symmetric(a) -> bool:
     """True when |a_ij - a_ji| <= SYMMETRY_TOL * (1 + max|a|) for all entries.
 
+    False when an entry is infinite or NaN (then no finite tolerance exists).
     Makes one n x n temporary and emits no floating-point warning.
     """
     m = as_square_matrix(a)
     with np.errstate(all="ignore"):
         scale = 1.0 + max(m.max(), -m.min())
+        if not math.isfinite(scale):
+            return False
         diff = m - m.T
         return bool(np.abs(diff, out=diff).max() <= SYMMETRY_TOL * scale)
 
@@ -109,7 +146,7 @@ def _tridiagonal_eigenvalues(m: np.ndarray) -> np.ndarray | None:
     scale = 1.0 + max(anrm, abs(upper).max())
     if not abs(lower - upper).max() <= SYMMETRY_TOL * scale:
         raise InvalidInput("matrix is not symmetric within tolerance")
-    eigenvalues, info = scipy.linalg.lapack.dsterf(d, lower)
+    eigenvalues, info = _lapack.dsterf(d, lower)
     if info != 0:
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
     return eigenvalues
@@ -149,13 +186,13 @@ def solve(a, b) -> np.ndarray:
     if not (np.isfinite(m).all() and np.isfinite(rhs).all()):
         raise InvalidInput("solve requires finite inputs")
     # an exactly zero pivot (info > 0) fails the pivot test below
-    lu, piv, _ = scipy.linalg.lapack.dgetrf(m)
+    lu, piv, _ = _lapack.dgetrf(m)
     pivots = abs(lu.diagonal())
     # max|a| of finite entries, without an |a| copy next to the LU factor
     scale = max(m.max(), -m.min(), _TINY)
     if pivots.min() < PIVOT_TOL * scale:
         raise SingularMatrix("pivot below tolerance; matrix is numerically singular")
-    x, _ = scipy.linalg.lapack.dgetrs(lu, piv, rhs)
+    x, _ = _lapack.dgetrs(lu, piv, rhs)
     return x
 
 

@@ -275,7 +275,8 @@ def _checked(name: str, a, shape: tuple[int, ...]) -> np.ndarray:
 def run(f: ObjectiveFunction, config: OptimizerConfig, x0) -> Trajectory:
     """Iterate until the budget, a vanishing gradient, or divergence.
 
-    Raises ``InvalidInput`` before iterating when the objective's value at
+    Raises ``InvalidInput`` before iterating when ``config`` is not an
+    ``OptimizerConfig``, when the objective's value at
     ``x0`` is not a finite real number, and before the first step when its
     first gradient is not a real ndarray of shape (n,), or its first Hessian
     (for a method that reads one) not one of shape (n, n); later evaluations
@@ -291,12 +292,15 @@ def run(f: ObjectiveFunction, config: OptimizerConfig, x0) -> Trajectory:
     one's are negated into new arrays.
     Divergence (a step that raises a ``QuadGradError`` or ``LinAlgError`` on
     a breakdown, a non-finite iterate, any coordinate beyond
-    ``DIVERGENCE_BOUND``, or a non-finite objective) truncates the
-    trajectory and sets the flag; it is never raised to the caller. The
-    objective is not evaluated at an iterate that failed the bound.
+    ``DIVERGENCE_BOUND``, or an objective value that is not a finite real
+    number) truncates the trajectory and sets the flag; it is never raised
+    to the caller. The objective is not evaluated at an iterate that failed
+    the bound.
     Floating-point overflow and invalid operations raise no warnings: the
     run's checks see their inf and NaN results instead.
     """
+    if not isinstance(config, OptimizerConfig):
+        raise InvalidInput(f"config must be an OptimizerConfig, got {type(config).__name__}")
     state = init_state(f, x0)
     step_name, reads_hessian = _STEPS[config.method]
     step = globals()[step_name]
@@ -341,7 +345,11 @@ def run(f: ObjectiveFunction, config: OptimizerConfig, x0) -> Trajectory:
             # NaN and inf fail the comparison too, so this one test catches both
             within = (abs(state.theta) <= DIVERGENCE_BOUND).all()
             objective = f.value(state.theta) if within else math.nan
-            if not math.isfinite(objective):
+            try:
+                finite = math.isfinite(objective)
+            except TypeError:  # a value that is not a real number
+                finite = False
+            if not finite:
                 diverged = True
                 break
             records.append(TrajectoryRecord(t, objective, state.theta.copy()))

@@ -170,6 +170,11 @@ class TestDefaults:
         with pytest.raises(InvalidInput, match="non-empty dict"):
             run_experiment(booth(), np.zeros(2), (("a", OptimizerConfig(Method.ADAM)),))
 
+    def test_non_config_value_rejected(self):
+        methods = {"a": OptimizerConfig(Method.ADAM), "b": "adam"}
+        with pytest.raises(InvalidInput, match="label: OptimizerConfig"):
+            run_experiment(booth(), np.zeros(2), methods)
+
 
 class TestCli:
     def test_lemma_lr_run(self, tmp_path, capsys):

@@ -260,6 +260,8 @@ def reference_is_symmetric(a):
     m = np.asarray(a, dtype=float)
     with np.errstate(all="ignore"):
         scale = 1.0 + np.max(np.abs(m))
+        if not math.isfinite(scale):
+            return False
         return bool(np.max(np.abs(m - m.T)) <= SYMMETRY_TOL * scale)
 
 
@@ -284,10 +286,14 @@ def test_is_symmetric_decides_as_the_reference():
     assert outcomes == {True, False}
 
 
+# an infinite max|a| would put every difference within the tolerance
 @pytest.mark.parametrize("a", [
     [[np.inf, 0.0], [0.0, 1.0]],
+    [[1.0, np.inf], [5.0, 1.0]],
+    [[1.0, np.inf], [np.inf, 1.0]],
+    [[1.0, np.nan], [np.nan, 1.0]],
     [[1.0, -1e308], [1e308, 1.0]],
-], ids=["inf", "near-overflow"])
+], ids=["inf", "one-inf", "mirrored-inf", "mirrored-nan", "near-overflow"])
 def test_is_symmetric_warns_on_nothing(a):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

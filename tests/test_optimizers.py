@@ -592,6 +592,22 @@ class TestRun:
         traj = run(f, config(Method.GD_SPECTRAL, max_iterations=2), [0.0, 0.0])
         assert [r.objective for r in traj.records] == [1.0, 1.0, 1.0]
 
+    def test_non_real_objective_after_x0_flags_divergence(self):
+        # holds until the run reports why it stopped, not only that it diverged
+        values = iter([1.0])
+        f = ObjectiveFunction(name="turns-complex", dim=2, sense=Sense.MINIMIZE,
+                              value=lambda x: next(values, 1j), gradient=lambda x: np.ones(2),
+                              hessian=lambda x: np.eye(2))
+        traj = run(f, config(Method.ADAM, max_iterations=3), [0.0, 0.0])
+        assert traj.diverged
+        assert [r.objective for r in traj.records] == [1.0]
+
+    @pytest.mark.parametrize("cfg", ["adam", Method.ADAM, None, {"method": Method.ADAM}],
+                             ids=["string", "method", "none", "dict"])
+    def test_config_of_wrong_type_rejected(self, cfg):
+        with pytest.raises(InvalidInput, match="config must be an OptimizerConfig, got"):
+            run(booth(), cfg, [0.0, 0.0])
+
     # each objective returns its first gradient or Hessian in a form a step
     # would misread: a list has no .dot, a (1,) gradient broadcasts over a
     # 2-D iterate, a 3x3 Hessian fails only some steps, a list cannot be
