@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, SingularMatrix
-from .linalg import as_square_matrix, as_vector, pseudoinverse, solve, spectral_bounds
+from .linalg import _max_abs, as_square_matrix, as_vector, pseudoinverse, solve, spectral_bounds
 
 # Guards every 1/(EPSILON + ...) against division by zero; not a tuning knob.
 EPSILON = 1e-8
@@ -85,17 +85,16 @@ def newton_ratios(h, g) -> NewtonRatios:
     m = as_square_matrix(h)
     grad = as_vector(g)
     if grad.shape[0] != m.shape[0]:
-        raise InvalidInput(
-            f"matrix order {m.shape[0]} != gradient dim {grad.shape[0]}"
-        )
+        raise InvalidInput(f"matrix order {m.shape[0]} != gradient dim {grad.shape[0]}")
     if (grad != 0.0).all():
-        # solve scans both inputs for non-finite entries before it factors
+        # solve rejects non-finite entries in either input before it factors
         try:
             return NewtonRatios(ratios=solve(m, grad) / grad, used_pseudoinverse=False)
         except SingularMatrix:
             pass
-    elif not (np.isfinite(m).all() and np.isfinite(grad).all()):
-        raise InvalidInput("newton_ratios requires finite inputs")
+    else:  # an inf or NaN must not meet a zero of grad in m * grad (inf * 0 warns)
+        _max_abs(m, "newton_ratios")
+        _max_abs(grad, "newton_ratios")
     ratios = pseudoinverse(m * grad[np.newaxis, :]) @ grad
     return NewtonRatios(ratios=ratios, used_pseudoinverse=True)
 

@@ -104,6 +104,16 @@ def as_vector(v) -> np.ndarray:
     return x
 
 
+def _max_abs(m: np.ndarray, who: str) -> float:
+    """max|m| of a non-empty array; InvalidInput naming ``who`` if an entry is NaN or
+    infinite, which ``m.max()`` or ``m.min()`` then is. Both are tested before ``max``
+    sees them: with a NaN argument its result depends on the argument order."""
+    hi, lo = m.max(), m.min()
+    if not (math.isfinite(hi) and math.isfinite(lo)):
+        raise InvalidInput(f"{who} requires finite inputs")
+    return max(hi, -lo)
+
+
 def is_symmetric(a) -> bool:
     """True when |a_ij - a_ji| <= SYMMETRY_TOL * (1 + max|a|) for all entries.
 
@@ -111,15 +121,16 @@ def is_symmetric(a) -> bool:
     Makes one n x n temporary and emits no floating-point warning.
     """
     m = as_square_matrix(a)
-    with np.errstate(all="ignore"):
-        scale = 1.0 + max(m.max(), -m.min())
-        if not math.isfinite(scale):
-            return False
+    try:
+        scale = 1.0 + _max_abs(m, "is_symmetric")
+    except InvalidInput:
+        return False
+    with np.errstate(all="ignore"):  # m - m.T can overflow near the float range
         diff = m - m.T
         return bool(np.abs(diff, out=diff).max() <= SYMMETRY_TOL * scale)
 
 
-def _tridiagonal_eigenvalues(m: np.ndarray) -> np.ndarray | None:
+def _tridiagonal_eigenvalues(m: np.ndarray, max_abs: float) -> np.ndarray | None:
     """Ascending eigenvalues of a finite tridiagonal ``m``; None for other input.
 
     ``np.linalg.eigvalsh`` (LAPACK dsyevd on the lower triangle) reduces the
@@ -127,8 +138,8 @@ def _tridiagonal_eigenvalues(m: np.ndarray) -> np.ndarray | None:
     that reduction changes nothing, so calling dsterf on the diagonal and
     the subdiagonal returns the same bits without the O(n^3) reduction.
     Declines (None) when a nonzero lies off the three central diagonals or
-    dsyevd would rescale. Applies the test of ``is_symmetric`` to the
-    off-diagonals and raises InvalidInput as ``spectral_bounds`` does.
+    dsyevd would rescale. Applies the test of ``is_symmetric``, with ``max_abs``
+    as max|m|, to the off-diagonals and raises InvalidInput as ``spectral_bounds`` does.
     """
     d = m.diagonal()
     if d.shape[0] == 1:
@@ -143,8 +154,7 @@ def _tridiagonal_eigenvalues(m: np.ndarray) -> np.ndarray | None:
     anrm = max(abs(d).max(), abs(lower).max())
     if anrm > _RMAX or 0.0 < anrm < _RMIN:
         return None
-    scale = 1.0 + max(anrm, abs(upper).max())
-    if not abs(lower - upper).max() <= SYMMETRY_TOL * scale:
+    if not abs(lower - upper).max() <= SYMMETRY_TOL * (1.0 + max_abs):
         raise InvalidInput("matrix is not symmetric within tolerance")
     eigenvalues, info = _lapack.dsterf(d, lower)
     if info != 0:
@@ -160,9 +170,7 @@ def spectral_bounds(h) -> SpectralBounds:
     identical to ``np.linalg.eigvalsh``.
     """
     m = as_square_matrix(h)
-    if not np.isfinite(m).all():
-        raise InvalidInput("matrix has non-finite entries")
-    eigenvalues = _tridiagonal_eigenvalues(m)
+    eigenvalues = _tridiagonal_eigenvalues(m, _max_abs(m, "spectral_bounds"))
     if eigenvalues is None:
         if not is_symmetric(m):
             raise InvalidInput("matrix is not symmetric within tolerance")
@@ -183,17 +191,13 @@ def solve(a, b) -> np.ndarray:
         raise InvalidInput(
             f"matrix order {m.shape[0]} does not match vector length {rhs.shape[0]}"
         )
-    if not (np.isfinite(m).all() and np.isfinite(rhs).all()):
-        raise InvalidInput("solve requires finite inputs")
+    _max_abs(rhs, "solve")
+    scale = max(_max_abs(m, "solve"), _TINY)
     # an exactly zero pivot (info > 0) fails the pivot test below
     lu, piv, _ = _lapack.dgetrf(m)
-    pivots = abs(lu.diagonal())
-    # max|a| of finite entries, without an |a| copy next to the LU factor
-    scale = max(m.max(), -m.min(), _TINY)
-    if pivots.min() < PIVOT_TOL * scale:
+    if abs(lu.diagonal()).min() < PIVOT_TOL * scale:
         raise SingularMatrix("pivot below tolerance; matrix is numerically singular")
-    x, _ = _lapack.dgetrs(lu, piv, rhs)
-    return x
+    return _lapack.dgetrs(lu, piv, rhs)[0]
 
 
 def pseudoinverse(a) -> np.ndarray:
@@ -203,8 +207,7 @@ def pseudoinverse(a) -> np.ndarray:
     zero. The result satisfies the four Penrose conditions to roundoff.
     """
     m = as_square_matrix(a)
-    if not np.isfinite(m).all():
-        raise InvalidInput("pseudoinverse requires finite entries")
+    _max_abs(m, "pseudoinverse")
     u, sigma, vt = np.linalg.svd(m)
     if sigma[0] == 0.0:
         return np.zeros_like(m.T)

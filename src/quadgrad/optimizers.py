@@ -263,39 +263,32 @@ _STEPS = {
 }
 
 
-def _checked(name: str, a, shape: tuple[int, ...]) -> np.ndarray:
-    """``a``, the objective's ``name``; InvalidInput unless a real ndarray of ``shape``."""
-    if not (isinstance(a, np.ndarray) and a.dtype.kind in "biuf" and a.shape == shape):
-        got = f"{a.dtype} {a.shape}" if isinstance(a, np.ndarray) else type(a).__name__
-        raise InvalidInput(f"the objective's {name} must be a real array of shape {shape}, "
-                           f"got {got}")
-    return a
+def _finite_real(value) -> bool:
+    """True for a finite real number; ``float`` is tested first, the ABC check is slow."""
+    return (isinstance(value, float) or isinstance(value, numbers.Real)) and math.isfinite(value)
 
 
 def run(f: ObjectiveFunction, config: OptimizerConfig, x0) -> Trajectory:
     """Iterate until the budget, a vanishing gradient, or divergence.
 
-    Raises ``InvalidInput`` before iterating when ``config`` is not an
-    ``OptimizerConfig``, when the objective's value at
-    ``x0`` is not a finite real number, and before the first step when its
-    first gradient is not a real ndarray of shape (n,), or its first Hessian
-    (for a method that reads one) not one of shape (n, n); later evaluations
-    are not checked.
+    Raises ``InvalidInput`` before the first step when ``config`` is not an
+    ``OptimizerConfig``, when the objective's value at ``x0`` is not a finite
+    real number, its gradient there not a real ndarray of shape (n,), or its
+    Hessian (for a method that reads one) not one of shape (n, n).
     The gradient is evaluated once per step and shared by the ``GRAD_TOL``
     check and the step; the Hessian once per step after that check (once at
     ``x0`` under ``fixed_hessian``), and only for methods that read it. Each
     Hessian reaches the step in a ``Curvature``, which derives its spectral
     learning rate and row-sum diagonal at most once: per step, or per run
-    under ``fixed_hessian``. ``run()`` neither
-    copies nor writes the arrays the objective returns: a minimised
-    objective's gradient and Hessian reach the step as they are, a maximised
-    one's are negated into new arrays.
+    under ``fixed_hessian``. ``run()`` neither copies nor writes the arrays
+    the objective returns: a minimised objective's gradient and Hessian reach
+    the step as they are, a maximised one's are negated into new arrays.
     Divergence (a step that raises a ``QuadGradError`` or ``LinAlgError`` on
     a breakdown, a non-finite iterate, any coordinate beyond
-    ``DIVERGENCE_BOUND``, or an objective value that is not a finite real
-    number) truncates the trajectory and sets the flag; it is never raised
-    to the caller. The objective is not evaluated at an iterate that failed
-    the bound.
+    ``DIVERGENCE_BOUND``, or a later value, gradient or Hessian that fails
+    the checks made at ``x0``) truncates the trajectory and sets the flag;
+    it is never raised to the caller. The objective is not evaluated at an
+    iterate that failed the bound.
     Floating-point overflow and invalid operations raise no warnings: the
     run's checks see their inf and NaN results instead.
     """
@@ -306,34 +299,40 @@ def run(f: ObjectiveFunction, config: OptimizerConfig, x0) -> Trajectory:
     step = globals()[step_name]
     reads_hessian = reads_hessian or config.qg_variant is not None
     n = f.dim
-    maximize = f.sense is Sense.MAXIMIZE
 
-    def orient(a):
-        return -1.0 * a if maximize else a
-
-    def curvature(x, first):
-        h = f.hessian(x)
-        return Curvature(orient(_checked("Hessian", h, (n, n)) if first else h))
+    def evaluated(name, fn, shape):
+        a = fn(state.theta)
+        if not (isinstance(a, np.ndarray) and a.dtype.kind in "biuf" and a.shape == shape):
+            got = f"{a.dtype} {a.shape}" if isinstance(a, np.ndarray) else type(a).__name__
+            raise InvalidInput(f"the objective's {name} must be a real array of shape "
+                               f"{shape}, got {got}")
+        return -1.0 * a if f.sense is Sense.MAXIMIZE else a
 
     fresh_hessian = reads_hessian and not config.fixed_hessian
     with np.errstate(all="ignore"):
         objective = f.value(state.theta)
-        if not isinstance(objective, numbers.Real):
-            raise InvalidInput(f"the objective's value must be a real number, "
+        if not _finite_real(objective):
+            raise InvalidInput(f"objective is not finite at x0: {objective}"
+                               if isinstance(objective, numbers.Real) else
+                               f"the objective's value must be a real number, "
                                f"got {type(objective).__name__}")
-        if not math.isfinite(objective):
-            raise InvalidInput(f"objective is not finite at x0: {objective}")
-        frozen = curvature(state.theta, True) if reads_hessian and config.fixed_hessian else None
+        frozen = (Curvature(evaluated("Hessian", f.hessian, (n, n)))
+                  if reads_hessian and config.fixed_hessian else None)
         records = [TrajectoryRecord(0, objective, state.theta.copy())]
         diverged = False
         for t in range(1, config.max_iterations + 1):
-            g = f.gradient(state.theta)
-            g = orient(_checked("gradient", g, (n,)) if t == 1 else g)
-            # sqrt(g.dot(g)) is np.linalg.norm(g) without its call overhead;
-            # an overflowed norm is inf and fails GRAD_TOL
-            if math.sqrt(g.dot(g)) <= GRAD_TOL:
+            try:
+                g = evaluated("gradient", f.gradient, (n,))
+                # sqrt(g.dot(g)) is np.linalg.norm(g) without its call
+                # overhead; an overflowed norm is inf and fails GRAD_TOL
+                if math.sqrt(g.dot(g)) <= GRAD_TOL:
+                    break
+                h = Curvature(evaluated("Hessian", f.hessian, (n, n))) if fresh_hessian else frozen
+            except InvalidInput:
+                if state.t == 0:  # no step has run: the objective is bad input
+                    raise
+                diverged = True
                 break
-            h = curvature(state.theta, t == 1) if fresh_hessian else frozen
             try:
                 state = step(state, config, g, h)
             except (QuadGradError, np.linalg.LinAlgError):
@@ -345,11 +344,7 @@ def run(f: ObjectiveFunction, config: OptimizerConfig, x0) -> Trajectory:
             # NaN and inf fail the comparison too, so this one test catches both
             within = (abs(state.theta) <= DIVERGENCE_BOUND).all()
             objective = f.value(state.theta) if within else math.nan
-            try:
-                finite = math.isfinite(objective)
-            except TypeError:  # a value that is not a real number
-                finite = False
-            if not finite:
+            if not _finite_real(objective):
                 diverged = True
                 break
             records.append(TrajectoryRecord(t, objective, state.theta.copy()))

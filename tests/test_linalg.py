@@ -121,6 +121,12 @@ class TestTridiagonalPath:
                     spectral_bounds(t)
         assert outcomes == {True, False}
 
+    def test_makes_no_matrix_sized_temporary(self):
+        # finiteness is decided by max and min, with no n x n mask beside the
+        # diagonals that dsterf reads
+        h = rosenbrock(300).hessian(np.linspace(-1.0, 1.0, 300))
+        assert peak_traced_bytes(spectral_bounds, h) < 0.05 * h.nbytes
+
     def test_only_dense_input_reaches_eigvalsh(self, monkeypatch):
         def refuse(a, UPLO="L"):
             raise AssertionError("eigvalsh called")

@@ -490,7 +490,7 @@ class TestRun:
         methods = [Method.GD_SPECTRAL, Method.NAG_SPECTRAL, Method.ENHANCED_NAG]
         cfgs = [config(m, max_iterations=50) for m in methods]
         banded = [records(run(f, cfg, x0)) for cfg in cfgs]
-        monkeypatch.setattr(linalg, "_tridiagonal_eigenvalues", lambda m: None)
+        monkeypatch.setattr(linalg, "_tridiagonal_eigenvalues", lambda *args: None)
         dense = [records(run(f, cfg, x0)) for cfg in cfgs]
         assert all(len(r[1]) == 51 for r in banded)
         assert banded == dense
@@ -602,7 +602,62 @@ class TestRun:
         assert traj.diverged
         assert [r.objective for r in traj.records] == [1.0]
 
-    @pytest.mark.parametrize("cfg", ["adam", Method.ADAM, None, {"method": Method.ADAM}],
+    # math.isfinite accepts a numpy complex scalar under a ComplexWarning
+    # instead of raising, so the x0 rule (a real number that is finite) must
+    # decide every later value too
+    @pytest.mark.parametrize("value", [
+        np.complex128(1 + 1j), np.complex64(1), 1j, "1.0", None, np.array([1.0]), math.nan,
+        -math.inf, np.float64(math.inf),
+    ], ids=["complex128", "complex64", "complex", "string", "none", "shape-1-array", "nan",
+            "minus-inf", "float64-inf"])
+    def test_bad_objective_after_x0_flags_divergence_without_warning(self, value):
+        values = iter([1.0, 2.0])
+        f = ObjectiveFunction(name="turns-bad", dim=2, sense=Sense.MINIMIZE,
+                              value=lambda x: next(values, value), gradient=lambda x: np.ones(2),
+                              hessian=lambda x: np.eye(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = run(f, config(Method.ADAM, max_iterations=5), [0.0, 0.0])
+        assert traj.diverged
+        assert [r.objective for r in traj.records] == [1.0, 2.0]
+
+    # the objective's first gradient and Hessian are well formed, so a step
+    # runs; from the second call on one of them is not. A bad Hessian is seen
+    # only by a method that reads one, and not at all when it is frozen at x0
+    @pytest.mark.parametrize("name, bad", [
+        ("gradient", np.ones(3)),
+        ("gradient", np.ones((2, 1))),
+        ("gradient", [1.0, 2.0]),
+        ("gradient", np.array([1j, 0.0])),
+        ("Hessian", np.ones((3, 3))),
+        ("Hessian", np.ones(2)),
+        ("Hessian", [[10.0, 8.0], [8.0, 10.0]]),
+        ("Hessian", np.eye(2, dtype=complex)),
+    ], ids=["gradient-3", "gradient-column", "gradient-list", "gradient-complex",
+            "hessian-3x3", "hessian-vector", "hessian-list", "hessian-complex"])
+    @pytest.mark.parametrize("method, variant", METHOD_VARIANTS)
+    @FRESH_AND_FROZEN
+    def test_malformed_later_output_flags_divergence(self, name, bad, method, variant,
+                                                      fixed_hessian):
+        f = booth()
+        good = getattr(f, name.lower())
+        first = []
+
+        def turning(x):
+            first.append(x)
+            return good(x) if len(first) == 1 else bad
+
+        f = dataclasses.replace(f, **{name.lower(): turning})
+        cfg = config(method, qg_variant=variant, fixed_hessian=fixed_hessian, max_iterations=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = run(f, cfg, [0.0, 0.0])
+        reads_hessian = bool(LAYERS_REACHED[method, variant])
+        seen = name == "gradient" or (reads_hessian and not fixed_hessian)
+        assert traj.diverged == seen
+        assert [r.iteration for r in traj.records] == list(range(2 if seen else 6))
+
+    @pytest.mark.parametrize("cfg",["adam", Method.ADAM, None, {"method": Method.ADAM}],
                              ids=["string", "method", "none", "dict"])
     def test_config_of_wrong_type_rejected(self, cfg):
         with pytest.raises(InvalidInput, match="config must be an OptimizerConfig, got"):

@@ -1,18 +1,35 @@
-"""Property tests of run()'s contracts over objectives, methods and start points.
+"""Property tests of run()'s contracts over objectives, methods and start points,
+and of the linear algebra kernels' finiteness contract.
 
 Bad input raises a QuadGradError before the first step; once a run starts
 it returns, flagging any breakdown, and it never warns. Reruns are equal and
-iterations are numbered without gaps.
+iterations are numbered without gaps. One inf or NaN anywhere in a kernel's
+input raises exactly InvalidInput without a warning; finite input gives the
+reference bits.
 """
 
 import math
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadgrad import OptimizerConfig, QuadGradError, rosenbrock, run, standard_suite
+import test_linalg
+from quadgrad import (
+    InvalidInput,
+    OptimizerConfig,
+    QuadGradError,
+    SingularMatrix,
+    newton_ratios,
+    pseudoinverse,
+    rosenbrock,
+    run,
+    solve,
+    spectral_bounds,
+    standard_suite,
+)
 from test_optimizers import METHOD_VARIANTS, counted
 
 FUNCTIONS = standard_suite() + [rosenbrock(n) for n in range(3, 7)]
@@ -69,3 +86,78 @@ def test_run_raises_before_iterating_or_returns_without_warning(case):
     assert 1 <= len(first.records) <= cfg.max_iterations + 1
     assert all(math.isfinite(r.objective) for r in first.records)
     assert all(np.all(np.isfinite(r.iterate)) for r in first.records)
+
+
+# any finite float, so the scale of the entries varies over the whole range
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def symmetric_systems(draw):
+    """A finite symmetric matrix, dense or tridiagonal, and a vector of its order
+    that may hold a zero."""
+    n = draw(st.integers(1, 6))
+    tridiagonal = draw(st.booleans())
+    h = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i, min(n, i + 2) if tridiagonal else n):
+            h[i, j] = h[j, i] = draw(FINITE)
+    g = np.array(draw(st.lists(FINITE, min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        g[draw(st.integers(0, n - 1))] = 0.0
+    return h, g
+
+
+@st.composite
+def poisoned_systems(draw):
+    """A symmetric system with NaN, inf or -inf put into the matrix, the vector or
+    both: at the first or last entry, off the three central diagonals, or anywhere.
+    Returns the matrix, the vector and whether the matrix holds it."""
+    h, g = draw(symmetric_systems())
+    n = g.shape[0]
+    target = draw(st.sampled_from(["matrix", "vector", "both"]))
+    if target != "vector":
+        corners = [(0, 0), (n - 1, n - 1), (0, n - 1), (n - 1, 0)]  # (0, n - 1) is off-band
+        i, j = draw(st.one_of(st.sampled_from(corners),
+                              st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+        h[i, j] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        if draw(st.booleans()):
+            h[j, i] = h[i, j]
+    if target != "matrix":
+        k = draw(st.one_of(st.sampled_from([0, n - 1]), st.integers(0, n - 1)))
+        g[k] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    return h, g, target != "vector"
+
+
+@PROPERTY_SETTINGS
+@given(poisoned_systems())
+def test_non_finite_entry_raises_exactly_invalid_input_without_warning(case):
+    h, g, matrix_poisoned = case
+    calls = [lambda: solve(h, g), lambda: newton_ratios(h, g)]
+    if matrix_poisoned:
+        calls += [lambda: spectral_bounds(h), lambda: pseudoinverse(h)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(InvalidInput, match="requires finite inputs") as info:
+                call()
+            assert type(info.value) is InvalidInput
+
+
+@PROPERTY_SETTINGS
+@given(symmetric_systems())
+def test_finite_input_gives_the_reference_bits(case):
+    h, g = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bounds = spectral_bounds(h)
+        eigenvalues = np.linalg.eigvalsh(h)
+        assert (np.array([bounds.lambda_min, bounds.lambda_max]).tobytes()
+                == eigenvalues[[0, -1]].tobytes())
+        try:
+            expected = test_linalg.TestSolve.reference_solve(h, g)
+        except SingularMatrix:
+            with pytest.raises(SingularMatrix):
+                solve(h, g)
+        else:
+            assert solve(h, g).tobytes() == expected.tobytes()
