@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, SingularMatrix
-from .linalg import _max_abs, as_square_matrix, as_vector, pseudoinverse, solve, spectral_bounds
+from .linalg import as_square_matrix, as_vector, pseudoinverse, solve, spectral_bounds
 
 # Guards every 1/(EPSILON + ...) against division by zero; not a tuning knob.
 EPSILON = 1e-8
@@ -80,7 +80,7 @@ def newton_ratios(h, g) -> NewtonRatios:
     When ``h`` is invertible and no gradient entry is zero this is computed
     exactly as r_i = solve(h, g)_i / g_i. Otherwise r comes from the
     pseudoinverse of h @ diag(g), which agrees with the exact form whenever
-    both exist. Raises InvalidInput when h or g has a non-finite entry.
+    both exist. Raises InvalidInput when h or g has a non-finite entry or h @ diag(g) overflows.
     """
     m = as_square_matrix(h)
     grad = as_vector(g)
@@ -92,11 +92,10 @@ def newton_ratios(h, g) -> NewtonRatios:
             return NewtonRatios(ratios=solve(m, grad) / grad, used_pseudoinverse=False)
         except SingularMatrix:
             pass
-    else:  # an inf or NaN must not meet a zero of grad in m * grad (inf * 0 warns)
-        _max_abs(m, "newton_ratios")
-        _max_abs(grad, "newton_ratios")
-    ratios = pseudoinverse(m * grad[np.newaxis, :]) @ grad
-    return NewtonRatios(ratios=ratios, used_pseudoinverse=True)
+    # inf or NaN in m or grad, or an overflow, leaves one in the product: pseudoinverse refuses it
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is NaN
+        product = m * grad[np.newaxis, :]
+    return NewtonRatios(ratios=pseudoinverse(product) @ grad, used_pseudoinverse=True)
 
 
 def ratio_diagonal(h, g) -> np.ndarray:

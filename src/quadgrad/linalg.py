@@ -34,11 +34,10 @@ PIVOT_TOL = 1e-12
 RANK_TOL = 1e-12
 
 # LAPACK dsyevd rescales a matrix whose largest lower-triangle entry lies
-# outside [_RMIN, _RMAX] (sqrt(safe minimum / precision) and its inverse)
+# outside [1/_RMAX, _RMAX] (_RMAX = sqrt(precision / safe minimum) = 2**485)
 # before reducing it; dsterf alone matches its bits only inside that range.
 _TINY = np.finfo(float).tiny
-_RMIN = math.sqrt(_TINY / np.finfo(float).eps)
-_RMAX = 1.0 / _RMIN
+_RMAX = math.sqrt(np.finfo(float).eps / _TINY)
 
 
 def _load_lapack():
@@ -137,9 +136,9 @@ def _tridiagonal_eigenvalues(m: np.ndarray, max_abs: float) -> np.ndarray | None
     matrix to tridiagonal form and hands it to dsterf. On tridiagonal input
     that reduction changes nothing, so calling dsterf on the diagonal and
     the subdiagonal returns the same bits without the O(n^3) reduction.
-    Declines (None) when a nonzero lies off the three central diagonals or
-    dsyevd would rescale. Applies the test of ``is_symmetric``, with ``max_abs``
-    as max|m|, to the off-diagonals and raises InvalidInput as ``spectral_bounds`` does.
+    Declines (None) when a nonzero lies off the three central diagonals, when ``max_abs`` (max|m|)
+    is outside [2 * SYMMETRY_TOL, _RMAX], or when the off-diagonals fail ``is_symmetric``'s test.
+    Past both tests dsyevd's own scale max(|d|, |lower|) is in [~SYMMETRY_TOL, _RMAX]: no rescaling.
     """
     d = m.diagonal()
     if d.shape[0] == 1:
@@ -151,11 +150,10 @@ def _tridiagonal_eigenvalues(m: np.ndarray, max_abs: float) -> np.ndarray | None
         np.count_nonzero(d) + np.count_nonzero(lower) + np.count_nonzero(upper)
     ):
         return None
-    anrm = max(abs(d).max(), abs(lower).max())
-    if anrm > _RMAX or 0.0 < anrm < _RMIN:
+    # the scale test first, so lower - upper cannot overflow
+    if not (2.0 * SYMMETRY_TOL <= max_abs <= _RMAX
+            and abs(lower - upper).max() <= SYMMETRY_TOL * (1.0 + max_abs)):
         return None
-    if not abs(lower - upper).max() <= SYMMETRY_TOL * (1.0 + max_abs):
-        raise InvalidInput("matrix is not symmetric within tolerance")
     eigenvalues, info = _lapack.dsterf(d, lower)
     if info != 0:
         raise np.linalg.LinAlgError("Eigenvalues did not converge")

@@ -265,7 +265,10 @@ _STEPS = {
 
 def _finite_real(value) -> bool:
     """True for a finite real number; ``float`` is tested first, the ABC check is slow."""
-    return (isinstance(value, float) or isinstance(value, numbers.Real)) and math.isfinite(value)
+    try:
+        return (isinstance(value, float) or isinstance(value, numbers.Real)) and math.isfinite(value)
+    except OverflowError:  # an int or Fraction beyond the float range
+        return False
 
 
 def run(f: ObjectiveFunction, config: OptimizerConfig, x0) -> Trajectory:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -115,16 +116,23 @@ class TestNewtonRatios:
             assert np.max(np.abs(r.ratios * g - newton_step)) <= 1e-8
 
     # a gradient without zeros takes the exact solve, which makes the scan;
-    # one with a zero entry is scanned before the pseudoinverse
+    # with a zero entry pseudoinverse scans h @ diag(g), where an inf or NaN of
+    # either input stays and a finite product that overflows becomes inf
     @pytest.mark.parametrize("h, g", [
         ([[np.nan, 0.0], [0.0, 1.0]], [1.0, 1.0]),
         (np.eye(2), [np.inf, 1.0]),
         ([[np.nan, 0.0], [0.0, 1.0]], [1.0, 0.0]),
         (np.eye(2), [np.nan, 0.0]),
-    ], ids=["nan-h", "inf-g", "nan-h-zero-g", "nan-g-zero-g"])
+        ([[1.0, np.inf], [np.inf, 1.0]], [1.0, 0.0]),
+        (1e200 * np.eye(2), [1e200, 0.0]),
+    ], ids=["nan-h", "inf-g", "nan-h-zero-g", "nan-g-zero-g", "inf-h-times-zero-g",
+            "product-overflows"])
     def test_rejects_nonfinite_input(self, h, g):
-        with pytest.raises(InvalidInput, match="requires finite inputs"):
-            newton_ratios(np.array(h), g)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput, match="requires finite inputs") as info:
+                newton_ratios(np.array(h), g)
+        assert type(info.value) is InvalidInput
 
     def test_counterexample_breaks_loewner_bound(self):
         # x^T (H_F - diag(r)) x goes negative: the ratio diagonal is not a

@@ -78,14 +78,29 @@ class TestTridiagonalPath:
     """Tridiagonal input skips eigvalsh's reduction and must keep its bits."""
 
     # 1e150 and 1e-160 push the largest entry outside the range in which
-    # LAPACK dsyevd leaves the matrix unscaled, so these take the dense path
-    @pytest.mark.parametrize("scale", [1.0, -1.0, 1e150, -1e150, 1e-160, -1e-160])
+    # LAPACK dsyevd leaves the matrix unscaled, so these take the dense path.
+    # A ("max|h|", v) scale rescales each Hessian so that max|h| is v, just
+    # inside or outside [2 * SYMMETRY_TOL, 2**485], where dsterf runs
+    @pytest.mark.parametrize("scale", [1.0, -1.0, 1e150, -1e150, 1e-160, -1e-160] + [
+        pytest.param(("max|h|", v), id=name) for name, v in [
+            ("max-below-2tol", 2.0 * SYMMETRY_TOL * (1.0 - 1e-12)),
+            ("max-above-2tol", 2.0 * SYMMETRY_TOL * (1.0 + 1e-12)),
+            ("max-below-2**485", 2.0**485 * (1.0 - 1e-12)),
+            ("max-above-2**485", -(2.0**485) * (1.0 + 1e-12)),
+        ]])
     @pytest.mark.parametrize("n", [2, 3, 20, 129, 400])
     def test_rosenbrock_hessian_matches_eigvalsh_exactly(self, n, scale):
         rng = np.random.default_rng(n)
         f = rosenbrock(n)
         for _ in range(3):
-            h = scale * f.hessian(rng.uniform(-2.0, 2.0, n))
+            h = f.hessian(rng.uniform(-2.0, 2.0, n))
+            if isinstance(scale, tuple):
+                largest = scale[1]
+                h = h * (largest / np.abs(h).max())
+                edge = 2.0 * SYMMETRY_TOL if abs(largest) < 1.0 else 2.0**485
+                assert (np.abs(h).max() < edge) == (abs(largest) < edge)
+            else:
+                h = scale * h
             b = spectral_bounds(h)
             eigenvalues = np.linalg.eigvalsh(h)
             assert b.lambda_min == eigenvalues[0]

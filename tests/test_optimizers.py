@@ -559,6 +559,17 @@ class TestRun:
             run(f, cfg, [1e80, 1e80])
         assert calls == Counter(value=1)
 
+    # math.isfinite raises OverflowError for a real number beyond the float range
+    @pytest.mark.parametrize("value", [10**400, -(10**400), Fraction(10**400)],
+                             ids=["int", "negative-int", "fraction"])
+    def test_objective_beyond_float_range_at_x0_raises_before_iterating(self, value):
+        f, calls = counted(ObjectiveFunction(
+            name="huge", dim=2, sense=Sense.MINIMIZE, value=lambda x: value,
+            gradient=lambda x: np.ones(2), hessian=lambda x: np.eye(2)))
+        with pytest.raises(InvalidInput, match="not finite at x0"):
+            run(f, config(Method.GD_SPECTRAL), [0.0, 0.0])
+        assert calls == Counter(value=1)
+
     @pytest.mark.parametrize("x0", [
         [1j, 0], np.array([1 + 1j, 0]), np.array([1 + 0j, 0]), ["a", "b"], ["1", "2"],
         [[1.0], [1.0, 2.0]], [None, 0.0],
@@ -607,9 +618,9 @@ class TestRun:
     # decide every later value too
     @pytest.mark.parametrize("value", [
         np.complex128(1 + 1j), np.complex64(1), 1j, "1.0", None, np.array([1.0]), math.nan,
-        -math.inf, np.float64(math.inf),
+        -math.inf, np.float64(math.inf), 10**400, Fraction(10**400),
     ], ids=["complex128", "complex64", "complex", "string", "none", "shape-1-array", "nan",
-            "minus-inf", "float64-inf"])
+            "minus-inf", "float64-inf", "int-beyond-float", "fraction-beyond-float"])
     def test_bad_objective_after_x0_flags_divergence_without_warning(self, value):
         values = iter([1.0, 2.0])
         f = ObjectiveFunction(name="turns-bad", dim=2, sense=Sense.MINIMIZE,

@@ -5,7 +5,8 @@ Bad input raises a QuadGradError before the first step; once a run starts
 it returns, flagging any breakdown, and it never warns. Reruns are equal and
 iterations are numbered without gaps. One inf or NaN anywhere in a kernel's
 input raises exactly InvalidInput without a warning; finite input gives the
-reference bits.
+reference bits. A near-symmetric tridiagonal matrix, at any scale, gives
+eigvalsh's bits or is refused exactly where is_symmetric is False.
 """
 
 import math
@@ -22,6 +23,7 @@ from quadgrad import (
     OptimizerConfig,
     QuadGradError,
     SingularMatrix,
+    is_symmetric,
     newton_ratios,
     pseudoinverse,
     rosenbrock,
@@ -30,6 +32,7 @@ from quadgrad import (
     spectral_bounds,
     standard_suite,
 )
+from quadgrad.linalg import SYMMETRY_TOL
 from test_optimizers import METHOD_VARIANTS, counted
 
 FUNCTIONS = standard_suite() + [rosenbrock(n) for n in range(3, 7)]
@@ -161,3 +164,47 @@ def test_finite_input_gives_the_reference_bits(case):
                 solve(h, g)
         else:
             assert solve(h, g).tobytes() == expected.tobytes()
+
+
+@st.composite
+def near_symmetric_tridiagonals(draw):
+    """A tridiagonal matrix whose nonzero entries have magnitudes from 2**-1074 to
+    2**1023, around a common scale so that the largest entry is spread over the
+    whole float range, including dsyevd's rescaling edges 2**-485 and 2**485.
+    Each upper off-diagonal entry differs from the lower one by up to twice
+    SYMMETRY_TOL * (1 + m), m the largest diagonal or lower entry, so both sides
+    of the tolerance occur; or the pair is upper-dominant: the lower entry is 0
+    and the upper one is below 2 * SYMMETRY_TOL in magnitude."""
+    n = draw(st.integers(2, 6))
+    top = draw(st.sampled_from([-485.0, 485.0, math.log2(2.0 * SYMMETRY_TOL)])
+               | st.floats(-1074.0, 1023.0))
+    magnitudes = st.floats(max(-1074.0, top - 80.0), min(1023.0, top)).map(lambda e: 2.0**e)
+    entries = st.one_of(st.just(0.0), st.tuples(st.sampled_from([-1.0, 1.0]), magnitudes).map(
+        lambda pair: pair[0] * pair[1]))
+    diagonal = draw(st.lists(entries, min_size=n, max_size=n))
+    lower = draw(st.lists(entries, min_size=n - 1, max_size=n - 1))
+    tolerance = SYMMETRY_TOL * (1.0 + max(map(abs, diagonal + lower)))
+    upper = list(lower)
+    for i in range(n - 1):
+        if draw(st.booleans()):
+            upper[i] += draw(st.floats(-2.0, 2.0)) * tolerance
+        else:
+            lower[i], upper[i] = 0.0, draw(st.floats(-2.0 * SYMMETRY_TOL, 2.0 * SYMMETRY_TOL,
+                                                     exclude_min=True, exclude_max=True))
+    return np.diag(diagonal) + np.diag(lower, -1) + np.diag(upper, 1)
+
+
+@PROPERTY_SETTINGS
+@given(near_symmetric_tridiagonals())
+def test_tridiagonal_gives_the_reference_bits_or_refuses_as_is_symmetric(h):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if is_symmetric(h):
+            bounds = spectral_bounds(h)
+            eigenvalues = np.linalg.eigvalsh(h)
+            assert (np.array([bounds.lambda_min, bounds.lambda_max]).tobytes()
+                    == eigenvalues[[0, -1]].tobytes())
+        else:
+            with pytest.raises(InvalidInput, match="not symmetric") as info:
+                spectral_bounds(h)
+            assert type(info.value) is InvalidInput
