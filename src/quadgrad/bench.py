@@ -145,17 +145,14 @@ def experiment_adam_qg(
     """Plain Adam (stepsize DEFAULT_ADAM_ALPHA) vs the QG Adam variants on Rosenbrock(n_vars)."""
     f = rosenbrock(n_vars)
     methods = {
-        "Adam": OptimizerConfig(method=Method.ADAM, stepsize=DEFAULT_ADAM_ALPHA,
-                                max_iterations=iterations,
-                                fixed_hessian=fixed_hessian),
-        "AdamOldQG": OptimizerConfig(method=Method.ENHANCED_ADAM, stepsize=eta,
-                                     qg_variant=Variant.ORIGINAL,
-                                     max_iterations=iterations,
-                                     fixed_hessian=fixed_hessian),
-        "AdamNewQG": OptimizerConfig(method=Method.ENHANCED_ADAM, stepsize=eta,
-                                     qg_variant=Variant.NEW,
-                                     max_iterations=iterations,
-                                     fixed_hessian=fixed_hessian),
+        label: OptimizerConfig(method=method, stepsize=stepsize, qg_variant=variant,
+                               max_iterations=iterations, fixed_hessian=fixed_hessian)
+        for label, (method, stepsize, variant) in zip(
+            ADAM_QG_COLUMNS,
+            ((Method.ADAM, DEFAULT_ADAM_ALPHA, None),
+             (Method.ENHANCED_ADAM, eta, Variant.ORIGINAL),
+             (Method.ENHANCED_ADAM, eta, Variant.NEW)),
+        )
     }
     return run_experiment(f, default_x0(f) if x0 is None else x0, methods)
 

@@ -252,27 +252,33 @@ def finite_difference_check(f: ObjectiveFunction, x, h: float = 1e-5) -> tuple[f
 
 _ROSENBROCK_ID = re.compile(r"^rosenbrock(?::(\d+))?$")
 
+# Registry names of the fixed-dimension functions, in standard_suite's order
+_FIXED_DIMENSION = {"beale": beale, "booth": booth, "himmelblau": himmelblau,
+                    "quadratic-counterexample": quadratic_counterexample}
+
 
 def get_function(function_id: str) -> ObjectiveFunction:
     """Look up a benchmark function by registry name.
 
     Accepted names: ``rosenbrock:<n>`` (bare ``rosenbrock`` means n=2),
     ``beale``, ``booth``, ``himmelblau``, ``quadratic-counterexample``.
+    A name that is not a str, or an n too long for ``int()``, raises
+    InvalidInput; any other unlisted name raises UnknownFunction.
     """
+    if not isinstance(function_id, str):
+        raise InvalidInput(f"function id must be a str, got {type(function_id).__name__}")
     match = _ROSENBROCK_ID.match(function_id)
     if match:
-        return rosenbrock(int(match.group(1)) if match.group(1) else 2)
-    simple = {
-        "beale": beale,
-        "booth": booth,
-        "himmelblau": himmelblau,
-        "quadratic-counterexample": quadratic_counterexample,
-    }
-    if function_id in simple:
-        return simple[function_id]()
+        try:
+            n = int(match.group(1) or 2)
+        except ValueError:  # beyond Python's limit on the digits int() converts
+            raise InvalidInput(f"rosenbrock n has too many digits: {len(match.group(1))}") from None
+        return rosenbrock(n)
+    if function_id in _FIXED_DIMENSION:
+        return _FIXED_DIMENSION[function_id]()
     raise UnknownFunction(f"no benchmark function named {function_id!r}")
 
 
 def standard_suite() -> list[ObjectiveFunction]:
     """The five functions exercised by the test battery (Rosenbrock at n=2)."""
-    return [rosenbrock(2), beale(), booth(), himmelblau(), quadratic_counterexample()]
+    return [rosenbrock(2), *(factory() for factory in _FIXED_DIMENSION.values())]

@@ -80,18 +80,22 @@ def newton_ratios(h, g) -> NewtonRatios:
     When ``h`` is invertible and no gradient entry is zero this is computed
     exactly as r_i = solve(h, g)_i / g_i. Otherwise r comes from the
     pseudoinverse of h @ diag(g), which agrees with the exact form whenever
-    both exist. Raises InvalidInput when h or g has a non-finite entry or h @ diag(g) overflows.
+    both exist. Bad input raises InvalidInput. This function coerces ``g``;
+    on the exact path ``solve`` coerces ``h``, checks its order against len(g)
+    and refuses a non-finite entry in either. The fallback checks ``h`` and
+    its order itself, with ``solve``'s message, and ``pseudoinverse`` refuses
+    a non-finite or overflowing h @ diag(g).
     """
-    m = as_square_matrix(h)
     grad = as_vector(g)
-    if grad.shape[0] != m.shape[0]:
-        raise InvalidInput(f"matrix order {m.shape[0]} != gradient dim {grad.shape[0]}")
-    if (grad != 0.0).all():
-        # solve rejects non-finite entries in either input before it factors
+    if grad.all():  # NaN is nonzero: solve refuses it
         try:
-            return NewtonRatios(ratios=solve(m, grad) / grad, used_pseudoinverse=False)
+            return NewtonRatios(ratios=solve(h, grad) / grad, used_pseudoinverse=False)
         except SingularMatrix:
             pass
+    m = as_square_matrix(h)
+    if grad.shape[0] != m.shape[0]:
+        raise InvalidInput(f"matrix order {m.shape[0]} does not match vector length "
+                           f"{grad.shape[0]}")
     # inf or NaN in m or grad, or an overflow, leaves one in the product: pseudoinverse refuses it
     with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is NaN
         product = m * grad[np.newaxis, :]
@@ -106,10 +110,12 @@ def ratio_diagonal(h, g) -> np.ndarray:
 def new_quadratic_gradient(h, g) -> np.ndarray:
     """Quadratic gradient with entries g_i / (EPSILON + |r_i|).
 
+    ``newton_ratios`` checks ``h`` and ``g``, so ``g`` enters the product as
+    given: any real dtype it accepts gives the float64 bits.
     A zero ratio can only arise together with a zero gradient entry, so the
     guarded 1/EPSILON accelerator entry never amplifies anything.
     """
-    return ratio_diagonal(h, g) * as_vector(g)
+    return ratio_diagonal(h, g) * g
 
 
 def spectral_learning_rate(h) -> float:

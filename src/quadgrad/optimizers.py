@@ -78,14 +78,10 @@ class OptimizerConfig:
         if not isinstance(self.method, Method):
             raise InvalidInput(f"method must be a Method, got {self.method!r}")
         stepsize = self.stepsize
-        if isinstance(stepsize, numbers.Real) and not isinstance(stepsize, bool):
-            try:
-                stepsize = float(stepsize)
-            except OverflowError:  # an int beyond the float range stays an int
-                pass
-        if not (isinstance(stepsize, float) and 0.0 < stepsize < math.inf):
-            raise InvalidInput(f"stepsize must be a finite number > 0, got {self.stepsize!r}")
-        object.__setattr__(self, "stepsize", stepsize)
+        # float() too: a positive Fraction or longdouble can round to 0.0
+        if isinstance(stepsize, bool) or not (_finite_real(stepsize) and float(stepsize) > 0.0):
+            raise InvalidInput(f"stepsize must be a finite number > 0, got {stepsize!r}")
+        object.__setattr__(self, "stepsize", float(stepsize))
         if self.qg_variant is not None and not isinstance(self.qg_variant, Variant):
             raise InvalidInput(f"qg_variant must be a Variant or None, got {self.qg_variant!r}")
         if self.qg_variant is not None and self.method is not Method.ENHANCED_ADAM:
@@ -274,18 +270,20 @@ def _finite_real(value) -> bool:
 def run(f: ObjectiveFunction, config: OptimizerConfig, x0) -> Trajectory:
     """Iterate until the budget, a vanishing gradient, or divergence.
 
-    Raises ``InvalidInput`` before the first step when ``config`` is not an
-    ``OptimizerConfig``, when the objective's value at ``x0`` is not a finite
-    real number, its gradient there not a real ndarray of shape (n,), or its
-    Hessian (for a method that reads one) not one of shape (n, n).
+    Raises ``InvalidInput`` before the first step when ``f`` is not an
+    ``ObjectiveFunction`` or ``config`` not an ``OptimizerConfig``, when the
+    objective's value at ``x0`` is not a finite real number, its gradient
+    there not a real ndarray of shape (n,), or its Hessian (for a method that
+    reads one) not one of shape (n, n).
     The gradient is evaluated once per step and shared by the ``GRAD_TOL``
     check and the step; the Hessian once per step after that check (once at
     ``x0`` under ``fixed_hessian``), and only for methods that read it. Each
     Hessian reaches the step in a ``Curvature``, which derives its spectral
     learning rate and row-sum diagonal at most once: per step, or per run
-    under ``fixed_hessian``. ``run()`` neither copies nor writes the arrays
-    the objective returns: a minimised objective's gradient and Hessian reach
-    the step as they are, a maximised one's are negated into new arrays.
+    under ``fixed_hessian``. A gradient or Hessian of another real dtype is
+    converted to float64 once; ``run()`` neither copies nor writes the float64
+    arrays the objective returns: a minimised objective's gradient and Hessian
+    reach the step as they are, a maximised one's are negated into new arrays.
     Divergence (a step that raises a ``QuadGradError`` or ``LinAlgError`` on
     a breakdown, a non-finite iterate, any coordinate beyond
     ``DIVERGENCE_BOUND``, or a later value, gradient or Hessian that fails
@@ -295,6 +293,8 @@ def run(f: ObjectiveFunction, config: OptimizerConfig, x0) -> Trajectory:
     Floating-point overflow and invalid operations raise no warnings: the
     run's checks see their inf and NaN results instead.
     """
+    if not isinstance(f, ObjectiveFunction):
+        raise InvalidInput(f"f must be an ObjectiveFunction, got {type(f).__name__}")
     if not isinstance(config, OptimizerConfig):
         raise InvalidInput(f"config must be an OptimizerConfig, got {type(config).__name__}")
     state = init_state(f, x0)
@@ -309,16 +309,20 @@ def run(f: ObjectiveFunction, config: OptimizerConfig, x0) -> Trajectory:
             got = f"{a.dtype} {a.shape}" if isinstance(a, np.ndarray) else type(a).__name__
             raise InvalidInput(f"the objective's {name} must be a real array of shape "
                                f"{shape}, got {got}")
+        a = np.asarray(a, dtype=float)  # an integer a.dot(a) would wrap around
         return -1.0 * a if f.sense is Sense.MAXIMIZE else a
 
     fresh_hessian = reads_hessian and not config.fixed_hessian
     with np.errstate(all="ignore"):
         objective = f.value(state.theta)
         if not _finite_real(objective):
-            raise InvalidInput(f"objective is not finite at x0: {objective}"
-                               if isinstance(objective, numbers.Real) else
-                               f"the objective's value must be a real number, "
-                               f"got {type(objective).__name__}")
+            if not isinstance(objective, numbers.Real):
+                raise InvalidInput(f"the objective's value must be a real number, "
+                                   f"got {type(objective).__name__}")
+            # a real that is not a float fails only beyond the float range: no digits
+            shown = (objective if isinstance(objective, (float, np.floating))
+                     else "beyond the float range")
+            raise InvalidInput(f"objective is not finite at x0: {shown}")
         frozen = (Curvature(evaluated("Hessian", f.hessian, (n, n)))
                   if reads_hessian and config.fixed_hessian else None)
         records = [TrajectoryRecord(0, objective, state.theta.copy())]

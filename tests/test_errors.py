@@ -16,6 +16,7 @@ from quadgrad import (
     pseudoinverse,
     rosenbrock,
     run,
+    run_experiment,
     solve,
     spectral_bounds,
 )
@@ -34,11 +35,19 @@ BAD_INPUT = {
     "solve-non-finite": lambda: solve(np.eye(2), [np.inf, 1.0]),
     "pseudoinverse-non-finite": lambda: pseudoinverse([[np.inf, 0.0], [0.0, 1.0]]),
     "newton-ratios-length-mismatch": lambda: newton_ratios(np.eye(2), [1.0, 2.0, 3.0]),
+    "newton-ratios-length-mismatch-zero-gradient":
+        lambda: newton_ratios(np.eye(2), [1.0, 0.0, 3.0]),
     "newton-ratios-non-finite": lambda: newton_ratios([[np.nan, 0.0], [0.0, 1.0]], [1.0, 1.0]),
     "x0-length-mismatch": lambda: run(booth(), OptimizerConfig(Method.ADAM), [0.0, 0.0, 0.0]),
     "rosenbrock-n-below-two": lambda: rosenbrock(1),
     "rosenbrock-id-n-below-two": lambda: get_function("rosenbrock:1"),
     "adam-qg-n-below-two": lambda: experiment_adam_qg(1),
+    "run-experiment-objective-none":
+        lambda: run_experiment(None, [0.0, 0.0], {"Adam": OptimizerConfig(Method.ADAM)}),
+    "function-id-int": lambda: get_function(123),
+    "function-id-none": lambda: get_function(None),
+    "function-id-bytes": lambda: get_function(b"booth"),
+    "rosenbrock-id-too-many-digits": lambda: get_function("rosenbrock:" + "9" * 5000),
 }
 
 
@@ -52,7 +61,8 @@ def test_bad_input_raises_exactly_invalid_input(call):
 @pytest.mark.parametrize("argv, message", [
     (["--experiment", "adam-qg", "--nvars", "1"], "rosenbrock needs n >= 2, got 1"),
     (["--function", "booth", "--x0", "1,2,3"], "x0 has dim 3, objective needs 2"),
-], ids=["nvars-1", "x0-length"])
+    (["--function", "rosenbrock:" + "9" * 5000], "rosenbrock n has too many digits: 5000"),
+], ids=["nvars-1", "x0-length", "rosenbrock-id-5000-digits"])
 def test_cli_bad_input_exits_2_with_the_message(argv, message, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()

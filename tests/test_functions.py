@@ -205,3 +205,9 @@ class TestRegistry:
     def test_bad_rosenbrock_dimension(self):
         with pytest.raises(InvalidInput):
             get_function("rosenbrock:1")
+
+    def test_standard_suite_is_the_registry_in_order(self):
+        names = [f.name for f in standard_suite()]
+        assert names == ["rosenbrock:2", "beale", "booth", "himmelblau",
+                         "quadratic-counterexample"]
+        assert [get_function(name).name for name in names] == names

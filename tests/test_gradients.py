@@ -134,6 +134,15 @@ class TestNewtonRatios:
                 newton_ratios(np.array(h), g)
         assert type(info.value) is InvalidInput
 
+    # the exact path leaves the pairing to solve; the fallback checks it with solve's words
+    @pytest.mark.parametrize("order, g", [(2, [1.0, 2.0, 3.0]), (2, [1.0, 0.0, 3.0]),
+                                          (3, [1.0, 2.0])],
+                             ids=["exact-path", "fallback", "short-gradient"])
+    def test_order_mismatch_gives_one_message(self, order, g):
+        with pytest.raises(InvalidInput) as info:
+            newton_ratios(np.eye(order), g)
+        assert str(info.value) == f"matrix order {order} does not match vector length {len(g)}"
+
     def test_counterexample_breaks_loewner_bound(self):
         # x^T (H_F - diag(r)) x goes negative: the ratio diagonal is not a
         # valid lower bound matrix for this maximization problem

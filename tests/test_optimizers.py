@@ -560,14 +560,17 @@ class TestRun:
         assert calls == Counter(value=1)
 
     # math.isfinite raises OverflowError for a real number beyond the float range
-    @pytest.mark.parametrize("value", [10**400, -(10**400), Fraction(10**400)],
-                             ids=["int", "negative-int", "fraction"])
+    # and 10**5000 has more digits than str() converts
+    @pytest.mark.parametrize("value", [10**400, -(10**400), Fraction(10**400), 10**5000],
+                             ids=["int", "negative-int", "fraction", "int-5001-digits"])
     def test_objective_beyond_float_range_at_x0_raises_before_iterating(self, value):
         f, calls = counted(ObjectiveFunction(
             name="huge", dim=2, sense=Sense.MINIMIZE, value=lambda x: value,
             gradient=lambda x: np.ones(2), hessian=lambda x: np.eye(2)))
-        with pytest.raises(InvalidInput, match="not finite at x0"):
+        with pytest.raises(InvalidInput, match="not finite at x0") as info:
             run(f, config(Method.GD_SPECTRAL), [0.0, 0.0])
+        assert type(info.value) is InvalidInput
+        assert str(info.value) == "objective is not finite at x0: beyond the float range"
         assert calls == Counter(value=1)
 
     @pytest.mark.parametrize("x0", [
@@ -674,6 +677,38 @@ class TestRun:
         with pytest.raises(InvalidInput, match="config must be an OptimizerConfig, got"):
             run(booth(), cfg, [0.0, 0.0])
 
+    @pytest.mark.parametrize("f", ["booth", None, booth],
+                             ids=["string", "none", "factory"])
+    def test_objective_of_wrong_type_rejected(self, f):
+        with pytest.raises(InvalidInput, match="f must be an ObjectiveFunction, got") as info:
+            run(f, config(Method.ADAM), [0.0, 0.0])
+        assert type(info.value) is InvalidInput
+
+    # an int64 g.dot(g) wraps around: 2 * (3e9)**2 and 2 * (2**31)**2 go
+    # negative, (2**32)**2 goes to 0 and 2 * (3.5e9)**2 to a wrong positive norm
+    @pytest.mark.parametrize("gradient", [[3_000_000_000] * 2, [2**31] * 2, [2**32, 0],
+                                          [3_500_000_000] * 2],
+                             ids=["3e9", "2**31", "2**32-and-0", "3.5e9"])
+    @pytest.mark.parametrize("method, variant", METHOD_VARIANTS)
+    @FRESH_AND_FROZEN
+    def test_integer_outputs_run_as_their_float64_values(self, gradient, method, variant,
+                                                         fixed_hessian):
+        def objective(dtype):
+            g = np.array(gradient, dtype=dtype)
+            h = np.array([[2, 1], [1, 3]], dtype=dtype)
+            return ObjectiveFunction(name="integer", dim=2, sense=Sense.MINIMIZE,
+                                     value=lambda x: float(x.sum()),
+                                     gradient=lambda x: g.copy(), hessian=lambda x: h.copy())
+
+        cfg = config(method, qg_variant=variant, fixed_hessian=fixed_hessian, max_iterations=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = run(objective(np.int64), cfg, [0.0, 0.0])
+        reference = run(objective(np.float64), cfg, [0.0, 0.0])
+        assert not traj.diverged and len(traj.records) == 5
+        assert [(r.objective, r.iterate.tobytes()) for r in traj.records] == [
+            (r.objective, r.iterate.tobytes()) for r in reference.records]
+
     # each objective returns its first gradient or Hessian in a form a step
     # would misread: a list has no .dot, a (1,) gradient broadcasts over a
     # 2-D iterate, a 3x3 Hessian fails only some steps, a list cannot be
@@ -768,6 +803,9 @@ class TestConfigValidation:
             ("stepsize", math.inf),
             ("stepsize", math.nan),
             ("stepsize", True),
+            pytest.param("stepsize", np.True_, id="stepsize-numpy-true"),
+            ("stepsize", -1.0),
+            pytest.param("stepsize", Fraction(1, 10**400), id="stepsize-rounds-to-zero"),
             pytest.param("stepsize", 10**400, id="stepsize-int-1e400"),
             pytest.param("stepsize", Fraction(10**400), id="stepsize-fraction-1e400"),
             ("qg_variant", "new"),

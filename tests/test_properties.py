@@ -6,7 +6,9 @@ it returns, flagging any breakdown, and it never warns. Reruns are equal and
 iterations are numbered without gaps. One inf or NaN anywhere in a kernel's
 input raises exactly InvalidInput without a warning; finite input gives the
 reference bits. A near-symmetric tridiagonal matrix, at any scale, gives
-eigvalsh's bits or is refused exactly where is_symmetric is False.
+eigvalsh's bits or is refused exactly where is_symmetric is False. The
+Newton-ratio kernels give the same outcome on a list or an int, bool or
+float32 array as on the float64 array of the same values.
 """
 
 import math
@@ -24,6 +26,7 @@ from quadgrad import (
     QuadGradError,
     SingularMatrix,
     is_symmetric,
+    new_quadratic_gradient,
     newton_ratios,
     pseudoinverse,
     rosenbrock,
@@ -208,3 +211,64 @@ def test_tridiagonal_gives_the_reference_bits_or_refuses_as_is_symmetric(h):
             with pytest.raises(InvalidInput, match="not symmetric") as info:
                 spectral_bounds(h)
             assert type(info.value) is InvalidInput
+
+
+# Ways to hand a kernel an operand, each built from a float64 array
+FORMS = {
+    "float64": lambda a: a,
+    "list": lambda a: a.tolist(),
+    "int64": lambda a: np.where(np.isfinite(a), a, 0.0).astype(np.int64),
+    "bool": lambda a: a != 0.0,
+    "float32": lambda a: a.astype(np.float32),
+}
+SMALL_INTEGERS = st.integers(-4, 4).map(float)
+SUBNORMAL = 2.0**-1074
+
+
+@st.composite
+def newton_operands(draw):
+    """h and g in any two FORMS: h of small integers, now and then inf or NaN;
+    g of small integers, 0.0, -0.0, NaN, inf and a subnormal. One time in four
+    the order of h is one more than the length of g."""
+    n = draw(st.integers(1, 5))
+    order = n + draw(st.sampled_from([0, 0, 0, 1]))
+    h_entries = SMALL_INTEGERS
+    if draw(st.booleans()):
+        h_entries |= st.sampled_from([math.nan, math.inf])
+    g_entries = SMALL_INTEGERS | st.sampled_from([0.0, -0.0, math.nan, math.inf, SUBNORMAL])
+    h = np.array(draw(st.lists(h_entries, min_size=order**2, max_size=order**2)))
+    g = np.array(draw(st.lists(g_entries, min_size=n, max_size=n)))
+    forms = st.sampled_from(list(FORMS.values()))
+    return draw(forms)(h.reshape(order, order)), draw(forms)(g)
+
+
+def outcome(call, h, g):
+    """The result's dtype and bytes (and which path it took), or the type of the
+    QuadGradError it raised; plus the messages of the warnings it emitted."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = call(h, g)
+        except QuadGradError as exc:
+            return type(exc), [str(w.message) for w in caught]
+    if call is newton_ratios:
+        result, path = result.ratios, result.used_pseudoinverse
+    else:
+        path = None
+    return (result.dtype, result.tobytes(), path), [str(w.message) for w in caught]
+
+
+@PROPERTY_SETTINGS
+@given(newton_operands())
+def test_newton_ratio_operands_in_any_real_form_give_the_float64_outcome(case):
+    h, g = case
+    h64, g64 = np.asarray(h, dtype=float), np.asarray(g, dtype=float)
+    for call in (newton_ratios, new_quadratic_gradient):
+        expected, expected_warnings = outcome(call, h64, g64)
+        got, got_warnings = outcome(call, h, g)
+        assert got == expected and got_warnings == expected_warnings
+        assert got is InvalidInput or (type(got) is tuple and got[0] == np.float64)
+        # a subnormal g_i can overflow r_i = solve(h, g)_i / g_i or 1 / sigma in
+        # pseudoinverse, which warns in either form; nothing else warns
+        if not (g64 == SUBNORMAL).any():
+            assert got_warnings == []
