@@ -36,7 +36,7 @@ traj = run(booth(), cfg, [0.0, 0.0])
 for t in (0, 1, 5, 10, 30, 100, 500):
     if t < len(traj.records):
         r = traj.records[t]
-        print(f"iteration {r.iteration:3d}: f = {r.objective:.3e}  at {r.iterate}")
+        print(f"iteration {t:3d}: f = {r.objective:.3e}  at {r.iterate}")
 print(f"monotone: {all(b.objective <= a.objective for a, b in zip(traj.records, traj.records[1:]))}")
 
 print()
@@ -45,6 +45,6 @@ traj = run(quadratic_counterexample(), cfg, [-1.0, -1.5])
 for t in (0, 1, 10, 50, 200):
     if t < len(traj.records):
         r = traj.records[t]
-        print(f"iteration {r.iteration:3d}: F = {r.objective:+.3e}")
+        print(f"iteration {t:3d}: F = {r.objective:+.3e}")
 print("the same rate works for ascent; the absolute value in the radius "
       "covers both curvature signs")

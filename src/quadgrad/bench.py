@@ -85,14 +85,18 @@ def _loss_column(f: ObjectiveFunction, trajectory: Trajectory, iterations: int) 
 def run_experiment(f: ObjectiveFunction, x0, methods: dict[str, OptimizerConfig]) -> CsvTable:
     """Run each method from ``x0`` on ``f`` and assemble the loss table.
 
-    ``methods`` maps each column label to its config, in column order. Each
-    method runs to its own ``max_iterations``; the table has one row more
-    than the largest budget.
+    ``methods`` maps each column label to its config, in column order. A
+    label is a str without a comma or a line break, so that ``CsvTable.parse``
+    reads the emitted table back. Each method runs to its own
+    ``max_iterations``; the table has one row more than the largest budget.
     """
+    # splitlines() breaks "." + label + "." exactly where parse() would split the header
     if not (isinstance(methods, dict) and methods
-            and all(isinstance(config, OptimizerConfig) for config in methods.values())):
-        raise InvalidInput(f"methods must be a non-empty dict of label: OptimizerConfig, "
-                           f"got {methods!r}")
+            and all(isinstance(label, str) and "," not in label
+                    and len(f".{label}.".splitlines()) == 1
+                    and isinstance(config, OptimizerConfig) for label, config in methods.items())):
+        raise InvalidInput(f"methods must be a non-empty dict of label: OptimizerConfig, each "
+                           f"label a str without a comma or line break, got {methods!r}")
     iterations = max(config.max_iterations for config in methods.values())
     columns = [_loss_column(f, run(f, config, x0), iterations) for config in methods.values()]
     header = ["Iterations", *methods]

@@ -44,12 +44,19 @@ def rosenbrock(n: int) -> ObjectiveFunction:
     """n-dimensional Rosenbrock function.
 
     f(x) = sum_i 100*(x_{i+1} - x_i^2)^2 + (1 - x_i)^2.
-    Minimum is at the all-ones vector, f = 0.
+    Minimum is at the all-ones vector, f = 0. InvalidInput unless n is an
+    integer >= 2 for which numpy can allocate a length-n array.
     """
     if isinstance(n, bool) or not isinstance(n, numbers.Integral):
         raise InvalidInput(f"rosenbrock needs an integer n, got {n!r}")
     if n < 2:
         raise InvalidInput(f"rosenbrock needs n >= 2, got {n}")
+    try:
+        optimum = np.ones(n)
+    except (ValueError, MemoryError):  # numpy, or malloc, refuses the size: nothing allocated
+        # named by its bit length: str(n) itself fails beyond 4300 digits
+        raise InvalidInput(f"rosenbrock n is too large for an array: n >= "
+                           f"2**{int(n).bit_length() - 1}") from None
 
     def value(x):
         x = np.asarray(x, dtype=float)
@@ -83,7 +90,7 @@ def rosenbrock(n: int) -> ObjectiveFunction:
         value=value,
         gradient=gradient,
         hessian=hessian,
-        known_optima=((np.ones(n), 0.0),),
+        known_optima=((optimum, 0.0),),
     )
 
 

@@ -136,17 +136,15 @@ def _tridiagonal_eigenvalues(m: np.ndarray, max_abs: float) -> np.ndarray | None
     matrix to tridiagonal form and hands it to dsterf. On tridiagonal input
     that reduction changes nothing, so calling dsterf on the diagonal and
     the subdiagonal returns the same bits without the O(n^3) reduction.
-    Declines (None) when a nonzero lies off the three central diagonals, when ``max_abs`` (max|m|)
-    is outside [2 * SYMMETRY_TOL, _RMAX], or when the off-diagonals fail ``is_symmetric``'s test.
+    Declines (None) at n = 1, which the dsterf wrapper rejects, when a nonzero lies off the three
+    central diagonals, when ``max_abs`` (max|m|) is outside [2 * SYMMETRY_TOL, _RMAX], or when
+    the off-diagonals fail ``is_symmetric``'s test.
     Past both tests dsyevd's own scale max(|d|, |lower|) is in [~SYMMETRY_TOL, _RMAX]: no rescaling.
     """
     d = m.diagonal()
-    if d.shape[0] == 1:
-        # dsyevd returns the entry itself; the dsterf wrapper rejects n = 1
-        return d.copy()
     lower = m.diagonal(-1)
     upper = m.diagonal(1)
-    if np.count_nonzero(m) != (
+    if d.shape[0] == 1 or np.count_nonzero(m) != (
         np.count_nonzero(d) + np.count_nonzero(lower) + np.count_nonzero(upper)
     ):
         return None
@@ -207,8 +205,6 @@ def pseudoinverse(a) -> np.ndarray:
     m = as_square_matrix(a)
     _max_abs(m, "pseudoinverse")
     u, sigma, vt = np.linalg.svd(m)
-    if sigma[0] == 0.0:
-        return np.zeros_like(m.T)
     cutoff = RANK_TOL * sigma[0] * m.shape[0]
     inv_sigma = np.zeros_like(sigma)
     keep = sigma > cutoff

@@ -111,14 +111,13 @@ class OptimizerState:
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
-    iteration: int
     objective: float
     iterate: np.ndarray
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Per-iteration log of a run; ``diverged`` flags a truncated run."""
+    """Per-iteration log of a run, ``records[k]`` after k steps; ``diverged`` flags truncation."""
 
     records: list[TrajectoryRecord]
     diverged: bool = False
@@ -325,9 +324,9 @@ def run(f: ObjectiveFunction, config: OptimizerConfig, x0) -> Trajectory:
             raise InvalidInput(f"objective is not finite at x0: {shown}")
         frozen = (Curvature(evaluated("Hessian", f.hessian, (n, n)))
                   if reads_hessian and config.fixed_hessian else None)
-        records = [TrajectoryRecord(0, objective, state.theta.copy())]
+        records = [TrajectoryRecord(objective, state.theta.copy())]
         diverged = False
-        for t in range(1, config.max_iterations + 1):
+        for _ in range(config.max_iterations):
             try:
                 g = evaluated("gradient", f.gradient, (n,))
                 # sqrt(g.dot(g)) is np.linalg.norm(g) without its call
@@ -354,5 +353,5 @@ def run(f: ObjectiveFunction, config: OptimizerConfig, x0) -> Trajectory:
             if not _finite_real(objective):
                 diverged = True
                 break
-            records.append(TrajectoryRecord(t, objective, state.theta.copy()))
+            records.append(TrajectoryRecord(objective, state.theta.copy()))
     return Trajectory(records=records, diverged=diverged)

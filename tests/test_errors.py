@@ -23,6 +23,7 @@ from quadgrad import (
 from quadgrad.bench import main
 
 DENSE_ASYMMETRIC = [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+ADAM = OptimizerConfig(Method.ADAM, max_iterations=2)
 
 # one call per raise site that had its own type before InvalidInput took them all
 BAD_INPUT = {
@@ -48,6 +49,19 @@ BAD_INPUT = {
     "function-id-none": lambda: get_function(None),
     "function-id-bytes": lambda: get_function(b"booth"),
     "rosenbrock-id-too-many-digits": lambda: get_function("rosenbrock:" + "9" * 5000),
+    # sizes numpy refuses before allocating anything
+    "rosenbrock-id-n-beyond-numpy": lambda: get_function(f"rosenbrock:{10**20}"),
+    "adam-qg-n-beyond-numpy": lambda: experiment_adam_qg(2**62),
+    # 4 EiB: beyond any 64-bit address space, so malloc refuses it at once
+    "rosenbrock-n-beyond-address-space": lambda: rosenbrock(2**59),
+    # column labels that emit() cannot write or parse() cannot read back
+    "run-experiment-label-int": lambda: run_experiment(booth(), [0.0, 0.0], {1: ADAM}),
+    "run-experiment-label-comma": lambda: run_experiment(booth(), [0.0, 0.0], {"a,b": ADAM}),
+    "run-experiment-label-newline": lambda: run_experiment(booth(), [0.0, 0.0], {"a\nb": ADAM}),
+    "run-experiment-label-carriage-return":
+        lambda: run_experiment(booth(), [0.0, 0.0], {"a\rb": ADAM}),
+    "run-experiment-label-line-separator":
+        lambda: run_experiment(booth(), [0.0, 0.0], {"Adam": ADAM, "a\u2028b": ADAM}),
 }
 
 
@@ -62,7 +76,10 @@ def test_bad_input_raises_exactly_invalid_input(call):
     (["--experiment", "adam-qg", "--nvars", "1"], "rosenbrock needs n >= 2, got 1"),
     (["--function", "booth", "--x0", "1,2,3"], "x0 has dim 3, objective needs 2"),
     (["--function", "rosenbrock:" + "9" * 5000], "rosenbrock n has too many digits: 5000"),
-], ids=["nvars-1", "x0-length", "rosenbrock-id-5000-digits"])
+    (["--experiment", "adam-qg", "--nvars", str(2**62)],
+     "rosenbrock n is too large for an array: n >= 2**62"),
+    (["--function", f"rosenbrock:{10**20}"], "rosenbrock n is too large for an array: n >= 2**66"),
+], ids=["nvars-1", "x0-length", "rosenbrock-id-5000-digits", "nvars-2**62", "rosenbrock-id-1e20"])
 def test_cli_bad_input_exits_2_with_the_message(argv, message, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()

@@ -105,6 +105,11 @@ class TestNewtonRatios:
         assert r.used_pseudoinverse
         np.testing.assert_allclose(r.ratios, np.zeros(2), atol=1e-14)
 
+    def test_zero_hessian_gives_positive_zero_ratios(self):
+        r = newton_ratios(np.zeros((3, 3)), [1.0, -2.0, 3.0])
+        assert r.used_pseudoinverse
+        assert r.ratios.tobytes() == np.zeros(3).tobytes()
+
     def test_consistency_with_solve(self):
         rng = np.random.default_rng(25)
         for _ in range(100):

@@ -243,6 +243,11 @@ class TestPseudoinverse:
     def test_zero_matrix(self):
         np.testing.assert_array_equal(pseudoinverse(np.zeros((2, 2))), np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_zero_matrix_gives_positive_zeros(self, n):
+        # no singular value passes the cutoff 0: every 1 / sigma is dropped
+        assert pseudoinverse(np.zeros((n, n))).tobytes() == np.zeros((n, n)).tobytes()
+
     def test_rank_one_projector(self):
         a = np.array([[1.0, 0.0], [0.0, 0.0]])
         np.testing.assert_allclose(pseudoinverse(a), a, atol=1e-15)

@@ -20,6 +20,7 @@ from quadgrad import (
     OptimizerState,
     QuadGradError,
     Sense,
+    TrajectoryRecord,
     Variant,
     booth,
     init_state,
@@ -136,7 +137,7 @@ FRESH_AND_FROZEN = pytest.mark.parametrize("fixed_hessian", [False, True],
 
 def records(traj):
     return traj.diverged, [
-        (r.iteration, r.objective, r.iterate.tobytes()) for r in traj.records
+        (k, r.objective, r.iterate.tobytes()) for k, r in enumerate(traj.records)
     ]
 
 
@@ -334,7 +335,12 @@ class TestRun:
 
     def test_iterations_indexed_from_zero(self):
         traj = run(booth(), config(Method.GD_SPECTRAL, max_iterations=7), [0.0, 0.0])
-        assert [r.iteration for r in traj.records] == list(range(8))
+        assert len(traj.records) == 8
+
+    def test_record_holds_no_step_number(self):
+        # records[k] follows k steps: the index is the step number
+        assert [field.name for field in dataclasses.fields(TrajectoryRecord)] == [
+            "objective", "iterate"]
 
     @pytest.mark.parametrize("method, variant", METHOD_VARIANTS)
     def test_deterministic(self, method, variant):
@@ -669,7 +675,7 @@ class TestRun:
         reads_hessian = bool(LAYERS_REACHED[method, variant])
         seen = name == "gradient" or (reads_hessian and not fixed_hessian)
         assert traj.diverged == seen
-        assert [r.iteration for r in traj.records] == list(range(2 if seen else 6))
+        assert len(traj.records) == (2 if seen else 6)
 
     @pytest.mark.parametrize("cfg",["adam", Method.ADAM, None, {"method": Method.ADAM}],
                              ids=["string", "method", "none", "dict"])
@@ -747,7 +753,6 @@ class TestRun:
             warnings.simplefilter("error")
             traj = run(rosenbrock(2), config(Method.ADAM), [1e70, 1e70])
         assert traj.records[0].objective == pytest.approx(1e282)
-        assert [r.iteration for r in traj.records] == list(range(len(traj.records)))
 
     def test_maximization_improves_objective(self):
         f = quadratic_counterexample()

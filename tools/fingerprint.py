@@ -73,8 +73,8 @@ def digest(runs) -> tuple[int, str]:
     for traj in runs:
         count += 1
         sha.update(struct.pack("<?q", traj.diverged, len(traj.records)))
-        for record in traj.records:
-            sha.update(struct.pack("<qd", record.iteration, record.objective))
+        for k, record in enumerate(traj.records):
+            sha.update(struct.pack("<qd", k, record.objective))
             sha.update(record.iterate.tobytes())
     return count, sha.hexdigest()
 
