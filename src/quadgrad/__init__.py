@@ -36,18 +36,11 @@ from .linalg import (
     spectral_bounds,
 )
 from .optimizers import (
-    Curvature,
     Method,
     OptimizerConfig,
-    OptimizerState,
     Trajectory,
     TrajectoryRecord,
-    init_state,
     run,
-    step_adam,
-    step_enhanced_adagrad,
-    step_gd_spectral,
-    step_nag,
 )
 
 __version__ = "0.1.0"
@@ -91,18 +84,11 @@ __all__ = [
     "spectral_bounds",
     "solve",
     "pseudoinverse",
-    "Curvature",
     "Method",
     "OptimizerConfig",
-    "OptimizerState",
     "Trajectory",
     "TrajectoryRecord",
-    "init_state",
     "run",
-    "step_gd_spectral",
-    "step_nag",
-    "step_enhanced_adagrad",
-    "step_adam",
     "CsvTable",
     "experiment_lemma_lr",
     "experiment_adam_qg",

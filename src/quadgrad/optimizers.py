@@ -3,16 +3,18 @@ each in a plain and a quadratic-gradient-accelerated form.
 
 All methods minimize; an objective declared as a maximization problem is
 run on its negation internally, while trajectories always record the
-original objective value. States are immutable snapshots; every step
-returns a fresh one with the counter advanced by exactly 1.
+original objective value.
 
-Every ``step_*`` is a pure update rule: it takes ``g``, the oriented
-gradient at ``state.theta``, and ``h``, a ``Curvature`` holding the oriented
-Hessian there, and never sees the objective. ``run()`` owns every
-evaluation: the gradient once per step, the Hessian once per step only for
-methods that read it (or once at ``x0`` when ``fixed_hessian`` is set), both
-negated for a maximisation problem and passed on as the objective returned
-them otherwise. The spectral learning rate and the row-sum diagonal depend
+``run()`` owns the iterate and every evaluation: the gradient once per step,
+the Hessian once per step only for methods that read it (or once at ``x0``
+when ``fixed_hessian`` is set), both negated for a maximisation problem and
+passed on as the objective returned them otherwise. Each ``step_*`` is an
+update rule ``step(theta, state, config, g, h) -> theta_new``: ``g`` is the
+oriented gradient at ``theta``, ``h`` a ``Curvature`` holding the oriented
+Hessian there, and ``state`` the method's own history, a list that
+``run()`` builds at ``x0`` from ``_STEPS`` and the step updates in place
+(empty for GD-spectral). No step writes ``theta``, ``g`` or an
+array it stored. The spectral learning rate and the row-sum diagonal depend
 on the Hessian alone, so ``Curvature`` computes each at most once per
 Hessian: once per step, or once per run under ``fixed_hessian``.
 """
@@ -97,19 +99,6 @@ class OptimizerConfig:
 
 
 @dataclass(frozen=True)
-class OptimizerState:
-    """Mutable-per-run iteration state (as an immutable snapshot)."""
-
-    t: int
-    theta: np.ndarray
-    momentum_prev: np.ndarray  # V_t of the NAG interpolation
-    m: np.ndarray  # first moment (Adam)
-    v: np.ndarray  # second moment (Adam)
-    adagrad_accum: np.ndarray  # running sum of squared quadratic gradients
-    nag_a: float = 1.0  # Nesterov sequence value a_t
-
-
-@dataclass(frozen=True)
 class TrajectoryRecord:
     objective: float
     iterate: np.ndarray
@@ -124,24 +113,6 @@ class Trajectory:
 
     def objectives(self) -> list[float]:
         return [r.objective for r in self.records]
-
-
-def init_state(f: ObjectiveFunction, x0) -> OptimizerState:
-    """Fresh state at ``x0`` with zeroed accumulators."""
-    theta = as_vector(x0).copy()
-    if theta.shape[0] != f.dim:
-        raise InvalidInput(f"x0 has dim {theta.shape[0]}, objective needs {f.dim}")
-    if not np.isfinite(theta).all():
-        raise InvalidInput("x0 must be finite")
-    zeros = np.zeros_like(theta)
-    return OptimizerState(
-        t=0,
-        theta=theta,
-        momentum_prev=theta.copy(),
-        m=zeros.copy(),
-        v=zeros.copy(),
-        adagrad_accum=zeros.copy(),
-    )
 
 
 class Curvature:
@@ -175,23 +146,19 @@ class Curvature:
         return self._bound
 
 
-def _advance(state: OptimizerState, theta_new: np.ndarray, **updates) -> OptimizerState:
-    # the constructor takes about half the time of dataclasses.replace
-    return OptimizerState(**{**vars(state), "t": state.t + 1, "theta": theta_new, **updates})
-
-
 def step_gd_spectral(
-    state: OptimizerState, config: OptimizerConfig, g: np.ndarray, h: Curvature
-) -> OptimizerState:
+    theta: np.ndarray, state: list, config: OptimizerConfig, g: np.ndarray, h: Curvature
+) -> np.ndarray:
     """Plain gradient descent whose learning rate is the reciprocal spectral
-    radius of the current Hessian."""
-    return _advance(state, state.theta - h.learning_rate * g)
+    radius of the current Hessian; ``state`` is empty."""
+    return theta - h.learning_rate * g
 
 
 def step_nag(
-    state: OptimizerState, config: OptimizerConfig, g: np.ndarray, h: Curvature
-) -> OptimizerState:
-    """One accelerated-gradient step.
+    theta: np.ndarray, state: list, config: OptimizerConfig, g: np.ndarray, h: Curvature
+) -> np.ndarray:
+    """One accelerated-gradient step; ``state`` is ``[V_t, a_t]``, the
+    previous lookahead point and the Nesterov sequence value.
 
     NAG_SPECTRAL steps by the spectral learning rate; ENHANCED_NAG steps by
     (1 + lr) times the row-sum-accelerated gradient. Both then blend the
@@ -200,22 +167,24 @@ def step_nag(
     """
     lr = h.learning_rate
     enhanced = config.method is Method.ENHANCED_NAG
-    v_new = state.theta - ((1.0 + lr) * h.bound * g if enhanced else lr * g)
-    a = state.nag_a
+    v_new = theta - ((1.0 + lr) * h.bound * g if enhanced else lr * g)
+    v_prev, a = state
     a_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * a * a))
     gamma = (a - 1.0) / a_next
-    theta_new = (1.0 - gamma) * v_new + gamma * state.momentum_prev
-    return _advance(state, theta_new, momentum_prev=v_new, nag_a=a_next)
+    state[:] = v_new, a_next
+    return (1.0 - gamma) * v_new + gamma * v_prev
 
 
 def step_enhanced_adagrad(
-    state: OptimizerState, config: OptimizerConfig, g: np.ndarray, h: Curvature
-) -> OptimizerState:
-    """Adagrad on the row-sum quadratic gradient with a (1 + eta) numerator."""
+    theta: np.ndarray, state: list, config: OptimizerConfig, g: np.ndarray, h: Curvature
+) -> np.ndarray:
+    """Adagrad on the row-sum quadratic gradient with a (1 + eta) numerator;
+    ``state`` is ``[accumulator]``, the running sum of squared quadratic gradients."""
     qg = h.bound * g
-    accum = state.adagrad_accum + qg * qg
+    accum = state[0] + qg * qg
+    state[0] = accum
     scale = (1.0 + config.stepsize) / (EPSILON_ADAM + np.sqrt(accum))
-    return _advance(state, state.theta - scale * qg, adagrad_accum=accum)
+    return theta - scale * qg
 
 
 # The gradient Adam feeds its moments, per qg_variant (always None for ADAM)
@@ -227,34 +196,38 @@ _ACCELERATED = {
 
 
 def step_adam(
-    state: OptimizerState, config: OptimizerConfig, g: np.ndarray, h: Curvature | None
-) -> OptimizerState:
-    """One Adam step with bias correction.
+    theta: np.ndarray, state: list, config: OptimizerConfig, g: np.ndarray, h: Curvature | None
+) -> np.ndarray:
+    """One Adam step with bias correction; ``state`` is ``[t, m, v]``, the
+    steps taken and the two moments.
 
     The accelerated gradient (per ``qg_variant``) feeds both moment
     accumulators; everything else is the standard update. ``h`` is read
     only with a ``qg_variant``, so it may be None without one.
     """
     qg = _ACCELERATED[config.qg_variant](g, h)
-    t = state.t + 1
-    m = BETA1 * state.m + (1.0 - BETA1) * qg
-    v = BETA2 * state.v + (1.0 - BETA2) * qg * qg
+    t, m, v = state
+    t += 1
+    m = BETA1 * m + (1.0 - BETA1) * qg
+    v = BETA2 * v + (1.0 - BETA2) * qg * qg
+    state[:] = t, m, v
     m_hat = m / (1.0 - BETA1**t)
     v_hat = v / (1.0 - BETA2**t)
-    theta_new = state.theta - config.stepsize * m_hat / (np.sqrt(v_hat) + EPSILON_ADAM)
-    return _advance(state, theta_new, m=m, v=v)
+    return theta - config.stepsize * m_hat / (np.sqrt(v_hat) + EPSILON_ADAM)
 
 
 # Method -> (its step function's name, whether it reads the Hessian without a
-# qg_variant). run() looks the name up in the module globals when it starts,
-# so a rebound ``step_*`` (a wrapper installed from outside) is the one run.
+# qg_variant, the step's state at x0). run() looks the name up in the module
+# globals when it starts, so a rebound ``step_*`` (a wrapper installed from
+# outside) is the one run.
 _STEPS = {
-    Method.GD_SPECTRAL: ("step_gd_spectral", True),
-    Method.NAG_SPECTRAL: ("step_nag", True),
-    Method.ENHANCED_NAG: ("step_nag", True),
-    Method.ENHANCED_ADAGRAD: ("step_enhanced_adagrad", True),
-    Method.ADAM: ("step_adam", False),
-    Method.ENHANCED_ADAM: ("step_adam", False),
+    Method.GD_SPECTRAL: ("step_gd_spectral", True, lambda x0: []),
+    Method.NAG_SPECTRAL: ("step_nag", True, lambda x0: [x0, 1.0]),
+    Method.ENHANCED_NAG: ("step_nag", True, lambda x0: [x0, 1.0]),
+    Method.ENHANCED_ADAGRAD: ("step_enhanced_adagrad", True, lambda x0: [np.zeros_like(x0)]),
+    Method.ADAM: ("step_adam", False, lambda x0: [0, np.zeros_like(x0), np.zeros_like(x0)]),
+    Method.ENHANCED_ADAM: ("step_adam", False,
+                           lambda x0: [0, np.zeros_like(x0), np.zeros_like(x0)]),
 }
 
 
@@ -269,9 +242,10 @@ def _finite_real(value) -> bool:
 def run(f: ObjectiveFunction, config: OptimizerConfig, x0) -> Trajectory:
     """Iterate until the budget, a vanishing gradient, or divergence.
 
-    Raises ``InvalidInput`` before the first step when ``f`` is not an
-    ``ObjectiveFunction`` or ``config`` not an ``OptimizerConfig``, when the
-    objective's value at ``x0`` is not a finite real number, its gradient
+    Raises ``InvalidInput`` before any evaluation when ``f`` is not an
+    ``ObjectiveFunction``, ``config`` not an ``OptimizerConfig``, or ``x0``
+    not a vector of ``f.dim`` finite real numbers; and before the first step
+    when the objective's value at ``x0`` is not a finite real number, its gradient
     there not a real ndarray of shape (n,), or its Hessian (for a method that
     reads one) not one of shape (n, n).
     The gradient is evaluated once per step and shared by the ``GRAD_TOL``
@@ -296,14 +270,19 @@ def run(f: ObjectiveFunction, config: OptimizerConfig, x0) -> Trajectory:
         raise InvalidInput(f"f must be an ObjectiveFunction, got {type(f).__name__}")
     if not isinstance(config, OptimizerConfig):
         raise InvalidInput(f"config must be an OptimizerConfig, got {type(config).__name__}")
-    state = init_state(f, x0)
-    step_name, reads_hessian = _STEPS[config.method]
+    theta = as_vector(x0).copy()
+    if theta.shape[0] != f.dim:
+        raise InvalidInput(f"x0 has dim {theta.shape[0]}, objective needs {f.dim}")
+    if not np.isfinite(theta).all():
+        raise InvalidInput("x0 must be finite")
+    step_name, reads_hessian, initial_state = _STEPS[config.method]
     step = globals()[step_name]
+    state = initial_state(theta)
     reads_hessian = reads_hessian or config.qg_variant is not None
     n = f.dim
 
     def evaluated(name, fn, shape):
-        a = fn(state.theta)
+        a = fn(theta)
         if not (isinstance(a, np.ndarray) and a.dtype.kind in "biuf" and a.shape == shape):
             got = f"{a.dtype} {a.shape}" if isinstance(a, np.ndarray) else type(a).__name__
             raise InvalidInput(f"the objective's {name} must be a real array of shape "
@@ -313,7 +292,7 @@ def run(f: ObjectiveFunction, config: OptimizerConfig, x0) -> Trajectory:
 
     fresh_hessian = reads_hessian and not config.fixed_hessian
     with np.errstate(all="ignore"):
-        objective = f.value(state.theta)
+        objective = f.value(theta)
         if not _finite_real(objective):
             if not isinstance(objective, numbers.Real):
                 raise InvalidInput(f"the objective's value must be a real number, "
@@ -324,7 +303,7 @@ def run(f: ObjectiveFunction, config: OptimizerConfig, x0) -> Trajectory:
             raise InvalidInput(f"objective is not finite at x0: {shown}")
         frozen = (Curvature(evaluated("Hessian", f.hessian, (n, n)))
                   if reads_hessian and config.fixed_hessian else None)
-        records = [TrajectoryRecord(objective, state.theta.copy())]
+        records = [TrajectoryRecord(objective, theta.copy())]
         diverged = False
         for _ in range(config.max_iterations):
             try:
@@ -335,12 +314,12 @@ def run(f: ObjectiveFunction, config: OptimizerConfig, x0) -> Trajectory:
                     break
                 h = Curvature(evaluated("Hessian", f.hessian, (n, n))) if fresh_hessian else frozen
             except InvalidInput:
-                if state.t == 0:  # no step has run: the objective is bad input
+                if len(records) == 1:  # no step has run: the objective is bad input
                     raise
                 diverged = True
                 break
             try:
-                state = step(state, config, g, h)
+                theta = step(theta, state, config, g, h)
             except (QuadGradError, np.linalg.LinAlgError):
                 diverged = True
                 break
@@ -348,10 +327,10 @@ def run(f: ObjectiveFunction, config: OptimizerConfig, x0) -> Trajectory:
             # it alive moved n=1000 step times by up to 2x either way (allocator)
             del h
             # NaN and inf fail the comparison too, so this one test catches both
-            within = (abs(state.theta) <= DIVERGENCE_BOUND).all()
-            objective = f.value(state.theta) if within else math.nan
+            within = (abs(theta) <= DIVERGENCE_BOUND).all()
+            objective = f.value(theta) if within else math.nan
             if not _finite_real(objective):
                 diverged = True
                 break
-            records.append(TrajectoryRecord(objective, state.theta.copy()))
+            records.append(TrajectoryRecord(objective, theta.copy()))
     return Trajectory(records=records, diverged=diverged)

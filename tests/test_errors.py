@@ -97,6 +97,9 @@ def test_every_public_name_resolves():
     # the bench names resolve lazily, through the package's __getattr__
     for name in quadgrad.__all__:
         assert getattr(quadgrad, name) is not None, name
-    for name in ("InvalidMatrix", "DimensionError", "InvalidDimension", "ExperimentSpec"):
+    # the step machinery stays inside quadgrad.optimizers
+    for name in ("InvalidMatrix", "DimensionError", "InvalidDimension", "ExperimentSpec",
+                 "Curvature", "OptimizerState", "init_state", "step_gd_spectral", "step_nag",
+                 "step_enhanced_adagrad", "step_adam"):
         assert name not in quadgrad.__all__
         assert not hasattr(quadgrad, name)

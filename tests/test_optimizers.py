@@ -12,21 +12,21 @@ import quadgrad.linalg as linalg
 import quadgrad.optimizers as optimizers
 from helpers import peak_traced_bytes, random_rank_deficient_symmetric
 from quadgrad import (
-    Curvature,
     InvalidInput,
     Method,
     ObjectiveFunction,
     OptimizerConfig,
-    OptimizerState,
     QuadGradError,
     Sense,
     TrajectoryRecord,
     Variant,
     booth,
-    init_state,
     quadratic_counterexample,
     rosenbrock,
     run,
+)
+from quadgrad.optimizers import (
+    Curvature,
     step_adam,
     step_enhanced_adagrad,
     step_gd_spectral,
@@ -55,15 +55,21 @@ def sign(f):
     return 1.0 if f.sense is Sense.MINIMIZE else -1.0
 
 
-def grad(f, state):
-    """The oriented gradient at ``state.theta``, as ``run()`` hands it to a step."""
-    return sign(f) * f.gradient(state.theta)
+def grad(f, theta):
+    """The oriented gradient at ``theta``, as ``run()`` hands it to a step."""
+    return sign(f) * f.gradient(theta)
 
 
-def hess(f, state):
-    """The oriented Hessian at ``state.theta`` in a fresh ``Curvature``, as
+def hess(f, theta):
+    """The oriented Hessian at ``theta`` in a fresh ``Curvature``, as
     ``run()`` hands it to a step."""
-    return Curvature(sign(f) * f.hessian(state.theta))
+    return Curvature(sign(f) * f.hessian(theta))
+
+
+def start(method, x0):
+    """The iterate and ``method``'s state at ``x0``, as ``run()`` builds them."""
+    theta = np.array(x0, dtype=float)
+    return theta, optimizers._STEPS[method][2](theta)
 
 
 def counted(f):
@@ -145,24 +151,24 @@ def frozen_reference(f, cfg, x0):
     """``records`` of a frozen-Hessian run(), rebuilt as a plain loop over
     the step functions that hands every step a fresh ``Curvature`` of the
     Hessian at ``x0``, so nothing derived from it is reused between steps."""
-    state = init_state(f, x0)
-    frozen = hess(f, state).h
-    rows = [(0, f.value(state.theta), state.theta.tobytes())]
+    theta, state = start(cfg.method, x0)
+    frozen = hess(f, theta).h
+    rows = [(0, f.value(theta), theta.tobytes())]
     with np.errstate(all="ignore"):
         for t in range(1, cfg.max_iterations + 1):
-            g = grad(f, state)
+            g = grad(f, theta)
             if math.sqrt(g.dot(g)) <= optimizers.GRAD_TOL:
                 break
             try:
-                state = getattr(optimizers, STEP_FUNCTION[cfg.method])(
-                    state, cfg, g, Curvature(frozen))
+                theta = getattr(optimizers, STEP_FUNCTION[cfg.method])(
+                    theta, state, cfg, g, Curvature(frozen))
             except (QuadGradError, np.linalg.LinAlgError):
                 return True, rows
-            within = np.all(np.abs(state.theta) <= optimizers.DIVERGENCE_BOUND)
-            objective = f.value(state.theta) if within else math.nan
+            within = np.all(np.abs(theta) <= optimizers.DIVERGENCE_BOUND)
+            objective = f.value(theta) if within else math.nan
             if not math.isfinite(objective):
                 return True, rows
-            rows.append((t, objective, state.theta.tobytes()))
+            rows.append((t, objective, theta.tobytes()))
     return False, rows
 
 
@@ -170,49 +176,49 @@ class TestGdSpectral:
     def test_booth_first_step(self):
         # lr = 1/(18+eps), g(0,0) = (-34,-38) -> theta1 = (34/18, 38/18)
         f = booth()
-        state = init_state(f, [0.0, 0.0])
-        state = step_gd_spectral(
-            state, config(Method.GD_SPECTRAL), grad(f, state), hess(f, state)
+        theta, state = start(Method.GD_SPECTRAL, [0.0, 0.0])
+        theta = step_gd_spectral(
+            theta, state, config(Method.GD_SPECTRAL), grad(f, theta), hess(f, theta)
         )
-        np.testing.assert_allclose(state.theta, [34.0 / 18.0, 38.0 / 18.0], atol=1e-7)
-        assert state.t == 1
+        np.testing.assert_allclose(theta, [34.0 / 18.0, 38.0 / 18.0], atol=1e-7)
+        assert state == []
 
     def test_fixed_point_at_maximum(self):
         f = quadratic_counterexample()
-        state = init_state(f, [0.0, 0.0])
-        state = step_gd_spectral(
-            state, config(Method.GD_SPECTRAL), grad(f, state), hess(f, state)
+        theta, state = start(Method.GD_SPECTRAL, [0.0, 0.0])
+        theta = step_gd_spectral(
+            theta, state, config(Method.GD_SPECTRAL), grad(f, theta), hess(f, theta)
         )
-        np.testing.assert_array_equal(state.theta, [0.0, 0.0])
+        np.testing.assert_array_equal(theta, [0.0, 0.0])
 
     def test_fixed_point_at_booth_minimum(self):
         f = booth()
-        state = init_state(f, [1.0, 3.0])
-        state = step_gd_spectral(
-            state, config(Method.GD_SPECTRAL), grad(f, state), hess(f, state)
+        theta, state = start(Method.GD_SPECTRAL, [1.0, 3.0])
+        theta = step_gd_spectral(
+            theta, state, config(Method.GD_SPECTRAL), grad(f, theta), hess(f, theta)
         )
-        np.testing.assert_array_equal(state.theta, [1.0, 3.0])
+        np.testing.assert_array_equal(theta, [1.0, 3.0])
 
 
 class TestNag:
     def test_first_step_has_no_momentum(self):
         f = booth()
         cfg = config(Method.NAG_SPECTRAL)
-        state = init_state(f, [0.0, 0.0])
-        state = step_nag(state, cfg, grad(f, state), hess(f, state))
+        theta, state = start(cfg.method, [0.0, 0.0])
+        theta = step_nag(theta, state, cfg, grad(f, theta), hess(f, theta))
         # gamma_0 = 0, so beta_1 = V_1 = the plain spectral-rate step
-        np.testing.assert_allclose(state.theta, [34.0 / 18.0, 38.0 / 18.0], atol=1e-7)
-        np.testing.assert_array_equal(state.theta, state.momentum_prev)
+        np.testing.assert_allclose(theta, [34.0 / 18.0, 38.0 / 18.0], atol=1e-7)
+        np.testing.assert_array_equal(theta, state[0])
 
     def test_enhanced_step_on_counterexample(self):
         # from (-1,-1.5): row sums (6,4), g=(1,1), lr=1/(3+sqrt(5)+eps),
         # ascent V1 = theta + (1+lr)*(1/6, 1/4); frozen from that arithmetic
         f = quadratic_counterexample()
         cfg = config(Method.ENHANCED_NAG)
-        state = init_state(f, [-1.0, -1.5])
-        state = step_nag(state, cfg, grad(f, state), hess(f, state))
+        theta, state = start(cfg.method, [-1.0, -1.5])
+        theta = step_nag(theta, state, cfg, grad(f, theta), hess(f, theta))
         np.testing.assert_allclose(
-            state.theta,
+            theta,
             [-0.801502832787444, -1.2022542494292874],
             atol=1e-10,
         )
@@ -220,20 +226,20 @@ class TestNag:
     def test_fixed_point_at_optimum(self):
         f = quadratic_counterexample()
         cfg = config(Method.NAG_SPECTRAL)
-        state = init_state(f, [0.0, 0.0])
-        state = step_nag(state, cfg, grad(f, state), hess(f, state))
-        np.testing.assert_array_equal(state.theta, [0.0, 0.0])
-        np.testing.assert_array_equal(state.momentum_prev, [0.0, 0.0])
+        theta, state = start(cfg.method, [0.0, 0.0])
+        theta = step_nag(theta, state, cfg, grad(f, theta), hess(f, theta))
+        np.testing.assert_array_equal(theta, [0.0, 0.0])
+        np.testing.assert_array_equal(state[0], [0.0, 0.0])
 
     def test_gamma_stays_in_unit_interval(self):
         f = rosenbrock(2)
         cfg = config(Method.ENHANCED_NAG, max_iterations=50)
-        state = init_state(f, [-1.0, -1.0])
+        theta, state = start(cfg.method, [-1.0, -1.0])
         for _ in range(50):
-            a_prev = state.nag_a
-            state = step_nag(state, cfg, grad(f, state), hess(f, state))
+            a_prev = state[1]
+            theta = step_nag(theta, state, cfg, grad(f, theta), hess(f, theta))
             # gamma_t = (a_t - 1) / a_{t+1}
-            assert 0.0 <= (a_prev - 1.0) / state.nag_a < 1.0
+            assert 0.0 <= (a_prev - 1.0) / state[1] < 1.0
 
 
 class TestEnhancedAdagrad:
@@ -241,75 +247,78 @@ class TestEnhancedAdagrad:
         # accum = G^2 after one step, so the step is (1+eta)*sign(G) up to eps
         f = synthetic(grad=[6.0, -8.0], hess=[[5.0, 1.0], [1.0, 3.0]])
         cfg = config(Method.ENHANCED_ADAGRAD, stepsize=1.0)
-        state = init_state(f, [0.0, 0.0])
-        state = step_enhanced_adagrad(state, cfg, grad(f, state), hess(f, state))
-        np.testing.assert_allclose(state.theta, [-2.0, 2.0], rtol=1e-6)
+        theta, state = start(cfg.method, [0.0, 0.0])
+        theta = step_enhanced_adagrad(theta, state, cfg, grad(f, theta), hess(f, theta))
+        np.testing.assert_allclose(theta, [-2.0, 2.0], rtol=1e-6)
 
     def test_second_step_accumulator_arithmetic(self):
         # G is constantly (1, 0)-like; second-step denominator is eps + sqrt(2)
         f = synthetic(grad=[6.0, 0.0], hess=[[5.0, 1.0], [1.0, 3.0]])
         eta = 0.5
         cfg = config(Method.ENHANCED_ADAGRAD, stepsize=eta)
-        state = init_state(f, [0.0, 0.0])
-        state = step_enhanced_adagrad(state, cfg, grad(f, state), hess(f, state))
-        theta1 = state.theta.copy()
-        state = step_enhanced_adagrad(state, cfg, grad(f, state), hess(f, state))
-        second_step = theta1 - state.theta
+        theta0, state = start(cfg.method, [0.0, 0.0])
+        theta1 = step_enhanced_adagrad(theta0, state, cfg, grad(f, theta0), hess(f, theta0))
+        theta2 = step_enhanced_adagrad(theta1, state, cfg, grad(f, theta1), hess(f, theta1))
+        second_step = theta1 - theta2
         assert second_step[0] == pytest.approx((1.0 + eta) / math.sqrt(2.0), rel=1e-6)
         assert second_step[1] == 0.0
 
     def test_fixed_point_at_optimum(self):
         f = booth()
         cfg = config(Method.ENHANCED_ADAGRAD)
-        state = init_state(f, [1.0, 3.0])
-        state = step_enhanced_adagrad(state, cfg, grad(f, state), hess(f, state))
-        np.testing.assert_array_equal(state.theta, [1.0, 3.0])
+        theta, state = start(cfg.method, [1.0, 3.0])
+        theta = step_enhanced_adagrad(theta, state, cfg, grad(f, theta), hess(f, theta))
+        np.testing.assert_array_equal(theta, [1.0, 3.0])
 
 
 class TestAdam:
     def test_first_step_is_signlike(self):
         f = rosenbrock(2)
         cfg = config(Method.ADAM, stepsize=0.1)
-        state = init_state(f, [-1.2, 1.0])
+        theta, state = start(cfg.method, [-1.2, 1.0])
         g = f.gradient([-1.2, 1.0])
-        state = step_adam(state, cfg, grad(f, state), None)
+        theta = step_adam(theta, state, cfg, grad(f, theta), None)
         expected = np.array([-1.2, 1.0]) - 0.1 * np.sign(g)
-        np.testing.assert_allclose(state.theta, expected, atol=1e-6)
+        np.testing.assert_allclose(theta, expected, atol=1e-6)
 
     def test_zero_gradient_keeps_everything_zero(self):
         f = synthetic(grad=[0.0, 0.0], hess=np.eye(2))
         cfg = config(Method.ADAM, stepsize=0.1)
-        state = init_state(f, [2.0, -1.0])
+        theta, state = start(cfg.method, [2.0, -1.0])
         for _ in range(5):
-            state = step_adam(state, cfg, grad(f, state), None)
-        np.testing.assert_array_equal(state.theta, [2.0, -1.0])
-        np.testing.assert_array_equal(state.m, [0.0, 0.0])
-        np.testing.assert_array_equal(state.v, [0.0, 0.0])
+            theta = step_adam(theta, state, cfg, grad(f, theta), None)
+        np.testing.assert_array_equal(theta, [2.0, -1.0])
+        t, m, v = state
+        assert t == 5
+        np.testing.assert_array_equal(m, [0.0, 0.0])
+        np.testing.assert_array_equal(v, [0.0, 0.0])
 
     def test_enhanced_with_identity_accelerator_matches_plain(self):
         f = rosenbrock(2)
         plain_cfg = config(Method.ADAM, stepsize=0.1)
         enhanced_cfg = config(Method.ENHANCED_ADAM, stepsize=0.1, qg_variant=None)
-        plain = init_state(f, [-1.2, 1.0])
-        enhanced = init_state(f, [-1.2, 1.0])
+        plain, plain_state = start(plain_cfg.method, [-1.2, 1.0])
+        enhanced, enhanced_state = start(enhanced_cfg.method, [-1.2, 1.0])
         # both take the identity accelerator's path, so every bit agrees
         for _ in range(25):
-            plain = step_adam(plain, plain_cfg, grad(f, plain), None)
-            enhanced = step_adam(enhanced, enhanced_cfg, grad(f, enhanced), None)
-            np.testing.assert_array_equal(plain.theta, enhanced.theta)
+            plain = step_adam(plain, plain_state, plain_cfg, grad(f, plain), None)
+            enhanced = step_adam(enhanced, enhanced_state, enhanced_cfg,
+                                 grad(f, enhanced), None)
+            np.testing.assert_array_equal(plain, enhanced)
 
     def test_moment_invariants(self):
         f = rosenbrock(2)
         cfg = config(Method.ADAM, stepsize=0.1)
-        state = init_state(f, [-1.0, -1.0])
+        theta, state = start(cfg.method, [-1.0, -1.0])
         largest_gradient = 0.0
         for _ in range(60):
             largest_gradient = max(
-                largest_gradient, float(np.max(np.abs(f.gradient(state.theta))))
+                largest_gradient, float(np.max(np.abs(f.gradient(theta))))
             )
-            state = step_adam(state, cfg, grad(f, state), None)
-            assert np.all(state.v >= 0.0)
-            assert np.max(np.abs(state.m)) <= largest_gradient + 1e-12
+            theta = step_adam(theta, state, cfg, grad(f, theta), None)
+            _, m, v = state
+            assert np.all(v >= 0.0)
+            assert np.max(np.abs(m)) <= largest_gradient + 1e-12
 
 
 class TestRun:
@@ -538,9 +547,9 @@ class TestRun:
         )
         seen = []
 
-        def spy(state, config, g, h):
+        def spy(theta, state, config, g, h):
             seen.append((g, h))
-            return state
+            return theta
 
         monkeypatch.setattr(optimizers, "step_gd_spectral", spy)
         run(f, config(Method.GD_SPECTRAL, max_iterations=3), [0.0, 0.0])
@@ -591,6 +600,28 @@ class TestRun:
             warnings.simplefilter("error")
             with pytest.raises(InvalidInput, match="expected real numbers"):
                 run(f, config(Method.GD_SPECTRAL), x0)
+        assert calls == Counter()
+
+    @pytest.mark.parametrize("x0, message", [
+        ([math.nan, 0.0], "x0 must be finite"),
+        (np.array([0.0, math.inf]), "x0 must be finite"),
+        ([-math.inf, 1.0], "x0 must be finite"),
+        ([0.0, 0.0, 0.0], "x0 has dim 3, objective needs 2"),
+        ([0.0], "x0 has dim 1, objective needs 2"),
+        ([], "expected a vector, got shape (0,)"),
+        ([[0.0, 0.0]], "expected a vector, got shape (1, 2)"),
+        (np.zeros((2, 2)), "expected a vector, got shape (2, 2)"),
+    ], ids=["nan", "inf", "minus-inf", "length-3", "length-1", "empty", "row", "2x2"])
+    @pytest.mark.parametrize("method, variant", METHOD_VARIANTS)
+    @FRESH_AND_FROZEN
+    def test_bad_x0_raises_before_any_evaluation(self, x0, message, method, variant,
+                                                 fixed_hessian):
+        f, calls = counted(booth())
+        cfg = config(method, qg_variant=variant, fixed_hessian=fixed_hessian)
+        with pytest.raises(InvalidInput) as info:
+            run(f, cfg, x0)
+        assert type(info.value) is InvalidInput
+        assert str(info.value) == message
         assert calls == Counter()
 
     @pytest.mark.parametrize("value", [1j, "1.0", None, [1.0], np.array([1.0])],
@@ -760,34 +791,6 @@ class TestRun:
         objectives = traj.objectives()
         assert objectives[-1] > objectives[0]
         assert abs(objectives[-1]) <= 1e-6
-
-
-# The OptimizerState fields each update rule writes; it carries the rest forward.
-FIELDS_WRITTEN = {
-    Method.GD_SPECTRAL: {"t", "theta"},
-    Method.NAG_SPECTRAL: {"t", "theta", "momentum_prev", "nag_a"},
-    Method.ENHANCED_NAG: {"t", "theta", "momentum_prev", "nag_a"},
-    Method.ENHANCED_ADAGRAD: {"t", "theta", "adagrad_accum"},
-    Method.ADAM: {"t", "theta", "m", "v"},
-    Method.ENHANCED_ADAM: {"t", "theta", "m", "v"},
-}
-
-
-@pytest.mark.parametrize("method, variant", METHOD_VARIANTS)
-def test_step_carries_unwritten_fields_forward_as_the_same_objects(method, variant):
-    state = OptimizerState(t=3, theta=np.array([0.5, -0.3]), momentum_prev=np.array([0.4, -0.2]),
-                           m=np.array([0.1, 0.2]), v=np.array([0.3, 0.4]),
-                           adagrad_accum=np.array([1.0, 2.0]), nag_a=2.0)
-    g = np.array([1.0, 2.0])
-    h = Curvature(np.array([[2.0, 1.0], [1.0, 3.0]]))
-    step = getattr(optimizers, STEP_FUNCTION[method])
-    new = step(state, config(method, qg_variant=variant), g, h)
-    assert new.t == 4
-    carried = {field.name for field in dataclasses.fields(OptimizerState)
-               if getattr(new, field.name) is getattr(state, field.name)}
-    assert carried == {field.name for field in dataclasses.fields(OptimizerState)} - (
-        FIELDS_WRITTEN[method]
-    )
 
 
 class TestConfigValidation:
