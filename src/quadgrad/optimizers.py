@@ -5,18 +5,24 @@ All methods minimize; an objective declared as a maximization problem is
 run on its negation internally, while trajectories always record the
 original objective value.
 
+A method scales the gradient and feeds the result to an update rule.
+``_STEPS`` holds, per ``(method, qg_variant)`` pair, the rule's name,
+``derive(h)`` (what the scaling needs from the Hessian alone: the spectral
+learning rate, a diagonal, or ``h`` itself; None for a method that reads no
+Hessian), ``direction(c, g)`` (what the rule steps along, from the derived
+``c`` and the gradient ``g``) and the rule's state at ``x0``.
+
 ``run()`` owns the iterate and every evaluation: the gradient once per step,
 the Hessian once per step only for methods that read it (or once at ``x0``
 when ``fixed_hessian`` is set), both negated for a maximisation problem and
-passed on as the objective returned them otherwise. Each ``step_*`` is an
-update rule ``step(theta, state, config, g, h) -> theta_new``: ``g`` is the
-oriented gradient at ``theta``, ``h`` a ``Curvature`` holding the oriented
-Hessian there, and ``state`` the method's own history, a list that
-``run()`` builds at ``x0`` from ``_STEPS`` and the step updates in place
-(empty for GD-spectral). No step writes ``theta``, ``g`` or an
-array it stored. The spectral learning rate and the row-sum diagonal depend
-on the Hessian alone, so ``Curvature`` computes each at most once per
-Hessian: once per step, or once per run under ``fixed_hessian``.
+passed on as the objective returned them otherwise. It derives ``c`` once per
+Hessian: every step, or once per run, at the first step, under
+``fixed_hessian``. Each ``step_*`` is an update rule
+``step(theta, state, config, d) -> theta_new`` on the direction ``d``;
+``state`` is the method's own history, a list that ``run()`` builds at
+``x0`` and the step updates in place (empty for GD-spectral). No step reads
+the method, the accelerator or a Hessian, and none writes ``theta``, ``d``
+or an array it stored.
 """
 
 from __future__ import annotations
@@ -63,8 +69,8 @@ class OptimizerConfig:
     refused on any other method; None means the identity accelerator, which
     makes the enhanced method coincide with the plain one.
     ``fixed_hessian`` freezes all second-order information at the starting
-    point instead of re-evaluating per iteration: the Hessian, its spectral
-    learning rate and its row-sum diagonal are each derived once per run.
+    point instead of re-evaluating per iteration: the Hessian is evaluated
+    there, and what the method derives from it alone is derived once per run.
     Adam's decay rates, the guards and the stopping thresholds are the
     module constants above. A field of the wrong type or out of range raises
     ``InvalidInput`` here, before any run starts.
@@ -86,7 +92,7 @@ class OptimizerConfig:
         object.__setattr__(self, "stepsize", float(stepsize))
         if self.qg_variant is not None and not isinstance(self.qg_variant, Variant):
             raise InvalidInput(f"qg_variant must be a Variant or None, got {self.qg_variant!r}")
-        if self.qg_variant is not None and self.method is not Method.ENHANCED_ADAM:
+        if (self.method, self.qg_variant) not in _STEPS:
             raise InvalidInput(f"qg_variant applies to ENHANCED_ADAM only, not {self.method}")
         if (isinstance(self.max_iterations, bool)
                 or not isinstance(self.max_iterations, numbers.Integral)
@@ -115,59 +121,27 @@ class Trajectory:
         return [r.objective for r in self.records]
 
 
-class Curvature:
-    """One oriented Hessian ``h`` and the quantities derived from it alone.
-
-    ``learning_rate`` and ``bound`` call ``spectral_learning_rate`` and
-    ``bound_diagonal`` through this module's names at first use and keep the
-    result, so each is computed at most once per Hessian. A computation that
-    raises keeps nothing. ``h`` must not be written while the holder is in use.
-    """
-
-    __slots__ = ("h", "_learning_rate", "_bound")
-
-    def __init__(self, h: np.ndarray):
-        self.h = h
-        self._learning_rate = None
-        self._bound = None
-
-    @property
-    def learning_rate(self) -> float:
-        """``spectral_learning_rate(h)``."""
-        if self._learning_rate is None:
-            self._learning_rate = spectral_learning_rate(self.h)
-        return self._learning_rate
-
-    @property
-    def bound(self) -> np.ndarray:
-        """``bound_diagonal(h)``; callers must not write it."""
-        if self._bound is None:
-            self._bound = bound_diagonal(self.h)
-        return self._bound
-
-
 def step_gd_spectral(
-    theta: np.ndarray, state: list, config: OptimizerConfig, g: np.ndarray, h: Curvature
+    theta: np.ndarray, state: list, config: OptimizerConfig, d: np.ndarray
 ) -> np.ndarray:
-    """Plain gradient descent whose learning rate is the reciprocal spectral
-    radius of the current Hessian; ``state`` is empty."""
-    return theta - h.learning_rate * g
+    """Plain gradient descent: ``d`` is the gradient scaled by the spectral
+    learning rate of the current Hessian; ``state`` is empty."""
+    return theta - d
 
 
 def step_nag(
-    theta: np.ndarray, state: list, config: OptimizerConfig, g: np.ndarray, h: Curvature
+    theta: np.ndarray, state: list, config: OptimizerConfig, d: np.ndarray
 ) -> np.ndarray:
     """One accelerated-gradient step; ``state`` is ``[V_t, a_t]``, the
     previous lookahead point and the Nesterov sequence value.
 
-    NAG_SPECTRAL steps by the spectral learning rate; ENHANCED_NAG steps by
-    (1 + lr) times the row-sum-accelerated gradient. Both then blend the
-    new and previous lookahead points with the Nesterov weight sequence
-    (a_0 = 1, a_{t+1} = (1 + sqrt(1 + 4 a_t^2)) / 2, gamma_t = (a_t - 1) / a_{t+1}).
+    The new lookahead point is ``theta - d``, where ``d`` is the gradient
+    scaled by the spectral learning rate (NAG_SPECTRAL) or by (1 + lr) times
+    the row-sum diagonal (ENHANCED_NAG). It is blended with the previous one
+    by the Nesterov weight sequence (a_0 = 1,
+    a_{t+1} = (1 + sqrt(1 + 4 a_t^2)) / 2, gamma_t = (a_t - 1) / a_{t+1}).
     """
-    lr = h.learning_rate
-    enhanced = config.method is Method.ENHANCED_NAG
-    v_new = theta - ((1.0 + lr) * h.bound * g if enhanced else lr * g)
+    v_new = theta - d
     v_prev, a = state
     a_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * a * a))
     gamma = (a - 1.0) / a_next
@@ -176,58 +150,61 @@ def step_nag(
 
 
 def step_enhanced_adagrad(
-    theta: np.ndarray, state: list, config: OptimizerConfig, g: np.ndarray, h: Curvature
+    theta: np.ndarray, state: list, config: OptimizerConfig, d: np.ndarray
 ) -> np.ndarray:
-    """Adagrad on the row-sum quadratic gradient with a (1 + eta) numerator;
-    ``state`` is ``[accumulator]``, the running sum of squared quadratic gradients."""
-    qg = h.bound * g
-    accum = state[0] + qg * qg
+    """Adagrad with a (1 + eta) numerator on ``d``, the row-sum quadratic
+    gradient; ``state`` is ``[accumulator]``, the running sum of ``d * d``."""
+    accum = state[0] + d * d
     state[0] = accum
     scale = (1.0 + config.stepsize) / (EPSILON_ADAM + np.sqrt(accum))
-    return theta - scale * qg
-
-
-# The gradient Adam feeds its moments, per qg_variant (always None for ADAM)
-_ACCELERATED = {
-    None: lambda g, h: g,
-    Variant.ORIGINAL: lambda g, h: h.bound * g,
-    Variant.NEW: lambda g, h: new_quadratic_gradient(h.h, g),
-}
+    return theta - scale * d
 
 
 def step_adam(
-    theta: np.ndarray, state: list, config: OptimizerConfig, g: np.ndarray, h: Curvature | None
+    theta: np.ndarray, state: list, config: OptimizerConfig, d: np.ndarray
 ) -> np.ndarray:
-    """One Adam step with bias correction; ``state`` is ``[t, m, v]``, the
-    steps taken and the two moments.
-
-    The accelerated gradient (per ``qg_variant``) feeds both moment
-    accumulators; everything else is the standard update. ``h`` is read
-    only with a ``qg_variant``, so it may be None without one.
-    """
-    qg = _ACCELERATED[config.qg_variant](g, h)
+    """One Adam step with bias correction on ``d``, the gradient or a
+    quadratic gradient; ``state`` is ``[t, m, v]``, the steps taken and the
+    two moments."""
     t, m, v = state
     t += 1
-    m = BETA1 * m + (1.0 - BETA1) * qg
-    v = BETA2 * v + (1.0 - BETA2) * qg * qg
+    m = BETA1 * m + (1.0 - BETA1) * d
+    v = BETA2 * v + (1.0 - BETA2) * d * d
     state[:] = t, m, v
     m_hat = m / (1.0 - BETA1**t)
     v_hat = v / (1.0 - BETA2**t)
     return theta - config.stepsize * m_hat / (np.sqrt(v_hat) + EPSILON_ADAM)
 
 
-# Method -> (its step function's name, whether it reads the Hessian without a
-# qg_variant, the step's state at x0). run() looks the name up in the module
-# globals when it starts, so a rebound ``step_*`` (a wrapper installed from
-# outside) is the one run.
+def _scaled(c, g):
+    return c * g
+
+
+def _adam_start(x0):
+    return [0, np.zeros_like(x0), np.zeros_like(x0)]
+
+
+# (method, qg_variant) -> (step function's name, derive, direction, state at
+# x0); its keys are the valid configurations. run() looks the step up in the
+# module globals when it starts and the lambdas look up what they call when
+# called, so a rebound name (a wrapper installed from outside) is the one run.
 _STEPS = {
-    Method.GD_SPECTRAL: ("step_gd_spectral", True, lambda x0: []),
-    Method.NAG_SPECTRAL: ("step_nag", True, lambda x0: [x0, 1.0]),
-    Method.ENHANCED_NAG: ("step_nag", True, lambda x0: [x0, 1.0]),
-    Method.ENHANCED_ADAGRAD: ("step_enhanced_adagrad", True, lambda x0: [np.zeros_like(x0)]),
-    Method.ADAM: ("step_adam", False, lambda x0: [0, np.zeros_like(x0), np.zeros_like(x0)]),
-    Method.ENHANCED_ADAM: ("step_adam", False,
-                           lambda x0: [0, np.zeros_like(x0), np.zeros_like(x0)]),
+    (Method.GD_SPECTRAL, None):
+        ("step_gd_spectral", lambda h: spectral_learning_rate(h), _scaled, lambda x0: []),
+    (Method.NAG_SPECTRAL, None):
+        ("step_nag", lambda h: spectral_learning_rate(h), _scaled, lambda x0: [x0, 1.0]),
+    (Method.ENHANCED_NAG, None):
+        ("step_nag", lambda h: (1.0 + spectral_learning_rate(h)) * bound_diagonal(h), _scaled,
+         lambda x0: [x0, 1.0]),
+    (Method.ENHANCED_ADAGRAD, None):
+        ("step_enhanced_adagrad", lambda h: bound_diagonal(h), _scaled,
+         lambda x0: [np.zeros_like(x0)]),
+    (Method.ADAM, None): ("step_adam", None, lambda c, g: g, _adam_start),
+    (Method.ENHANCED_ADAM, None): ("step_adam", None, lambda c, g: g, _adam_start),
+    (Method.ENHANCED_ADAM, Variant.ORIGINAL):
+        ("step_adam", lambda h: bound_diagonal(h), _scaled, _adam_start),
+    (Method.ENHANCED_ADAM, Variant.NEW):
+        ("step_adam", lambda h: h, lambda c, g: new_quadratic_gradient(c, g), _adam_start),
 }
 
 
@@ -247,22 +224,25 @@ def run(f: ObjectiveFunction, config: OptimizerConfig, x0) -> Trajectory:
     not a vector of ``f.dim`` finite real numbers; and before the first step
     when the objective's value at ``x0`` is not a finite real number, its gradient
     there not a real ndarray of shape (n,), or its Hessian (for a method that
-    reads one) not one of shape (n, n).
+    reads one) not one of shape (n, n), or when one of them raises an
+    ``Exception`` (the ``InvalidInput`` is raised from it).
     The gradient is evaluated once per step and shared by the ``GRAD_TOL``
     check and the step; the Hessian once per step after that check (once at
     ``x0`` under ``fixed_hessian``), and only for methods that read it. Each
-    Hessian reaches the step in a ``Curvature``, which derives its spectral
-    learning rate and row-sum diagonal at most once: per step, or per run
-    under ``fixed_hessian``. A gradient or Hessian of another real dtype is
+    Hessian is derived once, just before the step that first uses it, and a
+    fresh one and its derived value are let go before the next Hessian is
+    evaluated. A gradient or Hessian of another real dtype is
     converted to float64 once; ``run()`` neither copies nor writes the float64
     arrays the objective returns: a minimised objective's gradient and Hessian
-    reach the step as they are, a maximised one's are negated into new arrays.
-    Divergence (a step that raises a ``QuadGradError`` or ``LinAlgError`` on
-    a breakdown, a non-finite iterate, any coordinate beyond
+    reach ``direction`` and ``derive`` as they are, a maximised one's are
+    negated into new arrays.
+    Divergence (a derivation or step that raises a ``QuadGradError`` or
+    ``LinAlgError`` on a breakdown, a non-finite iterate, any coordinate beyond
     ``DIVERGENCE_BOUND``, or a later value, gradient or Hessian that fails
-    the checks made at ``x0``) truncates the trajectory and sets the flag;
-    it is never raised to the caller. The objective is not evaluated at an
-    iterate that failed the bound.
+    the checks made at ``x0`` or raises an ``Exception``) truncates the
+    trajectory and sets the flag; it is never raised to the caller, while
+    any other ``BaseException`` propagates. The objective is not evaluated
+    at an iterate that failed the bound.
     Floating-point overflow and invalid operations raise no warnings: the
     run's checks see their inf and NaN results instead.
     """
@@ -275,14 +255,19 @@ def run(f: ObjectiveFunction, config: OptimizerConfig, x0) -> Trajectory:
         raise InvalidInput(f"x0 has dim {theta.shape[0]}, objective needs {f.dim}")
     if not np.isfinite(theta).all():
         raise InvalidInput("x0 must be finite")
-    step_name, reads_hessian, initial_state = _STEPS[config.method]
+    step_name, derive, direction, initial_state = _STEPS[config.method, config.qg_variant]
     step = globals()[step_name]
     state = initial_state(theta)
-    reads_hessian = reads_hessian or config.qg_variant is not None
     n = f.dim
 
-    def evaluated(name, fn, shape):
-        a = fn(theta)
+    def evaluated(name, fn):
+        try:
+            return fn(theta)
+        except Exception as exc:
+            raise InvalidInput(f"the objective's {name} raised {exc!r}") from exc
+
+    def oriented(name, fn, shape):
+        a = evaluated(name, fn)
         if not (isinstance(a, np.ndarray) and a.dtype.kind in "biuf" and a.shape == shape):
             got = f"{a.dtype} {a.shape}" if isinstance(a, np.ndarray) else type(a).__name__
             raise InvalidInput(f"the objective's {name} must be a real array of shape "
@@ -290,9 +275,9 @@ def run(f: ObjectiveFunction, config: OptimizerConfig, x0) -> Trajectory:
         a = np.asarray(a, dtype=float)  # an integer a.dot(a) would wrap around
         return -1.0 * a if f.sense is Sense.MAXIMIZE else a
 
-    fresh_hessian = reads_hessian and not config.fixed_hessian
+    fresh_hessian = derive is not None and not config.fixed_hessian
     with np.errstate(all="ignore"):
-        objective = f.value(theta)
+        objective = evaluated("value", f.value)
         if not _finite_real(objective):
             if not isinstance(objective, numbers.Real):
                 raise InvalidInput(f"the objective's value must be a real number, "
@@ -301,34 +286,45 @@ def run(f: ObjectiveFunction, config: OptimizerConfig, x0) -> Trajectory:
             shown = (objective if isinstance(objective, (float, np.floating))
                      else "beyond the float range")
             raise InvalidInput(f"objective is not finite at x0: {shown}")
-        frozen = (Curvature(evaluated("Hessian", f.hessian, (n, n)))
-                  if reads_hessian and config.fixed_hessian else None)
+        # h holds a Hessian not yet derived: each fresh one, and the frozen
+        # one until the first step; c is what was derived from the last one
+        h = (oriented("Hessian", f.hessian, (n, n))
+             if derive is not None and config.fixed_hessian else None)
+        c = None
         records = [TrajectoryRecord(objective, theta.copy())]
         diverged = False
         for _ in range(config.max_iterations):
             try:
-                g = evaluated("gradient", f.gradient, (n,))
+                g = oriented("gradient", f.gradient, (n,))
                 # sqrt(g.dot(g)) is np.linalg.norm(g) without its call
                 # overhead; an overflowed norm is inf and fails GRAD_TOL
                 if math.sqrt(g.dot(g)) <= GRAD_TOL:
                     break
-                h = Curvature(evaluated("Hessian", f.hessian, (n, n))) if fresh_hessian else frozen
+                if fresh_hessian:
+                    h = oriented("Hessian", f.hessian, (n, n))
             except InvalidInput:
                 if len(records) == 1:  # no step has run: the objective is bad input
                     raise
                 diverged = True
                 break
             try:
-                theta = step(theta, state, config, g, h)
+                if h is not None:
+                    c, h = derive(h), None
+                theta = step(theta, state, config, direction(c, g))
             except (QuadGradError, np.linalg.LinAlgError):
                 diverged = True
                 break
-            # free this step's Hessian before the next one is allocated: holding
-            # it alive moved n=1000 step times by up to 2x either way (allocator)
-            del h
+            if fresh_hessian:
+                # free what this step derived (for AdamNewQG, its Hessian) before the
+                # next Hessian is allocated: holding the Hessian alive moved n=1000
+                # step times by up to 2x either way (allocator)
+                c = None
             # NaN and inf fail the comparison too, so this one test catches both
             within = (abs(theta) <= DIVERGENCE_BOUND).all()
-            objective = f.value(theta) if within else math.nan
+            try:
+                objective = evaluated("value", f.value) if within else math.nan
+            except InvalidInput:
+                objective = math.nan
             if not _finite_real(objective):
                 diverged = True
                 break

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import quadgrad
+import quadgrad.bench as bench
 import quadgrad.errors as errors
 from quadgrad import (
     InvalidInput,
@@ -21,6 +22,7 @@ from quadgrad import (
     spectral_bounds,
 )
 from quadgrad.bench import main
+from test_optimizers import raising_on_call
 
 DENSE_ASYMMETRIC = [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
 ADAM = OptimizerConfig(Method.ADAM, max_iterations=2)
@@ -85,6 +87,17 @@ def test_cli_bad_input_exits_2_with_the_message(argv, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("fixed", [[], ["--fixed-hessian"]], ids=["fresh", "frozen"])
+def test_cli_objective_raising_at_x0_exits_2(fixed, monkeypatch, capsys):
+    # a Hessian the objective cannot allocate at the start point is bad input
+    monkeypatch.setattr(bench, "get_function",
+                        lambda _: raising_on_call(booth(), "hessian", 1, MemoryError()))
+    assert main(["--function", "booth", "--iters", "3", *fixed]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the objective's Hessian raised MemoryError()\n"
 
 
 def test_package_has_four_error_types():

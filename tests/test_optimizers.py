@@ -26,7 +26,6 @@ from quadgrad import (
     run,
 )
 from quadgrad.optimizers import (
-    Curvature,
     step_adam,
     step_enhanced_adagrad,
     step_gd_spectral,
@@ -55,21 +54,22 @@ def sign(f):
     return 1.0 if f.sense is Sense.MINIMIZE else -1.0
 
 
-def grad(f, theta):
-    """The oriented gradient at ``theta``, as ``run()`` hands it to a step."""
-    return sign(f) * f.gradient(theta)
+def direction(f, cfg, theta, h=None):
+    """The direction ``run()`` hands ``cfg``'s step at ``theta``, built
+    through ``_STEPS`` from the oriented gradient there and what is derived
+    from the oriented Hessian ``h`` (by default the one at ``theta``)."""
+    _, derive, along, _ = optimizers._STEPS[cfg.method, cfg.qg_variant]
+    if derive is None:
+        c = None
+    else:
+        c = derive(sign(f) * f.hessian(theta) if h is None else h)
+    return along(c, sign(f) * f.gradient(theta))
 
 
-def hess(f, theta):
-    """The oriented Hessian at ``theta`` in a fresh ``Curvature``, as
-    ``run()`` hands it to a step."""
-    return Curvature(sign(f) * f.hessian(theta))
-
-
-def start(method, x0):
-    """The iterate and ``method``'s state at ``x0``, as ``run()`` builds them."""
+def start(cfg, x0):
+    """The iterate and ``cfg``'s step state at ``x0``, as ``run()`` builds them."""
     theta = np.array(x0, dtype=float)
-    return theta, optimizers._STEPS[method][2](theta)
+    return theta, optimizers._STEPS[cfg.method, cfg.qg_variant][3](theta)
 
 
 def counted(f):
@@ -90,6 +90,20 @@ def counted(f):
         hessian=wrap("hessian", f.hessian),
     )
     return counted_f, calls
+
+
+def raising_on_call(f, name, call, exc):
+    """A copy of ``f`` whose ``name`` callable raises ``exc`` on its ``call``-th call."""
+    own = getattr(f, name)
+    calls = []
+
+    def raising(x):
+        calls.append(x)
+        if len(calls) == call:
+            raise exc
+        return own(x)
+
+    return dataclasses.replace(f, **{name: raising})
 
 
 STEP_FUNCTION = {
@@ -149,19 +163,20 @@ def records(traj):
 
 def frozen_reference(f, cfg, x0):
     """``records`` of a frozen-Hessian run(), rebuilt as a plain loop over
-    the step functions that hands every step a fresh ``Curvature`` of the
-    Hessian at ``x0``, so nothing derived from it is reused between steps."""
-    theta, state = start(cfg.method, x0)
-    frozen = hess(f, theta).h
+    the step functions that re-derives every step's direction through
+    ``_STEPS`` from the Hessian at ``x0``, so nothing derived from it is
+    reused between steps."""
+    theta, state = start(cfg, x0)
+    frozen = sign(f) * f.hessian(theta)
     rows = [(0, f.value(theta), theta.tobytes())]
     with np.errstate(all="ignore"):
         for t in range(1, cfg.max_iterations + 1):
-            g = grad(f, theta)
+            g = f.gradient(theta)
             if math.sqrt(g.dot(g)) <= optimizers.GRAD_TOL:
                 break
             try:
                 theta = getattr(optimizers, STEP_FUNCTION[cfg.method])(
-                    theta, state, cfg, g, Curvature(frozen))
+                    theta, state, cfg, direction(f, cfg, theta, frozen))
             except (QuadGradError, np.linalg.LinAlgError):
                 return True, rows
             within = np.all(np.abs(theta) <= optimizers.DIVERGENCE_BOUND)
@@ -176,27 +191,24 @@ class TestGdSpectral:
     def test_booth_first_step(self):
         # lr = 1/(18+eps), g(0,0) = (-34,-38) -> theta1 = (34/18, 38/18)
         f = booth()
-        theta, state = start(Method.GD_SPECTRAL, [0.0, 0.0])
-        theta = step_gd_spectral(
-            theta, state, config(Method.GD_SPECTRAL), grad(f, theta), hess(f, theta)
-        )
+        cfg = config(Method.GD_SPECTRAL)
+        theta, state = start(cfg, [0.0, 0.0])
+        theta = step_gd_spectral(theta, state, cfg, direction(f, cfg, theta))
         np.testing.assert_allclose(theta, [34.0 / 18.0, 38.0 / 18.0], atol=1e-7)
         assert state == []
 
     def test_fixed_point_at_maximum(self):
         f = quadratic_counterexample()
-        theta, state = start(Method.GD_SPECTRAL, [0.0, 0.0])
-        theta = step_gd_spectral(
-            theta, state, config(Method.GD_SPECTRAL), grad(f, theta), hess(f, theta)
-        )
+        cfg = config(Method.GD_SPECTRAL)
+        theta, state = start(cfg, [0.0, 0.0])
+        theta = step_gd_spectral(theta, state, cfg, direction(f, cfg, theta))
         np.testing.assert_array_equal(theta, [0.0, 0.0])
 
     def test_fixed_point_at_booth_minimum(self):
         f = booth()
-        theta, state = start(Method.GD_SPECTRAL, [1.0, 3.0])
-        theta = step_gd_spectral(
-            theta, state, config(Method.GD_SPECTRAL), grad(f, theta), hess(f, theta)
-        )
+        cfg = config(Method.GD_SPECTRAL)
+        theta, state = start(cfg, [1.0, 3.0])
+        theta = step_gd_spectral(theta, state, cfg, direction(f, cfg, theta))
         np.testing.assert_array_equal(theta, [1.0, 3.0])
 
 
@@ -204,8 +216,8 @@ class TestNag:
     def test_first_step_has_no_momentum(self):
         f = booth()
         cfg = config(Method.NAG_SPECTRAL)
-        theta, state = start(cfg.method, [0.0, 0.0])
-        theta = step_nag(theta, state, cfg, grad(f, theta), hess(f, theta))
+        theta, state = start(cfg, [0.0, 0.0])
+        theta = step_nag(theta, state, cfg, direction(f, cfg, theta))
         # gamma_0 = 0, so beta_1 = V_1 = the plain spectral-rate step
         np.testing.assert_allclose(theta, [34.0 / 18.0, 38.0 / 18.0], atol=1e-7)
         np.testing.assert_array_equal(theta, state[0])
@@ -215,8 +227,8 @@ class TestNag:
         # ascent V1 = theta + (1+lr)*(1/6, 1/4); frozen from that arithmetic
         f = quadratic_counterexample()
         cfg = config(Method.ENHANCED_NAG)
-        theta, state = start(cfg.method, [-1.0, -1.5])
-        theta = step_nag(theta, state, cfg, grad(f, theta), hess(f, theta))
+        theta, state = start(cfg, [-1.0, -1.5])
+        theta = step_nag(theta, state, cfg, direction(f, cfg, theta))
         np.testing.assert_allclose(
             theta,
             [-0.801502832787444, -1.2022542494292874],
@@ -226,18 +238,18 @@ class TestNag:
     def test_fixed_point_at_optimum(self):
         f = quadratic_counterexample()
         cfg = config(Method.NAG_SPECTRAL)
-        theta, state = start(cfg.method, [0.0, 0.0])
-        theta = step_nag(theta, state, cfg, grad(f, theta), hess(f, theta))
+        theta, state = start(cfg, [0.0, 0.0])
+        theta = step_nag(theta, state, cfg, direction(f, cfg, theta))
         np.testing.assert_array_equal(theta, [0.0, 0.0])
         np.testing.assert_array_equal(state[0], [0.0, 0.0])
 
     def test_gamma_stays_in_unit_interval(self):
         f = rosenbrock(2)
         cfg = config(Method.ENHANCED_NAG, max_iterations=50)
-        theta, state = start(cfg.method, [-1.0, -1.0])
+        theta, state = start(cfg, [-1.0, -1.0])
         for _ in range(50):
             a_prev = state[1]
-            theta = step_nag(theta, state, cfg, grad(f, theta), hess(f, theta))
+            theta = step_nag(theta, state, cfg, direction(f, cfg, theta))
             # gamma_t = (a_t - 1) / a_{t+1}
             assert 0.0 <= (a_prev - 1.0) / state[1] < 1.0
 
@@ -247,8 +259,8 @@ class TestEnhancedAdagrad:
         # accum = G^2 after one step, so the step is (1+eta)*sign(G) up to eps
         f = synthetic(grad=[6.0, -8.0], hess=[[5.0, 1.0], [1.0, 3.0]])
         cfg = config(Method.ENHANCED_ADAGRAD, stepsize=1.0)
-        theta, state = start(cfg.method, [0.0, 0.0])
-        theta = step_enhanced_adagrad(theta, state, cfg, grad(f, theta), hess(f, theta))
+        theta, state = start(cfg, [0.0, 0.0])
+        theta = step_enhanced_adagrad(theta, state, cfg, direction(f, cfg, theta))
         np.testing.assert_allclose(theta, [-2.0, 2.0], rtol=1e-6)
 
     def test_second_step_accumulator_arithmetic(self):
@@ -256,9 +268,9 @@ class TestEnhancedAdagrad:
         f = synthetic(grad=[6.0, 0.0], hess=[[5.0, 1.0], [1.0, 3.0]])
         eta = 0.5
         cfg = config(Method.ENHANCED_ADAGRAD, stepsize=eta)
-        theta0, state = start(cfg.method, [0.0, 0.0])
-        theta1 = step_enhanced_adagrad(theta0, state, cfg, grad(f, theta0), hess(f, theta0))
-        theta2 = step_enhanced_adagrad(theta1, state, cfg, grad(f, theta1), hess(f, theta1))
+        theta0, state = start(cfg, [0.0, 0.0])
+        theta1 = step_enhanced_adagrad(theta0, state, cfg, direction(f, cfg, theta0))
+        theta2 = step_enhanced_adagrad(theta1, state, cfg, direction(f, cfg, theta1))
         second_step = theta1 - theta2
         assert second_step[0] == pytest.approx((1.0 + eta) / math.sqrt(2.0), rel=1e-6)
         assert second_step[1] == 0.0
@@ -266,8 +278,8 @@ class TestEnhancedAdagrad:
     def test_fixed_point_at_optimum(self):
         f = booth()
         cfg = config(Method.ENHANCED_ADAGRAD)
-        theta, state = start(cfg.method, [1.0, 3.0])
-        theta = step_enhanced_adagrad(theta, state, cfg, grad(f, theta), hess(f, theta))
+        theta, state = start(cfg, [1.0, 3.0])
+        theta = step_enhanced_adagrad(theta, state, cfg, direction(f, cfg, theta))
         np.testing.assert_array_equal(theta, [1.0, 3.0])
 
 
@@ -275,18 +287,18 @@ class TestAdam:
     def test_first_step_is_signlike(self):
         f = rosenbrock(2)
         cfg = config(Method.ADAM, stepsize=0.1)
-        theta, state = start(cfg.method, [-1.2, 1.0])
+        theta, state = start(cfg, [-1.2, 1.0])
         g = f.gradient([-1.2, 1.0])
-        theta = step_adam(theta, state, cfg, grad(f, theta), None)
+        theta = step_adam(theta, state, cfg, direction(f, cfg, theta))
         expected = np.array([-1.2, 1.0]) - 0.1 * np.sign(g)
         np.testing.assert_allclose(theta, expected, atol=1e-6)
 
     def test_zero_gradient_keeps_everything_zero(self):
         f = synthetic(grad=[0.0, 0.0], hess=np.eye(2))
         cfg = config(Method.ADAM, stepsize=0.1)
-        theta, state = start(cfg.method, [2.0, -1.0])
+        theta, state = start(cfg, [2.0, -1.0])
         for _ in range(5):
-            theta = step_adam(theta, state, cfg, grad(f, theta), None)
+            theta = step_adam(theta, state, cfg, direction(f, cfg, theta))
         np.testing.assert_array_equal(theta, [2.0, -1.0])
         t, m, v = state
         assert t == 5
@@ -297,25 +309,25 @@ class TestAdam:
         f = rosenbrock(2)
         plain_cfg = config(Method.ADAM, stepsize=0.1)
         enhanced_cfg = config(Method.ENHANCED_ADAM, stepsize=0.1, qg_variant=None)
-        plain, plain_state = start(plain_cfg.method, [-1.2, 1.0])
-        enhanced, enhanced_state = start(enhanced_cfg.method, [-1.2, 1.0])
+        plain, plain_state = start(plain_cfg, [-1.2, 1.0])
+        enhanced, enhanced_state = start(enhanced_cfg, [-1.2, 1.0])
         # both take the identity accelerator's path, so every bit agrees
         for _ in range(25):
-            plain = step_adam(plain, plain_state, plain_cfg, grad(f, plain), None)
+            plain = step_adam(plain, plain_state, plain_cfg, direction(f, plain_cfg, plain))
             enhanced = step_adam(enhanced, enhanced_state, enhanced_cfg,
-                                 grad(f, enhanced), None)
+                                 direction(f, enhanced_cfg, enhanced))
             np.testing.assert_array_equal(plain, enhanced)
 
     def test_moment_invariants(self):
         f = rosenbrock(2)
         cfg = config(Method.ADAM, stepsize=0.1)
-        theta, state = start(cfg.method, [-1.0, -1.0])
+        theta, state = start(cfg, [-1.0, -1.0])
         largest_gradient = 0.0
         for _ in range(60):
             largest_gradient = max(
                 largest_gradient, float(np.max(np.abs(f.gradient(theta))))
             )
-            theta = step_adam(theta, state, cfg, grad(f, theta), None)
+            theta = step_adam(theta, state, cfg, direction(f, cfg, theta))
             _, m, v = state
             assert np.all(v >= 0.0)
             assert np.max(np.abs(m)) <= largest_gradient + 1e-12
@@ -419,7 +431,7 @@ class TestRun:
     @FRESH_AND_FROZEN
     @pytest.mark.parametrize("method, variant", METHOD_VARIANTS)
     def test_steps_reach_traced_layers(self, method, variant, fixed_hessian, monkeypatch):
-        # the steps must keep calling these through the module globals that
+        # run() must keep reaching these through the module globals that
         # perfbench's tracer rebinds, or its per-layer spans go silent; a
         # frozen Hessian's learning rate and row sums are derived once
         calls = Counter()
@@ -545,26 +557,39 @@ class TestRun:
             gradient=lambda x, _g=f.gradient: record(_g(x)),
             hessian=lambda x, _h=f.hessian: record(_h(x)),
         )
-        seen = []
+        derived, directed, stepped = [], [], []
 
-        def spy(theta, state, config, g, h):
-            seen.append((g, h))
+        def derive(h):
+            derived.append(h)
+            return 0.5
+
+        def along(c, g):
+            directed.append((c, g))
+            return np.zeros(2)
+
+        def spy(theta, state, config, d):
+            stepped.append(d)
             return theta
 
+        monkeypatch.setitem(optimizers._STEPS, (Method.GD_SPECTRAL, None),
+                            ("step_gd_spectral", derive, along, lambda x0: []))
         monkeypatch.setattr(optimizers, "step_gd_spectral", spy)
         run(f, config(Method.GD_SPECTRAL, max_iterations=3), [0.0, 0.0])
-        assert len(seen) == 3 and len(returned) == 6
-        for (g, h), own_g, own_h in zip(seen, returned[::2], returned[1::2]):
+        assert len(derived) == len(directed) == len(stepped) == 3 and len(returned) == 6
+        for h, (c, g), d, own_g, own_h in zip(derived, directed, stepped, returned[::2],
+                                              returned[1::2]):
             # never written: the objective hands out copies of these constants
             np.testing.assert_array_equal(own_g, [1.0, 2.0])
             np.testing.assert_array_equal(own_h, [[3.0, 1.0], [1.0, 2.0]])
-            assert isinstance(h, Curvature)
+            assert c == 0.5
+            # the step moves along what direction() returned, as it is
+            assert d is not g and np.array_equal(d, [0.0, 0.0])
             if sense is Sense.MINIMIZE:
-                assert g is own_g and h.h is own_h
+                assert g is own_g and h is own_h
             else:
-                assert g is not own_g and h.h is not own_h
+                assert g is not own_g and h is not own_h
                 np.testing.assert_array_equal(g, -own_g)
-                np.testing.assert_array_equal(h.h, -own_h)
+                np.testing.assert_array_equal(h, -own_h)
 
     @pytest.mark.parametrize("method, variant", METHOD_VARIANTS)
     def test_nonfinite_objective_at_x0_raises_before_iterating(self, method, variant):
@@ -708,6 +733,64 @@ class TestRun:
         assert traj.diverged == seen
         assert len(traj.records) == (2 if seen else 6)
 
+    # ValueError stands for any Exception the objective's own code raises. At
+    # call 1 it is at x0: the objective is bad input. Later it ends the run;
+    # a raising value loses its iterate, a raising gradient or Hessian comes
+    # before a step. A frozen Hessian is evaluated once, and a method that
+    # reads no Hessian never evaluates one, so some of these never raise
+    @pytest.mark.parametrize("name, label", [("value", "value"), ("gradient", "gradient"),
+                                             ("hessian", "Hessian")])
+    @pytest.mark.parametrize("call", [1, 3])
+    @pytest.mark.parametrize("method, variant", METHOD_VARIANTS)
+    @FRESH_AND_FROZEN
+    def test_objective_raising_is_bad_input_at_x0_and_divergence_later(
+            self, name, label, call, method, variant, fixed_hessian):
+        f = raising_on_call(booth(), name, call, ValueError("boom"))
+        cfg = config(method, qg_variant=variant, fixed_hessian=fixed_hessian, max_iterations=5)
+        reads_hessian = bool(LAYERS_REACHED[method, variant])
+        made = {"value": 6, "gradient": 5,
+                "hessian": (1 if fixed_hessian else 5) if reads_hessian else 0}[name]
+        if call == 1 and made:
+            with pytest.raises(InvalidInput) as info:
+                run(f, cfg, [0.0, 0.0])
+            assert type(info.value) is InvalidInput
+            assert str(info.value) == f"the objective's {label} raised ValueError('boom')"
+            assert type(info.value.__cause__) is ValueError
+            return
+        traj = run(f, cfg, [0.0, 0.0])
+        if call > made:
+            assert not traj.diverged and len(traj.records) == 6
+        else:
+            assert traj.diverged
+            assert len(traj.records) == (call - 1 if name == "value" else call)
+
+    @pytest.mark.parametrize("call", [1, 3])
+    @pytest.mark.parametrize("name", ["value", "gradient", "hessian"])
+    def test_interrupt_from_the_objective_propagates(self, name, call):
+        # only an Exception is the objective's failure; KeyboardInterrupt is the caller's
+        f = raising_on_call(booth(), name, call, KeyboardInterrupt())
+        with pytest.raises(KeyboardInterrupt):
+            run(f, config(Method.GD_SPECTRAL, max_iterations=5), [0.0, 0.0])
+
+    @pytest.mark.parametrize("method, variant", METHOD_VARIANTS)
+    def test_frozen_hessian_is_derived_at_the_first_step(self, method, variant, monkeypatch):
+        # Booth's gradient vanishes at (1, 3), so the run takes no step: the
+        # Hessian frozen there is evaluated but nothing is derived from it
+        calls = Counter()
+        for name in ("spectral_learning_rate", "bound_diagonal", "new_quadratic_gradient"):
+            original = getattr(optimizers, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(optimizers, name, counting)
+        f, evaluations = counted(booth())
+        cfg = config(method, qg_variant=variant, fixed_hessian=True)
+        assert len(run(f, cfg, [1.0, 3.0]).records) == 1
+        assert calls == Counter()
+        assert evaluations["hessian"] == bool(LAYERS_REACHED[method, variant])
+
     @pytest.mark.parametrize("cfg",["adam", Method.ADAM, None, {"method": Method.ADAM}],
                              ids=["string", "method", "none", "dict"])
     def test_config_of_wrong_type_rejected(self, cfg):
@@ -798,6 +881,13 @@ class TestConfigValidation:
         fields = [field.name for field in dataclasses.fields(OptimizerConfig)]
         assert fields == ["method", "stepsize", "qg_variant", "max_iterations",
                           "fixed_hessian"]
+
+    def test_steps_table_holds_exactly_the_valid_pairs(self):
+        # Method x {None, *Variant}, with a variant on ENHANCED_ADAM only
+        pairs = [(m, v) for m in Method for v in (None, *Variant)
+                 if v is None or m is Method.ENHANCED_ADAM]
+        assert len(pairs) == len(optimizers._STEPS) == 8
+        assert set(optimizers._STEPS) == set(pairs)
 
     def test_rejects_bad_stepsize(self):
         with pytest.raises(InvalidInput):
