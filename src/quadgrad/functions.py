@@ -60,13 +60,15 @@ def rosenbrock(n: int) -> ObjectiveFunction:
 
     def value(x):
         x = np.asarray(x, dtype=float)
-        return float((100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2).sum())
+        head = x[:-1]
+        return float((100.0 * (x[1:] - head ** 2) ** 2 + (1.0 - head) ** 2).sum())
 
     def gradient(x):
         x = np.asarray(x, dtype=float)
+        head = x[:-1]
         g = np.zeros(n)
-        d = x[1:] - x[:-1] ** 2
-        g[:-1] = -400.0 * x[:-1] * d - 2.0 * (1.0 - x[:-1])
+        d = x[1:] - head ** 2
+        g[:-1] = -400.0 * head * d - 2.0 * (1.0 - head)
         g[1:] += 200.0 * d
         return g
 
@@ -114,17 +116,20 @@ def beale() -> ObjectiveFunction:
 
     def hessian(p):
         x, y = np.asarray(p, dtype=float)
-        r = residuals(x, y)
+        r = np.array(residuals(x, y))
+        # residual Jacobians and curvatures, row k - 1 for residual k; the
+        # curvatures are written out per k to avoid 0 * y**-1 at y = 0
+        jac = np.array([(y**k - 1.0, k * x * y ** (k - 1)) for k in (1, 2, 3)])
+        curvatures = np.array([
+            ((0.0, 1.0), (1.0, 0.0)),
+            ((0.0, 2.0 * y), (2.0 * y, 2.0 * x)),
+            ((0.0, 3.0 * y * y), (3.0 * y * y, 6.0 * x * y)),
+        ])
+        terms = 2.0 * (jac[:, :, None] * jac[:, None, :] + r[:, None, None] * curvatures)
+        # summed into zeros in k order, so every entry keeps its expression tree
         h = np.zeros((2, 2))
-        # residual curvatures, written out per k to avoid 0 * y**-1 at y = 0
-        curvatures = (
-            np.array([[0.0, 1.0], [1.0, 0.0]]),
-            np.array([[0.0, 2.0 * y], [2.0 * y, 2.0 * x]]),
-            np.array([[0.0, 3.0 * y * y], [3.0 * y * y, 6.0 * x * y]]),
-        )
-        for k in (1, 2, 3):
-            jac = np.array([y**k - 1.0, k * x * y ** (k - 1)])
-            h += 2.0 * (np.outer(jac, jac) + r[k - 1] * curvatures[k - 1])
+        for term in terms:
+            h += term
         return h
 
     return ObjectiveFunction(

@@ -87,7 +87,8 @@ def newton_ratios(h, g) -> NewtonRatios:
     a non-finite or overflowing h @ diag(g).
     """
     grad = as_vector(g)
-    if grad.all():  # NaN is nonzero: solve refuses it
+    # no zero entry (NaN is nonzero: solve refuses it); cheaper than grad.all()
+    if np.count_nonzero(grad) == grad.shape[0]:
         try:
             return NewtonRatios(ratios=solve(h, grad) / grad, used_pseudoinverse=False)
         except SingularMatrix:

@@ -105,9 +105,10 @@ def as_vector(v) -> np.ndarray:
 
 def _max_abs(m: np.ndarray, who: str) -> float:
     """max|m| of a non-empty array; InvalidInput naming ``who`` if an entry is NaN or
-    infinite, which ``m.max()`` or ``m.min()`` then is. Both are tested before ``max``
-    sees them: with a NaN argument its result depends on the argument order."""
-    hi, lo = m.max(), m.min()
+    infinite, which the maximum or the minimum then is. Both are tested before ``max``
+    sees them: with a NaN argument its result depends on the argument order.
+    ``np.maximum.reduce`` is ``m.max()`` without numpy's Python-level wrapper."""
+    hi, lo = np.maximum.reduce(m, axis=None), np.minimum.reduce(m, axis=None)
     if not (math.isfinite(hi) and math.isfinite(lo)):
         raise InvalidInput(f"{who} requires finite inputs")
     return max(hi, -lo)
@@ -137,20 +138,21 @@ def _tridiagonal_eigenvalues(m: np.ndarray, max_abs: float) -> np.ndarray | None
     that reduction changes nothing, so calling dsterf on the diagonal and
     the subdiagonal returns the same bits without the O(n^3) reduction.
     Declines (None) at n = 1, which the dsterf wrapper rejects, when a nonzero lies off the three
-    central diagonals, when ``max_abs`` (max|m|) is outside [2 * SYMMETRY_TOL, _RMAX], or when
-    the off-diagonals fail ``is_symmetric``'s test.
+    central diagonals (never at n = 2, so the count is skipped there), when ``max_abs`` (max|m|)
+    is outside [2 * SYMMETRY_TOL, _RMAX], or when the off-diagonals fail ``is_symmetric``'s test.
     Past both tests dsyevd's own scale max(|d|, |lower|) is in [~SYMMETRY_TOL, _RMAX]: no rescaling.
     """
     d = m.diagonal()
     lower = m.diagonal(-1)
     upper = m.diagonal(1)
-    if d.shape[0] == 1 or np.count_nonzero(m) != (
+    n = d.shape[0]
+    if n == 1 or (n > 2 and np.count_nonzero(m) != (
         np.count_nonzero(d) + np.count_nonzero(lower) + np.count_nonzero(upper)
-    ):
+    )):
         return None
     # the scale test first, so lower - upper cannot overflow
     if not (2.0 * SYMMETRY_TOL <= max_abs <= _RMAX
-            and abs(lower - upper).max() <= SYMMETRY_TOL * (1.0 + max_abs)):
+            and np.maximum.reduce(abs(lower - upper)) <= SYMMETRY_TOL * (1.0 + max_abs)):
         return None
     eigenvalues, info = _lapack.dsterf(d, lower)
     if info != 0:
@@ -191,7 +193,7 @@ def solve(a, b) -> np.ndarray:
     scale = max(_max_abs(m, "solve"), _TINY)
     # an exactly zero pivot (info > 0) fails the pivot test below
     lu, piv, _ = _lapack.dgetrf(m)
-    if abs(lu.diagonal()).min() < PIVOT_TOL * scale:
+    if np.minimum.reduce(abs(lu.diagonal())) < PIVOT_TOL * scale:
         raise SingularMatrix("pivot below tolerance; matrix is numerically singular")
     return _lapack.dgetrs(lu, piv, rhs)[0]
 
@@ -201,6 +203,9 @@ def pseudoinverse(a) -> np.ndarray:
 
     Singular values below ``RANK_TOL * sigma_max * order`` are treated as
     zero. The result satisfies the four Penrose conditions to roundoff.
+    A kept singular value whose reciprocal overflows (a subnormal one) gives
+    inf or NaN entries, without a RuntimeWarning. Scaling the rows of ``vt``
+    in place keeps the peak at the SVD's factors plus the result.
     """
     m = as_square_matrix(a)
     _max_abs(m, "pseudoinverse")
@@ -208,5 +213,7 @@ def pseudoinverse(a) -> np.ndarray:
     cutoff = RANK_TOL * sigma[0] * m.shape[0]
     inv_sigma = np.zeros_like(sigma)
     keep = sigma > cutoff
-    inv_sigma[keep] = 1.0 / sigma[keep]
-    return (vt.T * inv_sigma) @ u.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        inv_sigma[keep] = 1.0 / sigma[keep]
+        vt *= inv_sigma[:, np.newaxis]
+        return vt.T @ u.T

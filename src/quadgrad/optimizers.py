@@ -319,8 +319,9 @@ def run(f: ObjectiveFunction, config: OptimizerConfig, x0) -> Trajectory:
                 # next Hessian is allocated: holding the Hessian alive moved n=1000
                 # step times by up to 2x either way (allocator)
                 c = None
-            # NaN and inf fail the comparison too, so this one test catches both
-            within = (abs(theta) <= DIVERGENCE_BOUND).all()
+            # max propagates NaN, and NaN and inf fail the comparison, so this
+            # one test catches both
+            within = np.maximum.reduce(abs(theta)) <= DIVERGENCE_BOUND
             try:
                 objective = evaluated("value", f.value) if within else math.nan
             except InvalidInput:

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadgrad import (
     InvalidInput,
@@ -58,6 +62,23 @@ class TestRosenbrock:
         )
 
 
+def per_residual_beale_hessian(x, y):
+    """Beale's Hessian at (x, y) summed one residual k at a time, each term
+    from its own outer product: the reference for the broadcast form."""
+    x, y = np.float64(x), np.float64(y)
+    r = [c + x * (y**k - 1.0) for k, c in enumerate((1.5, 2.25, 2.625), start=1)]
+    curvatures = (
+        np.array([[0.0, 1.0], [1.0, 0.0]]),
+        np.array([[0.0, 2.0 * y], [2.0 * y, 2.0 * x]]),
+        np.array([[0.0, 3.0 * y * y], [3.0 * y * y, 6.0 * x * y]]),
+    )
+    h = np.zeros((2, 2))
+    for k in (1, 2, 3):
+        jac = np.array([y**k - 1.0, k * x * y ** (k - 1)])
+        h += 2.0 * (np.outer(jac, jac) + r[k - 1] * curvatures[k - 1])
+    return h
+
+
 def scatter_hessian(x):
     """Rosenbrock's Hessian at ``x`` built by np.arange index scatter, the
     reference for the strided builder."""
@@ -85,6 +106,17 @@ class TestBeale:
     def test_hessian_finite_at_y_zero(self):
         h = beale().hessian([1.0, 0.0])
         assert np.all(np.isfinite(h))
+
+    # zeros of both signs, subnormals, magnitudes from 2**-1074 to 2**1023
+    # (products overflow to inf, and inf - inf gives NaN), inf and NaN
+    COORDINATES = st.sampled_from([0.0, -0.0, 5e-324, math.inf, -math.inf, math.nan]) | st.tuples(
+        st.sampled_from([-1.0, 1.0]), st.floats(-1074.0, 1023.0)).map(lambda p: p[0] * 2.0 ** p[1])
+
+    @settings(derandomize=True, deadline=None, max_examples=500, database=None)
+    @given(COORDINATES, COORDINATES)
+    def test_hessian_keeps_the_per_residual_bits(self, x, y):
+        with np.errstate(all="ignore"):
+            assert beale().hessian([x, y]).tobytes() == per_residual_beale_hessian(x, y).tobytes()
 
 
 class TestBooth:

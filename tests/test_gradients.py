@@ -19,6 +19,7 @@ from helpers import (
     peak_traced_bytes,
     random_invertible_symmetric,
     random_nonzero_vector,
+    random_rank_deficient_symmetric,
     random_symmetric,
 )
 
@@ -126,11 +127,12 @@ class TestNewtonRatios:
     @pytest.mark.parametrize("h, g", [
         ([[np.nan, 0.0], [0.0, 1.0]], [1.0, 1.0]),
         (np.eye(2), [np.inf, 1.0]),
+        (np.eye(2), [np.nan, 1.0]),
         ([[np.nan, 0.0], [0.0, 1.0]], [1.0, 0.0]),
         (np.eye(2), [np.nan, 0.0]),
         ([[1.0, np.inf], [np.inf, 1.0]], [1.0, 0.0]),
         (1e200 * np.eye(2), [1e200, 0.0]),
-    ], ids=["nan-h", "inf-g", "nan-h-zero-g", "nan-g-zero-g", "inf-h-times-zero-g",
+    ], ids=["nan-h", "inf-g", "nan-g", "nan-h-zero-g", "nan-g-zero-g", "inf-h-times-zero-g",
             "product-overflows"])
     def test_rejects_nonfinite_input(self, h, g):
         with warnings.catch_warnings():
@@ -138,6 +140,17 @@ class TestNewtonRatios:
             with pytest.raises(InvalidInput, match="requires finite inputs") as info:
                 newton_ratios(np.array(h), g)
         assert type(info.value) is InvalidInput
+
+    @pytest.mark.parametrize("zero_entry", [False, True], ids=["singular-h", "zero-g"])
+    def test_fallback_holds_the_product_and_the_svd(self, zero_entry):
+        # h @ diag(g), then pseudoinverse's SVD factors and result: no fifth copy
+        rng = np.random.default_rng(26)
+        h = random_rank_deficient_symmetric(rng, 300, 200)
+        g = random_nonzero_vector(rng, 300)
+        if zero_entry:
+            g[7] = 0.0
+        assert newton_ratios(h, g).used_pseudoinverse
+        assert peak_traced_bytes(newton_ratios, h, g) <= 4.1 * h.nbytes
 
     # the exact path leaves the pairing to solve; the fallback checks it with solve's words
     @pytest.mark.parametrize("order, g", [(2, [1.0, 2.0, 3.0]), (2, [1.0, 0.0, 3.0]),

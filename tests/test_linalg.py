@@ -142,6 +142,15 @@ class TestTridiagonalPath:
         h = rosenbrock(300).hessian(np.linspace(-1.0, 1.0, 300))
         assert peak_traced_bytes(spectral_bounds, h) < 0.05 * h.nbytes
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-300, 1e300])
+    def test_two_by_two_asymmetric_beyond_tolerance_is_refused(self, scale):
+        # the structure count is skipped at n = 2; the symmetry test is not.
+        # 1e-300 and 1e300 lie outside dsterf's range, so is_symmetric refuses those
+        t = scale * np.array([[1.0, 2.0], [2.0, 1.0]])
+        t[1, 0] += 4.0 * SYMMETRY_TOL * (1.0 + 2.0 * scale)
+        with pytest.raises(InvalidInput, match="not symmetric"):
+            spectral_bounds(t)
+
     def test_only_dense_input_reaches_eigvalsh(self, monkeypatch):
         def refuse(a, UPLO="L"):
             raise AssertionError("eigvalsh called")
@@ -256,6 +265,29 @@ class TestPseudoinverse:
         with pytest.raises(InvalidInput):
             pseudoinverse([[np.inf, 0.0], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("a", [[[5e-324]], [[-5e-324]], [[5e-324, 0.0], [0.0, -5e-324]]])
+    def test_overflowing_reciprocal_warns_on_nothing(self, a):
+        # 1 / 5e-324 overflows, and inf * 0 is NaN: the entries are not finite,
+        # as they always were
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = pseudoinverse(a)
+        assert result.tobytes() == reference_pseudoinverse(a).tobytes()
+        assert not np.isfinite(result).all()
+
+    def test_same_bits_as_scaling_a_transposed_copy(self):
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            n = int(rng.integers(1, 41))
+            a = random_rank_deficient_symmetric(rng, n, int(rng.integers(0, n + 1)))
+            a *= 10.0 ** rng.integers(-5, 6) * rng.uniform(0.1, 2.0, n)  # h diag(g) form
+            assert pseudoinverse(a).tobytes() == reference_pseudoinverse(a).tobytes()
+
+    def test_holds_the_svd_factors_and_the_result(self):
+        rng = np.random.default_rng(13)
+        a = random_rank_deficient_symmetric(rng, 300, 200)
+        assert peak_traced_bytes(pseudoinverse, a) <= 3.1 * a.nbytes
+
     def test_penrose_conditions_random(self):
         rng = np.random.default_rng(10)
         for _ in range(40):
@@ -272,6 +304,17 @@ class TestPseudoinverse:
             a = random_rank_deficient_symmetric(rng, n, rank)
             tol = 1e-8 * (1.0 + np.linalg.norm(a, 2))
             assert max(penrose_residuals(a, pseudoinverse(a))) <= tol
+
+
+def reference_pseudoinverse(a):
+    """The pseudoinverse with the kept reciprocals applied to a transposed copy of vt."""
+    m = np.asarray(a, dtype=float)
+    u, sigma, vt = np.linalg.svd(m)
+    keep = sigma > 1e-12 * sigma[0] * m.shape[0]
+    inv_sigma = np.zeros_like(sigma)
+    with np.errstate(all="ignore"):
+        inv_sigma[keep] = 1.0 / sigma[keep]
+        return (vt.T * inv_sigma) @ u.T
 
 
 def test_is_symmetric_tolerance():

@@ -6,10 +6,11 @@ it returns, flagging any breakdown, and it never warns. Reruns are equal.
 One inf or NaN anywhere in a kernel's input raises exactly InvalidInput
 without a warning; finite input gives the reference bits. A near-symmetric
 tridiagonal matrix, at any scale, gives eigvalsh's bits or is refused
-exactly where is_symmetric is False, and a 1 x 1 matrix gives eigvalsh's
-bits for any finite entry. The Newton-ratio kernels give the same outcome
-on a list or an int, bool or float32 array as on the float64 array of the
-same values.
+exactly where is_symmetric is False; a symmetric 2 x 2 matrix whose largest
+entry is in dsterf's range takes dsterf and gives eigvalsh's bits, and a
+1 x 1 matrix gives eigvalsh's bits for any finite entry. The Newton-ratio
+kernels give the same outcome on a list or an int, bool or float32 array as
+on the float64 array of the same values.
 """
 
 import math
@@ -211,6 +212,36 @@ def test_tridiagonal_gives_the_reference_bits_or_refuses_as_is_symmetric(h):
             with pytest.raises(InvalidInput, match="not symmetric") as info:
                 spectral_bounds(h)
             assert type(info.value) is InvalidInput
+
+
+@st.composite
+def symmetric_two_by_twos(draw):
+    """A symmetric 2 x 2 matrix whose largest entry, in magnitude, is in
+    [2 * SYMMETRY_TOL, 2**485] (the edges included); the other two entries
+    have any magnitude below it, zero included."""
+    sign = st.sampled_from([-1.0, 1.0])
+    top = draw(sign) * draw(st.sampled_from([2.0 * SYMMETRY_TOL, 2.0**485])
+                            | st.floats(2.0 * SYMMETRY_TOL, 2.0**485))
+    below = st.just(0.0) | st.tuples(sign, st.floats(-1074.0, 0.0)).map(
+        lambda pair: pair[0] * abs(top) * 2.0 ** pair[1])
+    a, b, c = draw(st.permutations([top, draw(below), draw(below)]))
+    return np.array([[a, b], [b, c]])
+
+
+@PROPERTY_SETTINGS
+@given(symmetric_two_by_twos())
+def test_two_by_two_takes_dsterf_with_the_reference_bits(h):
+    eigenvalues = np.linalg.eigvalsh(h)
+
+    def refuse(a, UPLO="L"):
+        raise AssertionError("eigvalsh called")
+
+    with warnings.catch_warnings(), pytest.MonkeyPatch.context() as patch:
+        warnings.simplefilter("error")
+        patch.setattr(np.linalg, "eigvalsh", refuse)
+        bounds = spectral_bounds(h)
+    assert np.array([bounds.lambda_min, bounds.lambda_max]).tobytes() == (
+        eigenvalues[[0, -1]].tobytes())
 
 
 @PROPERTY_SETTINGS

@@ -1,0 +1,70 @@
+"""tools/step_cost.py's grid, loading and summary, without timing anything.
+
+The revision side is the working tree's package imported under another
+name, so no git call is made.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+import quadgrad
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+LABELS = {"gd-spectral", "nag-spectral", "enhanced-nag", "enhanced-adagrad", "adam",
+          "adam-oldqg", "adam-newqg"}
+
+
+@pytest.fixture
+def step_cost(monkeypatch):
+    monkeypatch.syspath_prepend(str(TOOLS))
+    import step_cost
+
+    return step_cost
+
+
+@pytest.fixture
+def copy(step_cost):
+    """The working tree's package, imported a second time as ``quadgrad_copy``."""
+    yield step_cost.load(Path(quadgrad.__file__).parent, "quadgrad_copy")
+    for name in [name for name in sys.modules if name.split(".")[0] == "quadgrad_copy"]:
+        del sys.modules[name]
+
+
+def test_grid_is_the_paper_panels_run_grid(step_cost):
+    runs = step_cost.grid(quadgrad)
+    labels = [label for label, _ in runs]
+    # three spectral-rate methods on five functions, three Adam variants and
+    # enhanced Adagrad on four sizes at two horizons
+    assert len(runs) == 3 * 5 + 3 * 4 * 2 + 4 * 2
+    assert set(labels) == LABELS
+    iterations = {label: 0 for label in LABELS}
+    for label, call in runs:
+        iterations[label] += len(call().records) - 1
+    assert all(count > 0 for count in iterations.values())
+
+
+def test_renamed_copy_runs_the_same_bits(step_cost, copy):
+    assert copy.__name__ == "quadgrad_copy" and copy is not quadgrad
+    assert copy.run.__module__ == "quadgrad_copy.optimizers"
+    grids = {"rev": step_cost.grid(copy), "tree": step_cost.grid(quadgrad)}
+    for (label, a), (other, b) in zip(grids["rev"], grids["tree"]):
+        assert label == other
+        assert step_cost.outcome(a()) == step_cost.outcome(b())
+
+
+def test_summary_has_every_method_and_repetition(step_cost, copy):
+    # the first run of each method of the grid, twice
+    grids = {}
+    for side, package in (("rev", copy), ("tree", quadgrad)):
+        firsts = {}
+        for label, call in step_cost.grid(package):
+            firsts.setdefault(label, (label, call))
+        grids[side] = list(firsts.values())
+    summary = step_cost.summarise(step_cost.time_grids(grids, reps=2), "rev", "tree")
+    assert set(summary) == LABELS
+    for row in summary.values():
+        assert set(row) == {"rev", "tree", "ratio", "wins", "reps"}
+        assert row["reps"] == 2 and 0 <= row["wins"] <= 2
+        assert row["rev"] > 0.0 and row["tree"] > 0.0

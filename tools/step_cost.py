@@ -1,0 +1,165 @@
+"""Per-method step cost of a git revision against this working tree, timed
+interleaved in one process.
+
+    python3 tools/step_cost.py [--rev REV] [--reps N]
+
+The revision (default ``HEAD``) is extracted with ``git archive`` into the
+gitignored ``.bench_tmp/`` by ``ab_bench.extract``, and its ``src/quadgrad``
+is imported under another package name (``quadgrad_<sha>``); the package's
+own imports are relative, so both versions live side by side. The other
+side is the working tree's ``src/quadgrad``, uncommitted edits included.
+
+The grid is the ``run()`` calls that perfbench's ``paper-panels`` workload
+times per method: GD-spectral, NAG-spectral and enhanced NAG on the five
+``lemma-lr`` functions at 30 iterations, Adam, AdamOldQG and AdamNewQG on
+Rosenbrock at n in {2, 5, 10, 20} for 30 and 300 iterations, and enhanced
+Adagrad on the same Rosenbrock runs, each from ``bench.default_x0``. One
+untimed pass checks that both sides give the same bits on every run. Then
+each of ``--reps`` repetitions times every run once on each side, back to
+back, the side that goes first alternating from run to run and from
+repetition to repetition, so a drift of the host's speed falls on both sides
+alike. Sequential timing in separate processes does not survive that drift.
+
+For each method it prints both sides' median us/iter over the repetitions,
+the median of the paired ratios change / revision, and in how many
+repetitions the change was faster. Set ``OPENBLAS_NUM_THREADS=1`` to time
+BLAS on one thread, as perfbench does.
+
+Standard library and quadgrad only; nothing under ``perfbench/`` is imported.
+"""
+
+from __future__ import annotations
+
+import argparse
+import functools
+import importlib.util
+import statistics
+import sys
+from pathlib import Path
+from time import perf_counter
+
+from ab_bench import ROOT, extract
+
+LEMMA_FUNCTIONS = ("booth", "beale", "himmelblau", "rosenbrock:2", "quadratic-counterexample")
+LEMMA_ITERATIONS = 30
+PANEL_SIZES = (2, 5, 10, 20)
+PANEL_HORIZONS = (30, 300)
+
+
+def method_configs(package) -> dict:
+    """Label -> ``OptimizerConfig`` keyword arguments, perfbench's seven methods."""
+    method, variant = package.Method, package.Variant
+    bench = importlib.import_module(f"{package.__name__}.bench")
+    eta, alpha = bench.DEFAULT_ENHANCED_ETA, bench.DEFAULT_ADAM_ALPHA
+    return {
+        "gd-spectral": dict(method=method.GD_SPECTRAL),
+        "nag-spectral": dict(method=method.NAG_SPECTRAL),
+        "enhanced-nag": dict(method=method.ENHANCED_NAG),
+        "enhanced-adagrad": dict(method=method.ENHANCED_ADAGRAD, stepsize=eta),
+        "adam": dict(method=method.ADAM, stepsize=alpha),
+        "adam-oldqg": dict(method=method.ENHANCED_ADAM, stepsize=eta,
+                           qg_variant=variant.ORIGINAL),
+        "adam-newqg": dict(method=method.ENHANCED_ADAM, stepsize=eta, qg_variant=variant.NEW),
+    }
+
+
+def grid(package) -> list[tuple[str, functools.partial]]:
+    """The paper-panels ``run()`` grid of ``package`` as (method label, the call)."""
+    bench = importlib.import_module(f"{package.__name__}.bench")
+    configs = method_configs(package)
+
+    def entry(label, f, iterations):
+        config = package.OptimizerConfig(max_iterations=iterations, **configs[label])
+        return label, functools.partial(package.run, f, config, bench.default_x0(f))
+
+    runs = []
+    for function_id in LEMMA_FUNCTIONS:
+        f = package.get_function(function_id)
+        runs += [entry(label, f, LEMMA_ITERATIONS)
+                 for label in ("gd-spectral", "nag-spectral", "enhanced-nag")]
+    for labels in (("adam", "adam-oldqg", "adam-newqg"), ("enhanced-adagrad",)):
+        for n in PANEL_SIZES:
+            f = package.rosenbrock(n)
+            runs += [entry(label, f, iterations)
+                     for iterations in PANEL_HORIZONS for label in labels]
+    return runs
+
+
+def outcome(trajectory) -> tuple:
+    """A run's flag, objectives and iterate bytes."""
+    return (trajectory.diverged,
+            tuple((r.objective, r.iterate.tobytes()) for r in trajectory.records))
+
+
+def load(package_dir: Path, name: str):
+    """The package in ``package_dir``, imported as ``name``, whatever the directory is called."""
+    spec = importlib.util.spec_from_file_location(
+        name, package_dir / "__init__.py", submodule_search_locations=[str(package_dir)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+def time_grids(grids: dict, reps: int) -> dict:
+    """Per side, per method label, per repetition: (seconds, iterations) summed over the grid.
+
+    ``grids`` maps each side to its grid; both list the same runs in the same order.
+    """
+    sides = list(grids)
+    totals = {side: {} for side in sides}
+    for rep in range(reps):
+        for index, runs in enumerate(zip(*grids.values())):
+            order = sides if (rep + index) % 2 == 0 else sides[::-1]
+            for side in order:
+                label, call = runs[sides.index(side)]
+                start = perf_counter()
+                trajectory = call()
+                elapsed = perf_counter() - start
+                per_rep = totals[side].setdefault(label, [[0.0, 0] for _ in range(reps)])
+                per_rep[rep][0] += elapsed
+                per_rep[rep][1] += len(trajectory.records) - 1
+    return totals
+
+
+def summarise(totals: dict, base: str, change: str) -> dict:
+    """Per method: both sides' median us/iter, the median paired ratio and the wins."""
+    summary = {}
+    for label, base_reps in totals[base].items():
+        base_us = [1e6 * s / i for s, i in base_reps]
+        change_us = [1e6 * s / i for s, i in totals[change][label]]
+        ratios = [c / b for b, c in zip(base_us, change_us)]
+        summary[label] = {base: statistics.median(base_us), change: statistics.median(change_us),
+                          "ratio": statistics.median(ratios),
+                          "wins": sum(c < b for b, c in zip(base_us, change_us)),
+                          "reps": len(ratios)}
+    return summary
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--rev", default="HEAD", help="the revision to compare against")
+    parser.add_argument("--reps", type=int, default=15)
+    args = parser.parse_args(argv)
+
+    tree, rev = extract(args.rev)
+    sha = rev["rev"]
+    base = load(tree / "src" / "quadgrad", f"quadgrad_{sha[:12]}")
+    sys.path.insert(0, str(ROOT / "src"))
+    import quadgrad
+
+    grids = {"rev": grid(base), "tree": grid(quadgrad)}
+    differ = sum(outcome(a()) != outcome(b())
+                 for (_, a), (_, b) in zip(grids["rev"], grids["tree"]))
+    print(f"rev {sha[:12]} vs working tree: {len(grids['tree'])} runs, "
+          f"{differ} with different bits, {args.reps} reps")
+    summary = summarise(time_grids(grids, args.reps), "rev", "tree")
+    print(f"{'method':<18}{'rev us/iter':>12}{'tree us/iter':>13}{'ratio':>8}{'wins':>8}")
+    for label, row in summary.items():
+        print(f"{label:<18}{row['rev']:>12.1f}{row['tree']:>13.1f}{row['ratio']:>8.3f}"
+              f"{row['wins']:>5}/{row['reps']}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
