@@ -12,7 +12,6 @@ token ``nan``.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import dataclass
 
@@ -57,17 +56,10 @@ class CsvTable:
         return cls(header=header, rows=rows)
 
     def __eq__(self, other) -> bool:
+        """Equal when both emit the same text: NaN equals NaN, -0.0 differs from 0.0."""
         if not isinstance(other, CsvTable):
             return NotImplemented
-        if self.header != other.header or len(self.rows) != len(other.rows):
-            return False
-        for left, right in zip(self.rows, other.rows):
-            if len(left) != len(right):
-                return False
-            for a, b in zip(left, right):
-                if a != b and not (math.isnan(a) and math.isnan(b)):
-                    return False
-        return True
+        return self.emit() == other.emit()
 
 
 def _loss(f: ObjectiveFunction, objective: float) -> float:

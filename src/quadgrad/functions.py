@@ -242,12 +242,13 @@ def quadratic_counterexample() -> ObjectiveFunction:
     )
 
 
-def finite_difference_check(f: ObjectiveFunction, x, h: float = 1e-5) -> tuple[float, float]:
+def finite_difference_check(f: ObjectiveFunction, x) -> tuple[float, float]:
     """Max-norm discrepancy between analytic and central-difference derivatives.
 
     Returns ``(grad_err, hess_err)``: the gradient is differenced from the
-    value, the Hessian from the analytic gradient.
+    value, the Hessian from the analytic gradient, both with step 1e-5.
     """
+    h = 1e-5
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
     fd_grad = np.zeros(n)

@@ -12,6 +12,7 @@ gradient descent.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,9 +70,14 @@ def bound_diagonal(hbar) -> np.ndarray:
     ``hbar`` is a Hessian bound matrix (or the Hessian itself); the row sums
     run over absolute values so the sign convention of the bound does not
     matter. A C-ordered matrix is summed in blocks of rows, so no copy of it
-    is made.
+    is made. An inf or NaN entry, or a row sum that overflows, raises
+    InvalidInput: that row's entry would be a silent 0 or NaN.
     """
-    return 1.0 / (EPSILON + _abs_row_sums(as_square_matrix(hbar)))
+    sums = _abs_row_sums(as_square_matrix(hbar))
+    # the sums are >= 0 or NaN, and maximum propagates NaN: one test for both
+    if not math.isfinite(np.maximum.reduce(sums)):
+        raise InvalidInput("bound_diagonal requires finite row sums of |hbar|")
+    return 1.0 / (EPSILON + sums)
 
 
 def newton_ratios(h, g) -> NewtonRatios:

@@ -260,14 +260,20 @@ def run(f: ObjectiveFunction, config: OptimizerConfig, x0) -> Trajectory:
     state = initial_state(theta)
     n = f.dim
 
-    def evaluated(name, fn):
+    def evaluated(name, fn, shape=None):
         try:
-            return fn(theta)
+            a = fn(theta)
         except Exception as exc:
             raise InvalidInput(f"the objective's {name} raised {exc!r}") from exc
-
-    def oriented(name, fn, shape):
-        a = evaluated(name, fn)
+        if shape is None:
+            if not _finite_real(a):
+                if not isinstance(a, numbers.Real):
+                    raise InvalidInput(f"the objective's value must be a real number, "
+                                       f"got {type(a).__name__}")
+                # a real that is not a float fails only beyond the float range: no digits
+                shown = a if isinstance(a, (float, np.floating)) else "beyond the float range"
+                raise InvalidInput(f"objective is not finite at x0: {shown}")
+            return a
         if not (isinstance(a, np.ndarray) and a.dtype.kind in "biuf" and a.shape == shape):
             got = f"{a.dtype} {a.shape}" if isinstance(a, np.ndarray) else type(a).__name__
             raise InvalidInput(f"the objective's {name} must be a real array of shape "
@@ -278,30 +284,22 @@ def run(f: ObjectiveFunction, config: OptimizerConfig, x0) -> Trajectory:
     fresh_hessian = derive is not None and not config.fixed_hessian
     with np.errstate(all="ignore"):
         objective = evaluated("value", f.value)
-        if not _finite_real(objective):
-            if not isinstance(objective, numbers.Real):
-                raise InvalidInput(f"the objective's value must be a real number, "
-                                   f"got {type(objective).__name__}")
-            # a real that is not a float fails only beyond the float range: no digits
-            shown = (objective if isinstance(objective, (float, np.floating))
-                     else "beyond the float range")
-            raise InvalidInput(f"objective is not finite at x0: {shown}")
         # h holds a Hessian not yet derived: each fresh one, and the frozen
         # one until the first step; c is what was derived from the last one
-        h = (oriented("Hessian", f.hessian, (n, n))
+        h = (evaluated("Hessian", f.hessian, (n, n))
              if derive is not None and config.fixed_hessian else None)
         c = None
         records = [TrajectoryRecord(objective, theta.copy())]
         diverged = False
         for _ in range(config.max_iterations):
             try:
-                g = oriented("gradient", f.gradient, (n,))
+                g = evaluated("gradient", f.gradient, (n,))
                 # sqrt(g.dot(g)) is np.linalg.norm(g) without its call
                 # overhead; an overflowed norm is inf and fails GRAD_TOL
                 if math.sqrt(g.dot(g)) <= GRAD_TOL:
                     break
                 if fresh_hessian:
-                    h = oriented("Hessian", f.hessian, (n, n))
+                    h = evaluated("Hessian", f.hessian, (n, n))
             except InvalidInput:
                 if len(records) == 1:  # no step has run: the objective is bad input
                     raise
@@ -326,7 +324,7 @@ def run(f: ObjectiveFunction, config: OptimizerConfig, x0) -> Trajectory:
                 objective = evaluated("value", f.value) if within else math.nan
             except InvalidInput:
                 objective = math.nan
-            if not _finite_real(objective):
+            if objective != objective:  # NaN: the bound or the value failed
                 diverged = True
                 break
             records.append(TrajectoryRecord(objective, theta.copy()))

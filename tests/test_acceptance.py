@@ -102,7 +102,7 @@ def test_c4_derivative_correctness():
     for f in standard_suite():
         for _ in range(50):
             x = rng.uniform(-5.0, 5.0, f.dim)
-            grad_err, hess_err = finite_difference_check(f, x, h=1e-5)
+            grad_err, hess_err = finite_difference_check(f, x)
             assert grad_err / (1.0 + np.max(np.abs(f.gradient(x)))) <= 1e-4
             assert hess_err / (1.0 + np.max(np.abs(f.hessian(x)))) <= 1e-4
 

@@ -52,6 +52,22 @@ class TestCsvTable:
         b = CsvTable(header=["Iterations", "a"], rows=[[0.0, 2.0]])
         assert a != b
 
+    # equal exactly when the emitted text is: NaN is written "nan" either
+    # way, a signed zero is written "-0.0"
+    @pytest.mark.parametrize("left, right, equal", [
+        (CsvTable(["Iterations", "a"], [[0.0, float("nan")]]),
+         CsvTable(["Iterations", "a"], [[0.0, -float("nan")]]), True),
+        (CsvTable(["Iterations", "a"], [[0.0, -0.0]]),
+         CsvTable(["Iterations", "a"], [[0.0, 0.0]]), False),
+        (CsvTable(["Iterations", "a"], [[0.0, 1.0]]),
+         CsvTable(["Iterations", "b"], [[0.0, 1.0]]), False),
+        (CsvTable(["Iterations", "a"], [[0.0, 1.0]]),
+         CsvTable(["Iterations", "a"], [[0.0, 1.0], [1.0, 1.0]]), False),
+    ], ids=["nan", "signed-zero", "header", "row-count"])
+    def test_equal_when_the_emitted_text_is(self, left, right, equal):
+        assert (left == right) is equal
+        assert (left.emit() == right.emit()) is equal
+
 
 class TestLemmaLrExperiment:
     def test_booth_shape_and_header(self):

@@ -12,6 +12,13 @@ TOOLS = Path(__file__).resolve().parents[1] / "tools"
 GRID = {"functions": ("booth", "rosenbrock:3"), "stepsizes": (0.1, 1e13), "scales": (1.0,),
         "iterations": 5}
 
+# The full grids' digests, as tools/fingerprint.py prints them with numpy 2.4.6
+# on scipy-openblas 0.3.31; another BLAS build may round differently.
+PINNED = {
+    "runs": (1440, "1ffd5d4e626265fffe0d95916746ec924c3bbd886072320051d631b59c385e0a"),
+    "csvs": (29, "827337512618ba00f669f66c64f717f5b6826c99d672aab87c06a30276e39fa6"),
+}
+
 
 @pytest.fixture
 def fingerprint(monkeypatch):
@@ -61,3 +68,12 @@ def test_cli_grid_covers_the_paper_panels(fingerprint):
 def test_failing_cli_call_raises(fingerprint):
     with pytest.raises(RuntimeError, match="exited 3"):
         fingerprint.cli_csv(["--function", "nosuch"])
+
+
+def test_full_grids_keep_the_pinned_digests(fingerprint):
+    got = {"runs": fingerprint.digest(fingerprint.trajectories()),
+           "csvs": fingerprint.csv_digest(fingerprint.cli_csv(argv)
+                                          for argv in fingerprint.cli_arguments())}
+    assert got == PINNED, (
+        "output bits changed; a change that alters them on purpose updates PINNED "
+        "and says so in CHANGES.md (the pin holds for numpy 2.4.6 on scipy-openblas 0.3.31)")

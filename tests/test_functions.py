@@ -170,18 +170,18 @@ class TestQuadraticCounterexample:
 
 class TestFiniteDifferenceCheck:
     def test_booth_gradient(self):
-        grad_err, _ = finite_difference_check(booth(), [0.3, -1.2], h=1e-5)
+        grad_err, _ = finite_difference_check(booth(), [0.3, -1.2])
         assert grad_err <= 1e-6
 
     def test_rosenbrock_gradient(self):
-        grad_err, _ = finite_difference_check(rosenbrock(2), [-1.2, 1.0], h=1e-5)
+        grad_err, _ = finite_difference_check(rosenbrock(2), [-1.2, 1.0])
         assert grad_err <= 1e-5
 
     def test_quadratic_hessian_exact(self):
         rng = np.random.default_rng(3)
         f = quadratic_counterexample()
         for _ in range(5):
-            _, hess_err = finite_difference_check(f, rng.uniform(-5, 5, 2), h=1e-5)
+            _, hess_err = finite_difference_check(f, rng.uniform(-5, 5, 2))
             assert hess_err <= 1e-7
 
 
@@ -191,7 +191,7 @@ class TestSuiteInvariants:
         for f in standard_suite():
             for _ in range(50):
                 x = rng.uniform(-5.0, 5.0, f.dim)
-                grad_err, hess_err = finite_difference_check(f, x, h=1e-5)
+                grad_err, hess_err = finite_difference_check(f, x)
                 g_scale = 1.0 + np.max(np.abs(f.gradient(x)))
                 h_scale = 1.0 + np.max(np.abs(f.hessian(x)))
                 assert grad_err / g_scale <= 1e-4

@@ -69,6 +69,16 @@ class TestBoundDiagonal:
         h = rosenbrock(300).hessian(np.linspace(-2.0, 2.0, 300))
         assert peak_traced_bytes(bound_diagonal, h) < 0.5 * h.nbytes
 
+    # an inf entry once gave that row a silent 0, a NaN entry a NaN
+    @pytest.mark.parametrize("h", [
+        [[np.inf, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, -np.inf]], [[np.nan, 0.0], [0.0, 1.0]],
+        [[1e308, 1e308], [0.0, 1.0]],
+    ], ids=["inf", "minus-inf", "nan", "overflowing-row-sum"])
+    def test_nonfinite_row_sum_raises(self, h):
+        with np.errstate(over="ignore"):
+            with pytest.raises(InvalidInput, match="requires finite row sums"):
+                bound_diagonal(h)
+
 
 class TestQuadraticGradient:
     def test_sign_preservation(self):

@@ -414,6 +414,20 @@ class TestRun:
         assert traj.diverged
         assert len(traj.records) == 1
 
+    # an inf Hessian entry once gave that coordinate a zero row-sum
+    # accelerator, so it stopped moving and the run went on unflagged
+    @pytest.mark.parametrize("entry", [math.inf, math.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("method, variant", [
+        pair for pair in METHOD_VARIANTS if "bound_diagonal" in LAYERS_REACHED[pair]])
+    @FRESH_AND_FROZEN
+    def test_nonfinite_row_sum_flags_run(self, entry, method, variant, fixed_hessian):
+        f = synthetic(grad=[1.0, 1.0], hess=[[entry, 0.0], [0.0, 2.0]])
+        cfg = config(method, qg_variant=variant, max_iterations=5,
+                     fixed_hessian=fixed_hessian)
+        traj = run(f, cfg, [1.0, 1.0])
+        assert traj.diverged
+        assert len(traj.records) == 1
+
     @pytest.mark.parametrize("method, variant", METHOD_VARIANTS)
     def test_one_evaluation_per_quantity_per_step(self, method, variant):
         # the Hessian is evaluated per step, or once at x0 when frozen, and

@@ -51,7 +51,7 @@ def test_renamed_copy_runs_the_same_bits(step_cost, copy):
     grids = {"rev": step_cost.grid(copy), "tree": step_cost.grid(quadgrad)}
     for (label, a), (other, b) in zip(grids["rev"], grids["tree"]):
         assert label == other
-        assert step_cost.outcome(a()) == step_cost.outcome(b())
+        assert step_cost.digest([a()]) == step_cost.digest([b()])
 
 
 def test_summary_has_every_method_and_repetition(step_cost, copy):

@@ -13,8 +13,10 @@ The grid is the ``run()`` calls that perfbench's ``paper-panels`` workload
 times per method: GD-spectral, NAG-spectral and enhanced NAG on the five
 ``lemma-lr`` functions at 30 iterations, Adam, AdamOldQG and AdamNewQG on
 Rosenbrock at n in {2, 5, 10, 20} for 30 and 300 iterations, and enhanced
-Adagrad on the same Rosenbrock runs, each from ``bench.default_x0``. One
-untimed pass checks that both sides give the same bits on every run. Then
+Adagrad on the same Rosenbrock runs, each from ``bench.default_x0``; the
+functions, sizes and horizons are those of ``fingerprint.py``'s CLI grid. One
+untimed pass checks that both sides give the same bits on every run, by
+``fingerprint.digest`` of each run. Then
 each of ``--reps`` repetitions times every run once on each side, back to
 back, the side that goes first alternating from run to run and from
 repetition to repetition, so a drift of the host's speed falls on both sides
@@ -25,7 +27,8 @@ the median of the paired ratios change / revision, and in how many
 repetitions the change was faster. Set ``OPENBLAS_NUM_THREADS=1`` to time
 BLAS on one thread, as perfbench does.
 
-Standard library and quadgrad only; nothing under ``perfbench/`` is imported.
+Standard library, quadgrad, ``ab_bench`` and ``fingerprint`` only; nothing under
+``perfbench/`` is imported.
 """
 
 from __future__ import annotations
@@ -40,10 +43,10 @@ from time import perf_counter
 
 from ab_bench import ROOT, extract
 
-LEMMA_FUNCTIONS = ("booth", "beale", "himmelblau", "rosenbrock:2", "quadratic-counterexample")
-LEMMA_ITERATIONS = 30
-PANEL_SIZES = (2, 5, 10, 20)
-PANEL_HORIZONS = (30, 300)
+# the working tree's quadgrad, which fingerprint imports too
+sys.path.insert(0, str(ROOT / "src"))
+import quadgrad
+from fingerprint import LEMMA_FUNCTIONS, LEMMA_ITERATIONS, PANEL_HORIZONS, PANEL_SIZES, digest
 
 
 def method_configs(package) -> dict:
@@ -83,12 +86,6 @@ def grid(package) -> list[tuple[str, functools.partial]]:
             runs += [entry(label, f, iterations)
                      for iterations in PANEL_HORIZONS for label in labels]
     return runs
-
-
-def outcome(trajectory) -> tuple:
-    """A run's flag, objectives and iterate bytes."""
-    return (trajectory.diverged,
-            tuple((r.objective, r.iterate.tobytes()) for r in trajectory.records))
 
 
 def load(package_dir: Path, name: str):
@@ -145,11 +142,8 @@ def main(argv=None):
     tree, rev = extract(args.rev)
     sha = rev["rev"]
     base = load(tree / "src" / "quadgrad", f"quadgrad_{sha[:12]}")
-    sys.path.insert(0, str(ROOT / "src"))
-    import quadgrad
-
     grids = {"rev": grid(base), "tree": grid(quadgrad)}
-    differ = sum(outcome(a()) != outcome(b())
+    differ = sum(digest([a()]) != digest([b()])
                  for (_, a), (_, b) in zip(grids["rev"], grids["tree"]))
     print(f"rev {sha[:12]} vs working tree: {len(grids['tree'])} runs, "
           f"{differ} with different bits, {args.reps} reps")
