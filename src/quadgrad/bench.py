@@ -67,11 +67,13 @@ def _loss(f: ObjectiveFunction, objective: float) -> float:
     return objective if f.sense is Sense.MINIMIZE else -objective
 
 
-def _loss_column(f: ObjectiveFunction, trajectory: Trajectory, iterations: int) -> list[float]:
+def _fill_loss_column(column: list[float], f: ObjectiveFunction, trajectory: Trajectory):
+    """Write the run's losses over the first of ``column``'s NaN slots; a run
+    that did not diverge repeats its last loss in the rest."""
     values = [_loss(f, r.objective) for r in trajectory.records]
-    pad = float("nan") if trajectory.diverged else values[-1]
-    values.extend([pad] * (iterations + 1 - len(values)))
-    return values
+    if not trajectory.diverged:
+        values.extend([values[-1]] * (len(column) - len(values)))
+    column[:len(values)] = values
 
 
 def run_experiment(f: ObjectiveFunction, x0, methods: dict[str, OptimizerConfig]) -> CsvTable:
@@ -80,7 +82,9 @@ def run_experiment(f: ObjectiveFunction, x0, methods: dict[str, OptimizerConfig]
     ``methods`` maps each column label to its config, in column order. A
     label is a str without a comma or a line break, so that ``CsvTable.parse``
     reads the emitted table back. Each method runs to its own
-    ``max_iterations``; the table has one row more than the largest budget.
+    ``max_iterations``; the table has one row more than the largest budget,
+    and a budget too large for a table of that many rows raises
+    ``InvalidInput`` before any run.
     """
     # splitlines() breaks "." + label + "." exactly where parse() would split the header
     if not (isinstance(methods, dict) and methods
@@ -90,7 +94,13 @@ def run_experiment(f: ObjectiveFunction, x0, methods: dict[str, OptimizerConfig]
         raise InvalidInput(f"methods must be a non-empty dict of label: OptimizerConfig, each "
                            f"label a str without a comma or line break, got {methods!r}")
     iterations = max(config.max_iterations for config in methods.values())
-    columns = [_loss_column(f, run(f, config, x0), iterations) for config in methods.values()]
+    try:  # a list repeat beyond the address space fails at once, without allocating
+        columns = [[float("nan")] * (iterations + 1) for _ in methods]
+    except (MemoryError, OverflowError) as exc:
+        raise InvalidInput(f"a budget of {iterations} iterations needs a table too large "
+                           f"to build") from exc
+    for column, config in zip(columns, methods.values()):
+        _fill_loss_column(column, f, run(f, config, x0))
     header = ["Iterations", *methods]
     rows = [[float(i)] + [col[i] for col in columns] for i in range(iterations + 1)]
     return CsvTable(header=header, rows=rows)

@@ -9,8 +9,8 @@ A method scales the gradient and feeds the result to an update rule.
 ``_STEPS`` holds, per ``(method, qg_variant)`` pair, the rule's name,
 ``derive(h)`` (what the scaling needs from the Hessian alone: the spectral
 learning rate, a diagonal, or ``h`` itself; None for a method that reads no
-Hessian), ``direction(c, g)`` (what the rule steps along, from the derived
-``c`` and the gradient ``g``) and the rule's state at ``x0``.
+Hessian) and ``direction(c, g)`` (what the rule steps along, from the derived
+``c`` and the gradient ``g``).
 
 ``run()`` owns the iterate and every evaluation: the gradient once per step,
 the Hessian once per step only for methods that read it (or once at ``x0``
@@ -19,10 +19,10 @@ passed on as the objective returned them otherwise. It derives ``c`` once per
 Hessian: every step, or once per run, at the first step, under
 ``fixed_hessian``. Each ``step_*`` is an update rule
 ``step(theta, state, config, d) -> theta_new`` on the direction ``d``;
-``state`` is the method's own history, a list that ``run()`` builds at
-``x0`` and the step updates in place (empty for GD-spectral). No step reads
-the method, the accelerator or a Hessian, and none writes ``theta``, ``d``
-or an array it stored.
+``state`` is the method's own history, a list that ``run()`` hands every
+rule empty and the step fills on its first call and updates in place after
+(GD-spectral leaves it empty). No step reads the method, the accelerator or
+a Hessian, and none writes ``theta``, ``d`` or an array it stored.
 """
 
 from __future__ import annotations
@@ -142,7 +142,7 @@ def step_nag(
     a_{t+1} = (1 + sqrt(1 + 4 a_t^2)) / 2, gamma_t = (a_t - 1) / a_{t+1}).
     """
     v_new = theta - d
-    v_prev, a = state
+    v_prev, a = state or (theta, 1.0)
     a_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * a * a))
     gamma = (a - 1.0) / a_next
     state[:] = v_new, a_next
@@ -154,8 +154,8 @@ def step_enhanced_adagrad(
 ) -> np.ndarray:
     """Adagrad with a (1 + eta) numerator on ``d``, the row-sum quadratic
     gradient; ``state`` is ``[accumulator]``, the running sum of ``d * d``."""
-    accum = state[0] + d * d
-    state[0] = accum
+    accum = (state[0] if state else 0.0) + d * d
+    state[:] = [accum]
     scale = (1.0 + config.stepsize) / (EPSILON_ADAM + np.sqrt(accum))
     return theta - scale * d
 
@@ -166,7 +166,7 @@ def step_adam(
     """One Adam step with bias correction on ``d``, the gradient or a
     quadratic gradient; ``state`` is ``[t, m, v]``, the steps taken and the
     two moments."""
-    t, m, v = state
+    t, m, v = state or (0, 0.0, 0.0)
     t += 1
     m = BETA1 * m + (1.0 - BETA1) * d
     v = BETA2 * v + (1.0 - BETA2) * d * d
@@ -176,35 +176,25 @@ def step_adam(
     return theta - config.stepsize * m_hat / (np.sqrt(v_hat) + EPSILON_ADAM)
 
 
-def _scaled(c, g):
-    return c * g
-
-
-def _adam_start(x0):
-    return [0, np.zeros_like(x0), np.zeros_like(x0)]
-
-
-# (method, qg_variant) -> (step function's name, derive, direction, state at
-# x0); its keys are the valid configurations. run() looks the step up in the
-# module globals when it starts and the lambdas look up what they call when
-# called, so a rebound name (a wrapper installed from outside) is the one run.
+# (method, qg_variant) -> (step function's name, derive, direction); its
+# keys are the valid configurations. run() looks the step up in the module
+# globals when it starts and the lambdas look up what they call when called,
+# so a rebound name (a wrapper installed from outside) is the one run.
 _STEPS = {
     (Method.GD_SPECTRAL, None):
-        ("step_gd_spectral", lambda h: spectral_learning_rate(h), _scaled, lambda x0: []),
-    (Method.NAG_SPECTRAL, None):
-        ("step_nag", lambda h: spectral_learning_rate(h), _scaled, lambda x0: [x0, 1.0]),
+        ("step_gd_spectral", lambda h: spectral_learning_rate(h), np.multiply),
+    (Method.NAG_SPECTRAL, None): ("step_nag", lambda h: spectral_learning_rate(h), np.multiply),
     (Method.ENHANCED_NAG, None):
-        ("step_nag", lambda h: (1.0 + spectral_learning_rate(h)) * bound_diagonal(h), _scaled,
-         lambda x0: [x0, 1.0]),
+        ("step_nag", lambda h: (1.0 + spectral_learning_rate(h)) * bound_diagonal(h),
+         np.multiply),
     (Method.ENHANCED_ADAGRAD, None):
-        ("step_enhanced_adagrad", lambda h: bound_diagonal(h), _scaled,
-         lambda x0: [np.zeros_like(x0)]),
-    (Method.ADAM, None): ("step_adam", None, lambda c, g: g, _adam_start),
-    (Method.ENHANCED_ADAM, None): ("step_adam", None, lambda c, g: g, _adam_start),
+        ("step_enhanced_adagrad", lambda h: bound_diagonal(h), np.multiply),
+    (Method.ADAM, None): ("step_adam", None, lambda c, g: g),
+    (Method.ENHANCED_ADAM, None): ("step_adam", None, lambda c, g: g),
     (Method.ENHANCED_ADAM, Variant.ORIGINAL):
-        ("step_adam", lambda h: bound_diagonal(h), _scaled, _adam_start),
+        ("step_adam", lambda h: bound_diagonal(h), np.multiply),
     (Method.ENHANCED_ADAM, Variant.NEW):
-        ("step_adam", lambda h: h, lambda c, g: new_quadratic_gradient(c, g), _adam_start),
+        ("step_adam", lambda h: h, lambda c, g: new_quadratic_gradient(c, g)),
 }
 
 
@@ -255,9 +245,9 @@ def run(f: ObjectiveFunction, config: OptimizerConfig, x0) -> Trajectory:
         raise InvalidInput(f"x0 has dim {theta.shape[0]}, objective needs {f.dim}")
     if not np.isfinite(theta).all():
         raise InvalidInput("x0 must be finite")
-    step_name, derive, direction, initial_state = _STEPS[config.method, config.qg_variant]
+    step_name, derive, direction = _STEPS[config.method, config.qg_variant]
     step = globals()[step_name]
-    state = initial_state(theta)
+    state = []
     n = f.dim
 
     def evaluated(name, fn, shape=None):

@@ -21,6 +21,7 @@ from quadgrad import (
 )
 from quadgrad.bench import default_x0, main
 from quadgrad.functions import get_function
+from test_optimizers import counted
 
 LEMMA_HEADER = (
     "Iterations,fSFHasLRrawgradientmethod,naiveNAGwithfSFHasLR,enhancedNAGwithQGandfSFHasLR"
@@ -67,6 +68,11 @@ class TestCsvTable:
     def test_equal_when_the_emitted_text_is(self, left, right, equal):
         assert (left == right) is equal
         assert (left.emit() == right.emit()) is equal
+
+    def test_never_equals_another_type(self):
+        table = CsvTable(["Iterations", "a"], [[0.0, 1.0]])
+        assert table.__eq__("x") is NotImplemented
+        assert (table == "x") is False and table != "x"
 
 
 class TestLemmaLrExperiment:
@@ -168,6 +174,16 @@ class TestDivergencePadding:
         assert short[4:] == [short[3]] * 7
         assert long[10] < long[3]
 
+    # 10**18 + 1 slots exceed what a list can index, 10**19 + 1 an index itself
+    @pytest.mark.parametrize("budget", [10**18, 10**19])
+    def test_budget_beyond_any_table_raises_before_any_run(self, budget):
+        f, calls = counted(booth())
+        methods = {"short": OptimizerConfig(Method.GD_SPECTRAL, max_iterations=3),
+                   "huge": OptimizerConfig(Method.GD_SPECTRAL, max_iterations=budget)}
+        with pytest.raises(InvalidInput, match=f"a budget of {budget} iterations"):
+            run_experiment(f, np.zeros(2), methods)
+        assert not calls
+
 
 class TestDefaults:
     def test_default_starts(self):
@@ -238,6 +254,18 @@ class TestCli:
 
     def test_bad_x0_length_exit_code(self, capsys):
         assert main(["--function", "booth", "--x0", "1,2,3"]) == 2
+
+    def test_unparsable_x0_exit_code(self, capsys):
+        assert main(["--function", "booth", "--x0", "a,b"]) == 2
+        assert "bad --x0 value 'a,b'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("budget", [10**18, 10**19])
+    def test_budget_beyond_any_table_exit_code(self, budget, capsys):
+        assert main(["--function", "booth", "--iters", str(budget)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: a budget of {budget} iterations needs a table "
+                                f"too large to build\n")
 
     def test_bad_nvars_exit_code(self, capsys):
         assert main(["--experiment", "adam-qg", "--nvars", "1"]) == 2

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from quadgrad import experiment_adam_qg
+from test_optimizers import METHOD_VARIANTS
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
@@ -63,6 +64,11 @@ def test_cli_grid_covers_the_paper_panels(fingerprint):
     argvs = list(fingerprint.cli_arguments())
     assert len(argvs) == 24 + 5
     assert sum(argv[1] == "adam-qg" for argv in argvs) == 24
+
+
+def test_run_grid_covers_every_method_and_accelerator(fingerprint):
+    # METHOD_VARIANTS is pinned to the optimizer table's keys
+    assert fingerprint.METHODS == METHOD_VARIANTS
 
 
 def test_failing_cli_call_raises(fingerprint):

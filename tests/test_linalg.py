@@ -6,13 +6,17 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import quadgrad.linalg as linalg
 from quadgrad import (
     InvalidInput,
+    Method,
+    OptimizerConfig,
     SingularMatrix,
     SpectralBounds,
     is_symmetric,
     pseudoinverse,
     rosenbrock,
+    run,
     solve,
     spectral_bounds,
 )
@@ -160,6 +164,15 @@ class TestTridiagonalPath:
         assert spectral_bounds(h).lambda_max > 0.0
         with pytest.raises(AssertionError, match="eigvalsh called"):
             spectral_bounds(np.ones((3, 3)) + np.eye(3))
+
+    def test_unconverged_dsterf_raises_and_ends_a_run_as_diverged(self, monkeypatch):
+        # dsterf reports a failure to converge by info > 0
+        monkeypatch.setattr(linalg._lapack, "dsterf", lambda d, e: (np.zeros_like(d), 1))
+        x0 = np.array([-1.0, 0.5, 2.0])
+        with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
+            spectral_bounds(rosenbrock(3).hessian(x0))
+        traj = run(rosenbrock(3), OptimizerConfig(Method.GD_SPECTRAL), x0)
+        assert traj.diverged and len(traj.records) == 1
 
 
 class TestSolve:

@@ -58,7 +58,7 @@ def direction(f, cfg, theta, h=None):
     """The direction ``run()`` hands ``cfg``'s step at ``theta``, built
     through ``_STEPS`` from the oriented gradient there and what is derived
     from the oriented Hessian ``h`` (by default the one at ``theta``)."""
-    _, derive, along, _ = optimizers._STEPS[cfg.method, cfg.qg_variant]
+    _, derive, along = optimizers._STEPS[cfg.method, cfg.qg_variant]
     if derive is None:
         c = None
     else:
@@ -66,10 +66,9 @@ def direction(f, cfg, theta, h=None):
     return along(c, sign(f) * f.gradient(theta))
 
 
-def start(cfg, x0):
-    """The iterate and ``cfg``'s step state at ``x0``, as ``run()`` builds them."""
-    theta = np.array(x0, dtype=float)
-    return theta, optimizers._STEPS[cfg.method, cfg.qg_variant][3](theta)
+def start(x0):
+    """The iterate at ``x0`` and the empty state, as ``run()`` hands them to every step."""
+    return np.array(x0, dtype=float), []
 
 
 def counted(f):
@@ -166,7 +165,7 @@ def frozen_reference(f, cfg, x0):
     the step functions that re-derives every step's direction through
     ``_STEPS`` from the Hessian at ``x0``, so nothing derived from it is
     reused between steps."""
-    theta, state = start(cfg, x0)
+    theta, state = start(x0)
     frozen = sign(f) * f.hessian(theta)
     rows = [(0, f.value(theta), theta.tobytes())]
     with np.errstate(all="ignore"):
@@ -192,7 +191,7 @@ class TestGdSpectral:
         # lr = 1/(18+eps), g(0,0) = (-34,-38) -> theta1 = (34/18, 38/18)
         f = booth()
         cfg = config(Method.GD_SPECTRAL)
-        theta, state = start(cfg, [0.0, 0.0])
+        theta, state = start([0.0, 0.0])
         theta = step_gd_spectral(theta, state, cfg, direction(f, cfg, theta))
         np.testing.assert_allclose(theta, [34.0 / 18.0, 38.0 / 18.0], atol=1e-7)
         assert state == []
@@ -200,14 +199,14 @@ class TestGdSpectral:
     def test_fixed_point_at_maximum(self):
         f = quadratic_counterexample()
         cfg = config(Method.GD_SPECTRAL)
-        theta, state = start(cfg, [0.0, 0.0])
+        theta, state = start([0.0, 0.0])
         theta = step_gd_spectral(theta, state, cfg, direction(f, cfg, theta))
         np.testing.assert_array_equal(theta, [0.0, 0.0])
 
     def test_fixed_point_at_booth_minimum(self):
         f = booth()
         cfg = config(Method.GD_SPECTRAL)
-        theta, state = start(cfg, [1.0, 3.0])
+        theta, state = start([1.0, 3.0])
         theta = step_gd_spectral(theta, state, cfg, direction(f, cfg, theta))
         np.testing.assert_array_equal(theta, [1.0, 3.0])
 
@@ -216,7 +215,7 @@ class TestNag:
     def test_first_step_has_no_momentum(self):
         f = booth()
         cfg = config(Method.NAG_SPECTRAL)
-        theta, state = start(cfg, [0.0, 0.0])
+        theta, state = start([0.0, 0.0])
         theta = step_nag(theta, state, cfg, direction(f, cfg, theta))
         # gamma_0 = 0, so beta_1 = V_1 = the plain spectral-rate step
         np.testing.assert_allclose(theta, [34.0 / 18.0, 38.0 / 18.0], atol=1e-7)
@@ -227,7 +226,7 @@ class TestNag:
         # ascent V1 = theta + (1+lr)*(1/6, 1/4); frozen from that arithmetic
         f = quadratic_counterexample()
         cfg = config(Method.ENHANCED_NAG)
-        theta, state = start(cfg, [-1.0, -1.5])
+        theta, state = start([-1.0, -1.5])
         theta = step_nag(theta, state, cfg, direction(f, cfg, theta))
         np.testing.assert_allclose(
             theta,
@@ -238,7 +237,7 @@ class TestNag:
     def test_fixed_point_at_optimum(self):
         f = quadratic_counterexample()
         cfg = config(Method.NAG_SPECTRAL)
-        theta, state = start(cfg, [0.0, 0.0])
+        theta, state = start([0.0, 0.0])
         theta = step_nag(theta, state, cfg, direction(f, cfg, theta))
         np.testing.assert_array_equal(theta, [0.0, 0.0])
         np.testing.assert_array_equal(state[0], [0.0, 0.0])
@@ -246,12 +245,13 @@ class TestNag:
     def test_gamma_stays_in_unit_interval(self):
         f = rosenbrock(2)
         cfg = config(Method.ENHANCED_NAG, max_iterations=50)
-        theta, state = start(cfg, [-1.0, -1.0])
+        theta, state = start([-1.0, -1.0])
+        a_prev = 1.0  # a_0
         for _ in range(50):
-            a_prev = state[1]
             theta = step_nag(theta, state, cfg, direction(f, cfg, theta))
             # gamma_t = (a_t - 1) / a_{t+1}
             assert 0.0 <= (a_prev - 1.0) / state[1] < 1.0
+            a_prev = state[1]
 
 
 class TestEnhancedAdagrad:
@@ -259,7 +259,7 @@ class TestEnhancedAdagrad:
         # accum = G^2 after one step, so the step is (1+eta)*sign(G) up to eps
         f = synthetic(grad=[6.0, -8.0], hess=[[5.0, 1.0], [1.0, 3.0]])
         cfg = config(Method.ENHANCED_ADAGRAD, stepsize=1.0)
-        theta, state = start(cfg, [0.0, 0.0])
+        theta, state = start([0.0, 0.0])
         theta = step_enhanced_adagrad(theta, state, cfg, direction(f, cfg, theta))
         np.testing.assert_allclose(theta, [-2.0, 2.0], rtol=1e-6)
 
@@ -268,7 +268,7 @@ class TestEnhancedAdagrad:
         f = synthetic(grad=[6.0, 0.0], hess=[[5.0, 1.0], [1.0, 3.0]])
         eta = 0.5
         cfg = config(Method.ENHANCED_ADAGRAD, stepsize=eta)
-        theta0, state = start(cfg, [0.0, 0.0])
+        theta0, state = start([0.0, 0.0])
         theta1 = step_enhanced_adagrad(theta0, state, cfg, direction(f, cfg, theta0))
         theta2 = step_enhanced_adagrad(theta1, state, cfg, direction(f, cfg, theta1))
         second_step = theta1 - theta2
@@ -278,7 +278,7 @@ class TestEnhancedAdagrad:
     def test_fixed_point_at_optimum(self):
         f = booth()
         cfg = config(Method.ENHANCED_ADAGRAD)
-        theta, state = start(cfg, [1.0, 3.0])
+        theta, state = start([1.0, 3.0])
         theta = step_enhanced_adagrad(theta, state, cfg, direction(f, cfg, theta))
         np.testing.assert_array_equal(theta, [1.0, 3.0])
 
@@ -287,7 +287,7 @@ class TestAdam:
     def test_first_step_is_signlike(self):
         f = rosenbrock(2)
         cfg = config(Method.ADAM, stepsize=0.1)
-        theta, state = start(cfg, [-1.2, 1.0])
+        theta, state = start([-1.2, 1.0])
         g = f.gradient([-1.2, 1.0])
         theta = step_adam(theta, state, cfg, direction(f, cfg, theta))
         expected = np.array([-1.2, 1.0]) - 0.1 * np.sign(g)
@@ -296,7 +296,7 @@ class TestAdam:
     def test_zero_gradient_keeps_everything_zero(self):
         f = synthetic(grad=[0.0, 0.0], hess=np.eye(2))
         cfg = config(Method.ADAM, stepsize=0.1)
-        theta, state = start(cfg, [2.0, -1.0])
+        theta, state = start([2.0, -1.0])
         for _ in range(5):
             theta = step_adam(theta, state, cfg, direction(f, cfg, theta))
         np.testing.assert_array_equal(theta, [2.0, -1.0])
@@ -309,8 +309,8 @@ class TestAdam:
         f = rosenbrock(2)
         plain_cfg = config(Method.ADAM, stepsize=0.1)
         enhanced_cfg = config(Method.ENHANCED_ADAM, stepsize=0.1, qg_variant=None)
-        plain, plain_state = start(plain_cfg, [-1.2, 1.0])
-        enhanced, enhanced_state = start(enhanced_cfg, [-1.2, 1.0])
+        plain, plain_state = start([-1.2, 1.0])
+        enhanced, enhanced_state = start([-1.2, 1.0])
         # both take the identity accelerator's path, so every bit agrees
         for _ in range(25):
             plain = step_adam(plain, plain_state, plain_cfg, direction(f, plain_cfg, plain))
@@ -321,7 +321,7 @@ class TestAdam:
     def test_moment_invariants(self):
         f = rosenbrock(2)
         cfg = config(Method.ADAM, stepsize=0.1)
-        theta, state = start(cfg, [-1.0, -1.0])
+        theta, state = start([-1.0, -1.0])
         largest_gradient = 0.0
         for _ in range(60):
             largest_gradient = max(
@@ -331,6 +331,27 @@ class TestAdam:
             _, m, v = state
             assert np.all(v >= 0.0)
             assert np.max(np.abs(m)) <= largest_gradient + 1e-12
+
+
+@pytest.mark.parametrize("method, variant", METHOD_VARIANTS)
+def test_first_step_fills_the_documented_state(method, variant):
+    # every rule starts from the empty list run() hands it
+    f = booth()
+    cfg = config(method, qg_variant=variant)
+    theta, state = start([0.0, 0.0])
+    d = direction(f, cfg, theta)
+    theta = getattr(optimizers, STEP_FUNCTION[method])(theta, state, cfg, d)
+    expected = {
+        "step_gd_spectral": [],
+        # V_1 is the first iterate (gamma_0 = 0); a_1 = (1 + sqrt 5) / 2
+        "step_nag": [theta, (1.0 + math.sqrt(5.0)) / 2.0],
+        "step_enhanced_adagrad": [d * d],
+        "step_adam": [1, (1.0 - optimizers.BETA1) * d, (1.0 - optimizers.BETA2) * d * d],
+    }[STEP_FUNCTION[method]]
+    assert len(state) == len(expected)
+    for held, value in zip(state, expected):
+        assert type(held) is type(value)
+        np.testing.assert_array_equal(held, value, strict=True)
 
 
 class TestRun:
@@ -586,7 +607,7 @@ class TestRun:
             return theta
 
         monkeypatch.setitem(optimizers._STEPS, (Method.GD_SPECTRAL, None),
-                            ("step_gd_spectral", derive, along, lambda x0: []))
+                            ("step_gd_spectral", derive, along))
         monkeypatch.setattr(optimizers, "step_gd_spectral", spy)
         run(f, config(Method.GD_SPECTRAL, max_iterations=3), [0.0, 0.0])
         assert len(derived) == len(directed) == len(stepped) == 3 and len(returned) == 6
