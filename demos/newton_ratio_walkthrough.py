@@ -15,9 +15,9 @@ from quadgrad import (
     new_quadratic_gradient,
     newton_ratios,
     quadratic_counterexample,
-    ratio_diagonal,
     solve,
 )
+from quadgrad.gradients import EPSILON
 
 f = quadratic_counterexample()
 point = np.array([-1.0, -1.5])
@@ -35,7 +35,7 @@ print("check diag(r) @ g =", r.ratios * g)
 print()
 print("accelerators side by side:")
 print("  row-sum diagonal  :", bound_diagonal(h))
-print("  ratio diagonal    :", ratio_diagonal(h, g))
+print("  ratio diagonal    :", 1.0 / (EPSILON + np.abs(r.ratios)))
 print("  new quadratic grad:", new_quadratic_gradient(h, g))
 
 # the bound condition fails: x^T (H - diag(r)) x should stay >= 0 for a

@@ -25,12 +25,10 @@ from .gradients import (
     bound_diagonal,
     new_quadratic_gradient,
     newton_ratios,
-    ratio_diagonal,
     spectral_learning_rate,
 )
 from .linalg import (
     SpectralBounds,
-    is_symmetric,
     pseudoinverse,
     solve,
     spectral_bounds,
@@ -76,11 +74,9 @@ __all__ = [
     "Variant",
     "bound_diagonal",
     "newton_ratios",
-    "ratio_diagonal",
     "new_quadratic_gradient",
     "spectral_learning_rate",
     "SpectralBounds",
-    "is_symmetric",
     "spectral_bounds",
     "solve",
     "pseudoinverse",

@@ -50,9 +50,24 @@ class CsvTable:
 
     @classmethod
     def parse(cls, text: str) -> "CsvTable":
+        """Read back an emitted table. InvalidInput for anything but a str, text
+        without a header, a cell that is not a number, or a row whose length
+        differs from the header's."""
+        if not isinstance(text, str):
+            raise InvalidInput(f"expected CSV text, got {type(text).__name__}")
         lines = [line for line in text.splitlines() if line]
+        if not lines:
+            raise InvalidInput("a CSV table needs a header line")
         header = lines[0].split(",")
-        rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
+        rows = []
+        for i, line in enumerate(lines[1:], start=1):
+            cells = line.split(",")
+            if len(cells) != len(header):
+                raise InvalidInput(f"row {i} has {len(cells)} cells, the header {len(header)}")
+            try:
+                rows.append([float(cell) for cell in cells])
+            except ValueError as exc:
+                raise InvalidInput(f"row {i}: {exc}") from None
         return cls(header=header, rows=rows)
 
     def __eq__(self, other) -> bool:

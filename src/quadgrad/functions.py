@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidInput, UnknownFunction
+from .linalg import as_vector
 
 
 class Sense(enum.Enum):
@@ -242,14 +243,29 @@ def quadratic_counterexample() -> ObjectiveFunction:
     )
 
 
+def as_point(x, f: ObjectiveFunction, name: str) -> np.ndarray:
+    """``x`` as a float64 vector; InvalidInput, naming it ``name``, unless it has
+    ``f.dim`` finite real entries."""
+    x = as_vector(x)
+    if x.shape[0] != f.dim:
+        raise InvalidInput(f"{name} has dim {x.shape[0]}, objective needs {f.dim}")
+    if not np.isfinite(x).all():
+        raise InvalidInput(f"{name} must be finite")
+    return x
+
+
 def finite_difference_check(f: ObjectiveFunction, x) -> tuple[float, float]:
     """Max-norm discrepancy between analytic and central-difference derivatives.
 
     Returns ``(grad_err, hess_err)``: the gradient is differenced from the
     value, the Hessian from the analytic gradient, both with step 1e-5.
+    InvalidInput unless ``f`` is an ObjectiveFunction and ``x`` a finite real
+    vector of length ``f.dim``.
     """
+    if not isinstance(f, ObjectiveFunction):
+        raise InvalidInput(f"f must be an ObjectiveFunction, got {type(f).__name__}")
     h = 1e-5
-    x = np.asarray(x, dtype=float)
+    x = as_point(x, f, "x")
     n = x.shape[0]
     fd_grad = np.zeros(n)
     fd_hess = np.zeros((n, n))

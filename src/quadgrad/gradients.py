@@ -109,20 +109,15 @@ def newton_ratios(h, g) -> NewtonRatios:
     return NewtonRatios(ratios=pseudoinverse(product) @ grad, used_pseudoinverse=True)
 
 
-def ratio_diagonal(h, g) -> np.ndarray:
-    """Accelerator diagonal with entries 1 / (EPSILON + |r_i|) from the Newton ratios."""
-    return 1.0 / (EPSILON + np.abs(newton_ratios(h, g).ratios))
-
-
 def new_quadratic_gradient(h, g) -> np.ndarray:
-    """Quadratic gradient with entries g_i / (EPSILON + |r_i|).
+    """Quadratic gradient with entries g_i / (EPSILON + |r_i|), r the Newton ratios.
 
     ``newton_ratios`` checks ``h`` and ``g``, so ``g`` enters the product as
     given: any real dtype it accepts gives the float64 bits.
     A zero ratio can only arise together with a zero gradient entry, so the
     guarded 1/EPSILON accelerator entry never amplifies anything.
     """
-    return ratio_diagonal(h, g) * g
+    return 1.0 / (EPSILON + np.abs(newton_ratios(h, g).ratios)) * g
 
 
 def spectral_learning_rate(h) -> float:

@@ -114,22 +114,6 @@ def _max_abs(m: np.ndarray, who: str) -> float:
     return max(hi, -lo)
 
 
-def is_symmetric(a) -> bool:
-    """True when |a_ij - a_ji| <= SYMMETRY_TOL * (1 + max|a|) for all entries.
-
-    False when an entry is infinite or NaN (then no finite tolerance exists).
-    Makes one n x n temporary and emits no floating-point warning.
-    """
-    m = as_square_matrix(a)
-    try:
-        scale = 1.0 + _max_abs(m, "is_symmetric")
-    except InvalidInput:
-        return False
-    with np.errstate(all="ignore"):  # m - m.T can overflow near the float range
-        diff = m - m.T
-        return bool(np.abs(diff, out=diff).max() <= SYMMETRY_TOL * scale)
-
-
 def _tridiagonal_eigenvalues(m: np.ndarray, max_abs: float) -> np.ndarray | None:
     """Ascending eigenvalues of a finite tridiagonal ``m``; None for other input.
 
@@ -139,7 +123,7 @@ def _tridiagonal_eigenvalues(m: np.ndarray, max_abs: float) -> np.ndarray | None
     the subdiagonal returns the same bits without the O(n^3) reduction.
     Declines (None) at n = 1, which the dsterf wrapper rejects, when a nonzero lies off the three
     central diagonals (never at n = 2, so the count is skipped there), when ``max_abs`` (max|m|)
-    is outside [2 * SYMMETRY_TOL, _RMAX], or when the off-diagonals fail ``is_symmetric``'s test.
+    is outside [2 * SYMMETRY_TOL, _RMAX], or when the off-diagonals fail ``spectral_bounds``' test.
     Past both tests dsyevd's own scale max(|d|, |lower|) is in [~SYMMETRY_TOL, _RMAX]: no rescaling.
     """
     d = m.diagonal()
@@ -163,14 +147,20 @@ def _tridiagonal_eigenvalues(m: np.ndarray, max_abs: float) -> np.ndarray | None
 def spectral_bounds(h) -> SpectralBounds:
     """Smallest and largest eigenvalue of a symmetric matrix.
 
-    Raises InvalidInput for non-finite entries or asymmetry beyond ``SYMMETRY_TOL``.
+    Raises InvalidInput for non-finite entries, or unless |h_ij - h_ji| <=
+    SYMMETRY_TOL * (1 + max|h|) everywhere; a dense test makes one n x n temporary.
     A tridiagonal matrix takes LAPACK dsterf directly; the result is
     identical to ``np.linalg.eigvalsh``.
     """
     m = as_square_matrix(h)
-    eigenvalues = _tridiagonal_eigenvalues(m, _max_abs(m, "spectral_bounds"))
+    max_abs = _max_abs(m, "spectral_bounds")
+    eigenvalues = _tridiagonal_eigenvalues(m, max_abs)
     if eigenvalues is None:
-        if not is_symmetric(m):
+        with np.errstate(all="ignore"):  # m - m.T can overflow near the float range
+            diff = m - m.T
+            asymmetry = np.abs(diff, out=diff).max()
+        del diff  # not held while eigvalsh copies m
+        if not asymmetry <= SYMMETRY_TOL * (1.0 + max_abs):
             raise InvalidInput("matrix is not symmetric within tolerance")
         eigenvalues = np.linalg.eigvalsh(m)
     return SpectralBounds(float(eigenvalues[0]), float(eigenvalues[-1]))

@@ -35,9 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, QuadGradError
-from .functions import ObjectiveFunction, Sense
+from .functions import ObjectiveFunction, Sense, as_point
 from .gradients import Variant, bound_diagonal, new_quadratic_gradient, spectral_learning_rate
-from .linalg import as_vector
 
 # Adam's moment decay rates and denominator guard, as in Kingma and Ba; the
 # enhanced Adagrad shares the guard.
@@ -240,11 +239,7 @@ def run(f: ObjectiveFunction, config: OptimizerConfig, x0) -> Trajectory:
         raise InvalidInput(f"f must be an ObjectiveFunction, got {type(f).__name__}")
     if not isinstance(config, OptimizerConfig):
         raise InvalidInput(f"config must be an OptimizerConfig, got {type(config).__name__}")
-    theta = as_vector(x0).copy()
-    if theta.shape[0] != f.dim:
-        raise InvalidInput(f"x0 has dim {theta.shape[0]}, objective needs {f.dim}")
-    if not np.isfinite(theta).all():
-        raise InvalidInput("x0 must be finite")
+    theta = as_point(x0, f, "x0").copy()
     step_name, derive, direction = _STEPS[config.method, config.qg_variant]
     step = globals()[step_name]
     state = []

@@ -7,11 +7,13 @@ import quadgrad
 import quadgrad.bench as bench
 import quadgrad.errors as errors
 from quadgrad import (
+    CsvTable,
     InvalidInput,
     Method,
     OptimizerConfig,
     booth,
     experiment_adam_qg,
+    finite_difference_check,
     get_function,
     newton_ratios,
     pseudoinverse,
@@ -64,6 +66,17 @@ BAD_INPUT = {
         lambda: run_experiment(booth(), [0.0, 0.0], {"a\rb": ADAM}),
     "run-experiment-label-line-separator":
         lambda: run_experiment(booth(), [0.0, 0.0], {"Adam": ADAM, "a\u2028b": ADAM}),
+    # CSV text read back from outside the program
+    "csv-bytes": lambda: CsvTable.parse(b"a,b\n1,2\n"),
+    "csv-empty": lambda: CsvTable.parse(""),
+    "csv-blank-lines-only": lambda: CsvTable.parse("\n\n"),
+    "csv-cell-not-a-number": lambda: CsvTable.parse("a,b\n1,x\n"),
+    "csv-row-shorter-than-header": lambda: CsvTable.parse("a,b\n1\n"),
+    "csv-row-longer-than-header": lambda: CsvTable.parse("a,b\n1,2,3\n"),
+    "finite-difference-x-too-long": lambda: finite_difference_check(booth(), [1, 2, 3]),
+    "finite-difference-x-complex": lambda: finite_difference_check(booth(), [1j, 2]),
+    "finite-difference-x-non-finite": lambda: finite_difference_check(booth(), [np.nan, 2.0]),
+    "finite-difference-f-a-name": lambda: finite_difference_check("booth", [1, 2]),
 }
 
 
@@ -110,9 +123,9 @@ def test_every_public_name_resolves():
     # the bench names resolve lazily, through the package's __getattr__
     for name in quadgrad.__all__:
         assert getattr(quadgrad, name) is not None, name
-    # the step machinery stays inside quadgrad.optimizers
+    # retired names, the step machinery and the generic helpers stay unexported
     for name in ("InvalidMatrix", "DimensionError", "InvalidDimension", "ExperimentSpec",
                  "Curvature", "OptimizerState", "init_state", "step_gd_spectral", "step_nag",
-                 "step_enhanced_adagrad", "step_adam"):
+                 "step_enhanced_adagrad", "step_adam", "is_symmetric", "ratio_diagonal"):
         assert name not in quadgrad.__all__
         assert not hasattr(quadgrad, name)

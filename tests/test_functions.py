@@ -202,7 +202,7 @@ class TestSuiteInvariants:
         for f in standard_suite():
             for _ in range(20):
                 h = f.hessian(rng.uniform(-5.0, 5.0, f.dim))
-                # is_symmetric's test, at 1e-12 rather than its SYMMETRY_TOL
+                # spectral_bounds' symmetry test, at 1e-12 rather than SYMMETRY_TOL
                 assert np.max(np.abs(h - h.T)) <= 1e-12 * (1.0 + np.max(np.abs(h)))
 
     def test_known_optima_stationary(self):

@@ -13,7 +13,6 @@ from quadgrad import (
     OptimizerConfig,
     SingularMatrix,
     SpectralBounds,
-    is_symmetric,
     pseudoinverse,
     rosenbrock,
     run,
@@ -115,7 +114,7 @@ class TestTridiagonalPath:
         assert (b.lambda_min, b.lambda_max, b.spectral_radius) == (-3.0, -3.0, 3.0)
 
     @pytest.mark.parametrize("scale", [1.0, 1e-6])
-    def test_symmetry_decided_as_is_symmetric(self, scale):
+    def test_symmetry_decided_as_the_reference(self, scale):
         # mismatches from a quarter to four times SYMMETRY_TOL * (1 + max|a|),
         # plus one that passes only because the mismatched upper entry, itself
         # the largest entry, raises max|a|: a scale that left that entry out
@@ -131,8 +130,8 @@ class TestTridiagonalPath:
             upper[1] += mismatch
             t = scale * (np.diag(diagonal) + np.diag(lower, -1)) + np.diag(upper, 1)
             assert np.abs(t).max() == t[1, 2]
-            outcomes.add(is_symmetric(t))
-            if is_symmetric(t):
+            outcomes.add(reference_is_symmetric(t))
+            if reference_is_symmetric(t):
                 b = spectral_bounds(t)
                 assert b.lambda_max == np.linalg.eigvalsh(t)[-1]
             else:
@@ -149,7 +148,7 @@ class TestTridiagonalPath:
     @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-300, 1e300])
     def test_two_by_two_asymmetric_beyond_tolerance_is_refused(self, scale):
         # the structure count is skipped at n = 2; the symmetry test is not.
-        # 1e-300 and 1e300 lie outside dsterf's range, so is_symmetric refuses those
+        # 1e-300 and 1e300 lie outside dsterf's range, so the dense test refuses those
         t = scale * np.array([[1.0, 2.0], [2.0, 1.0]])
         t[1, 0] += 4.0 * SYMMETRY_TOL * (1.0 + 2.0 * scale)
         with pytest.raises(InvalidInput, match="not symmetric"):
@@ -330,11 +329,16 @@ def reference_pseudoinverse(a):
         return (vt.T * inv_sigma) @ u.T
 
 
-def test_is_symmetric_tolerance():
-    # SYMMETRY_TOL * (1 + max|a|) is about 3e-9 here
-    assert is_symmetric([[1.0, 2.0], [2.0, 1.0]])
-    assert is_symmetric([[1.0, 2.0], [2.0 + 2e-9, 1.0]])
-    assert not is_symmetric([[1.0, 2.0], [2.0 + 4e-9, 1.0]])
+def test_dense_symmetry_tolerance():
+    # SYMMETRY_TOL * (1 + max|a|) is about 3e-9 here; a full 3 x 3 matrix takes the dense test
+    a = np.array([[1.0, 2.0, 2.0], [2.0, 1.0, 2.0], [2.0, 2.0, 1.0]])
+    for mismatch in (0.0, 2e-9):
+        t = a.copy()
+        t[1, 0] += mismatch
+        assert spectral_bounds(t).lambda_max == np.linalg.eigvalsh(t)[-1]
+    a[1, 0] += 4e-9
+    with pytest.raises(InvalidInput, match="not symmetric"):
+        spectral_bounds(a)
 
 
 def reference_is_symmetric(a):
@@ -347,7 +351,7 @@ def reference_is_symmetric(a):
         return bool(np.max(np.abs(m - m.T)) <= SYMMETRY_TOL * scale)
 
 
-def test_is_symmetric_decides_as_the_reference():
+def test_symmetry_refused_exactly_where_the_reference_says_asymmetric():
     rng = np.random.default_rng(31)
     outcomes = set()
     for trial in range(600):
@@ -363,12 +367,20 @@ def test_is_symmetric_decides_as_the_reference():
             a[i, j] = rng.choice([np.inf, -np.inf])
             if rng.random() < 0.5:
                 a[j, i] = a[i, j]
-        outcomes.add(is_symmetric(a))
-        assert is_symmetric(a) == reference_is_symmetric(a)
+        symmetric = reference_is_symmetric(a)
+        outcomes.add(symmetric)
+        if not np.isfinite(a).all():
+            with pytest.raises(InvalidInput, match="requires finite inputs"):
+                spectral_bounds(a)
+        elif symmetric:
+            assert spectral_bounds(a).lambda_max == np.linalg.eigvalsh(a)[-1]
+        else:
+            with pytest.raises(InvalidInput, match="not symmetric"):
+                spectral_bounds(a)
     assert outcomes == {True, False}
 
 
-# an infinite max|a| would put every difference within the tolerance
+# inf and NaN fail the finiteness test; near overflow, a - a^T overflows to inf
 @pytest.mark.parametrize("a", [
     [[np.inf, 0.0], [0.0, 1.0]],
     [[1.0, np.inf], [5.0, 1.0]],
@@ -376,15 +388,22 @@ def test_is_symmetric_decides_as_the_reference():
     [[1.0, np.nan], [np.nan, 1.0]],
     [[1.0, -1e308], [1e308, 1.0]],
 ], ids=["inf", "one-inf", "mirrored-inf", "mirrored-nan", "near-overflow"])
-def test_is_symmetric_warns_on_nothing(a):
+def test_nonfinite_or_overflowing_asymmetry_is_refused_without_a_warning(a):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert not is_symmetric(a)
+        with pytest.raises(InvalidInput):
+            spectral_bounds(a)
 
 
-def test_is_symmetric_makes_one_matrix_temporary():
+def test_refused_dense_matrix_makes_one_matrix_temporary():
     h = random_symmetric(np.random.default_rng(32), 300)
-    assert peak_traced_bytes(is_symmetric, h) <= 1.1 * h.nbytes
+    h[0, 1] += 1.0
+
+    def refused(m):
+        with pytest.raises(InvalidInput, match="not symmetric"):
+            spectral_bounds(m)
+
+    assert peak_traced_bytes(refused, h) <= 1.1 * h.nbytes
 
 
 def test_spectral_radius_is_derived_from_the_extremes():

@@ -1,24 +1,33 @@
 """Property tests of run()'s contracts over objectives, methods and start points,
-and of the linear algebra kernels' finiteness contract.
+of the linear algebra kernels' finiteness contract, of two of the paper's
+claims, and of the CLI's exit codes.
 
 Bad input raises a QuadGradError before the first step; once a run starts
 it returns, flagging any breakdown, and it never warns. Reruns are equal.
 One inf or NaN anywhere in a kernel's input raises exactly InvalidInput
 without a warning; finite input gives the reference bits. A near-symmetric
 tridiagonal matrix, at any scale, gives eigvalsh's bits or is refused
-exactly where is_symmetric is False; a symmetric 2 x 2 matrix whose largest
-entry is in dsterf's range takes dsterf and gives eigvalsh's bits, and a
-1 x 1 matrix gives eigvalsh's bits for any finite entry. The Newton-ratio
+exactly where test_linalg's reference symmetry test is False; a symmetric
+2 x 2 matrix whose largest entry is in dsterf's range takes dsterf and gives
+eigvalsh's bits, and a 1 x 1 matrix gives eigvalsh's bits for any finite
+entry. The Newton-ratio
 kernels give the same outcome on a list or an int, bool or float32 array as
 on the float64 array of the same values.
+
+On any symmetric quadratic, a step of the spectral learning rate lowers the
+objective by at least lr |g|^2 / 2; for any symmetric H, diag(row sums of
+|H|) - H and diag(row sums of |H|) + H are positive semidefinite. Every argv drawn from the CLI's
+flags exits 0, 2 or 3, with no traceback and no warning.
 """
 
+import contextlib
+import io
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import test_linalg
@@ -27,7 +36,7 @@ from quadgrad import (
     OptimizerConfig,
     QuadGradError,
     SingularMatrix,
-    is_symmetric,
+    bound_diagonal,
     new_quadratic_gradient,
     newton_ratios,
     pseudoinverse,
@@ -35,8 +44,11 @@ from quadgrad import (
     run,
     solve,
     spectral_bounds,
+    spectral_learning_rate,
     standard_suite,
 )
+from quadgrad.bench import main
+from quadgrad.gradients import EPSILON
 from quadgrad.linalg import SYMMETRY_TOL
 from test_optimizers import METHOD_VARIANTS, counted
 
@@ -200,10 +212,10 @@ def near_symmetric_tridiagonals(draw):
 
 @PROPERTY_SETTINGS
 @given(near_symmetric_tridiagonals())
-def test_tridiagonal_gives_the_reference_bits_or_refuses_as_is_symmetric(h):
+def test_tridiagonal_gives_the_reference_bits_or_refuses_as_the_reference(h):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        if is_symmetric(h):
+        if test_linalg.reference_is_symmetric(h):
             bounds = spectral_bounds(h)
             eigenvalues = np.linalg.eigvalsh(h)
             assert (np.array([bounds.lambda_min, bounds.lambda_max]).tobytes()
@@ -314,3 +326,90 @@ def test_newton_ratio_operands_in_any_real_form_give_the_float64_outcome(case):
         # pseudoinverse, which warns in either form; nothing else warns
         if not (g64 == SUBNORMAL).any():
             assert got_warnings == []
+
+
+@st.composite
+def symmetric_matrices(draw, max_order):
+    """A symmetric matrix of order 1 to ``max_order`` with any inertia and any
+    rank, zero included, and entries of scale 1e-3 to 1e3; plus the
+    generator that drew it, for vectors of the same scale."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, max_order))
+    rank = draw(st.integers(0, n))
+    factor = rng.standard_normal((n, rank))
+    m = (factor * rng.choice([-1.0, 1.0], rank)) @ factor.T
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    return scale * (m + m.T) / 2.0, rng
+
+
+@PROPERTY_SETTINGS
+@given(symmetric_matrices(11))
+def test_spectral_rate_meets_the_quadratic_lemma(case):
+    # f(x) = x'Hx/2 + b'x: one step of lr = 1 / (eps + max|lambda_i|) along
+    # g = Hx + b lowers f by at least lr |g|^2 / 2, whatever the inertia of H
+    h, rng = case
+    x, b = rng.standard_normal((2, h.shape[0])) * 10.0 ** rng.uniform(-3.0, 3.0, 2)[:, None]
+
+    def f(v):
+        return v @ h @ v / 2.0 + b @ v
+
+    g = h @ x + b
+    lr = spectral_learning_rate(h)
+    slack = 1e-12 * (abs(x @ h @ x / 2.0) + abs(b @ x) + lr * (g @ g))
+    assert f(x - lr * g) <= f(x) - lr * (g @ g) / 2.0 + slack
+
+
+@PROPERTY_SETTINGS
+@given(symmetric_matrices(11))
+def test_row_sum_diagonal_bounds_the_hessian_both_ways(case):
+    # diag(sum_j |h_ij|) - H and diag(sum_j |h_ij|) + H are diagonally dominant
+    # (Gershgorin), so PSD: the row-sum accelerator's fixed-Hessian condition
+    h, _ = case
+    n = h.shape[0]
+    d = np.diag(1.0 / bound_diagonal(h) - EPSILON)
+    tolerance = 1e-14 * n * (np.abs(h).max() + EPSILON)
+    for bound in (d - h, d + h):
+        assert np.linalg.eigvalsh(bound)[0] >= -tolerance
+
+
+def option_values(out_dir):
+    """Each documented CLI flag, with a valid value half the time and an invalid
+    one otherwise, sized so that no draw runs more than 30 iterations at more
+    than 10 variables."""
+    def either(valid, invalid):
+        return st.sampled_from(valid) | st.sampled_from(invalid)
+
+    coordinate = st.sampled_from(["0", "-1", "2.5", "1e300", "nan", "inf", "1j", ""])
+    return {
+        "--experiment": either(["lemma-lr", "adam-qg"], ["nosuch"]),
+        "--function": either(["booth", "beale", "himmelblau", "rosenbrock", "rosenbrock:10",
+                              "quadratic-counterexample"],
+                             ["nosuch", "", "rosenbrock:x", "rosenbrock:-1", "rosenbrock:1",
+                              "rosenbrock:" + "9" * 5000, f"rosenbrock:{10**20}"]),
+        "--nvars": either(["2", "5", "10"], ["-2", "0", "1", "x", "2.5", str(2**62)]),
+        "--iters": either(["0", "1", "30"], ["-1", "x", "1e3"]),
+        "--x0": st.sampled_from(["0,0", "-1,-1", "1,2.5"])
+        | st.lists(coordinate, max_size=4).map(",".join),
+        "--eta": either(["0.5", "1", "2", "1e13"], ["nan", "inf", "-inf", "-1", "0", "x", ""]),
+        "--out": either([str(out_dir / "table.csv")], [str(out_dir / "missing" / "t.csv")]),
+    }
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_cli_exits_0_2_or_3_without_a_traceback_or_a_warning(tmp_path, data):
+    # tmp_path is shared by the examples; each overwrites the one table it writes
+    values = option_values(tmp_path)
+    flags = data.draw(st.lists(st.sampled_from([*values, "--fixed-hessian", "--bogus"]),
+                               max_size=5))
+    # "--flag=value", so that a value starting with "-" reaches the option
+    argv = [f"{flag}={data.draw(values[flag])}" if flag in values else flag for flag in flags]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("error")
+        code = main(argv)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in stderr.getvalue()
+    assert (stderr.getvalue() == "") == (code == 0)
