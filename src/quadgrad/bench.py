@@ -12,6 +12,7 @@ token ``nan``.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass
 
@@ -36,7 +37,7 @@ DEFAULT_ENHANCED_ETA = 1.0
 
 @dataclass(eq=False)
 class CsvTable:
-    """Rectangular loss table: header row, then one row per iteration."""
+    """Rectangular loss table: header row, then per iteration its int index and losses."""
 
     header: list[str]
     rows: list[list[float]]
@@ -51,8 +52,8 @@ class CsvTable:
     @classmethod
     def parse(cls, text: str) -> "CsvTable":
         """Read back an emitted table. InvalidInput for anything but a str, text
-        without a header, a cell that is not a number, or a row whose length
-        differs from the header's."""
+        without a header, an index cell that is not an integer, another cell
+        that is not a number, or a row whose length differs from the header's."""
         if not isinstance(text, str):
             raise InvalidInput(f"expected CSV text, got {type(text).__name__}")
         lines = [line for line in text.splitlines() if line]
@@ -65,7 +66,7 @@ class CsvTable:
             if len(cells) != len(header):
                 raise InvalidInput(f"row {i} has {len(cells)} cells, the header {len(header)}")
             try:
-                rows.append([float(cell) for cell in cells])
+                rows.append([int(cells[0])] + [float(cell) for cell in cells[1:]])
             except ValueError as exc:
                 raise InvalidInput(f"row {i}: {exc}") from None
         return cls(header=header, rows=rows)
@@ -117,7 +118,7 @@ def run_experiment(f: ObjectiveFunction, x0, methods: dict[str, OptimizerConfig]
     for column, config in zip(columns, methods.values()):
         _fill_loss_column(column, f, run(f, config, x0))
     header = ["Iterations", *methods]
-    rows = [[float(i)] + [col[i] for col in columns] for i in range(iterations + 1)]
+    rows = [[i] + [col[i] for col in columns] for i in range(iterations + 1)]
     return CsvTable(header=header, rows=rows)
 
 
@@ -222,20 +223,18 @@ def main(argv=None) -> int:
             table = experiment_lemma_lr(args.function, x0=args.x0,
                                         iterations=args.iters,
                                         fixed_hessian=args.fixed_hessian)
-    except QuadGradError as exc:
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(table.emit())
+        else:
+            try:
+                print(table.emit(), end="", flush=True)
+            except OSError:  # the exit-time flush retries the kept bytes: send them nowhere
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                raise
+    except (QuadGradError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, UnknownFunction) else 2
-
-    text = table.emit()
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(text)
     return 0
 
 

@@ -244,8 +244,10 @@ def quadratic_counterexample() -> ObjectiveFunction:
 
 
 def as_point(x, f: ObjectiveFunction, name: str) -> np.ndarray:
-    """``x`` as a float64 vector; InvalidInput, naming it ``name``, unless it has
-    ``f.dim`` finite real entries."""
+    """``x`` as a float64 vector; InvalidInput unless ``f`` is an ObjectiveFunction
+    and ``x``, named ``name`` in the message, has ``f.dim`` finite real entries."""
+    if not isinstance(f, ObjectiveFunction):
+        raise InvalidInput(f"f must be an ObjectiveFunction, got {type(f).__name__}")
     x = as_vector(x)
     if x.shape[0] != f.dim:
         raise InvalidInput(f"{name} has dim {x.shape[0]}, objective needs {f.dim}")
@@ -259,11 +261,9 @@ def finite_difference_check(f: ObjectiveFunction, x) -> tuple[float, float]:
 
     Returns ``(grad_err, hess_err)``: the gradient is differenced from the
     value, the Hessian from the analytic gradient, both with step 1e-5.
-    InvalidInput unless ``f`` is an ObjectiveFunction and ``x`` a finite real
-    vector of length ``f.dim``.
+    ``as_point`` checks ``f`` and ``x``: InvalidInput unless ``f`` is an
+    ObjectiveFunction and ``x`` a finite real vector of length ``f.dim``.
     """
-    if not isinstance(f, ObjectiveFunction):
-        raise InvalidInput(f"f must be an ObjectiveFunction, got {type(f).__name__}")
     h = 1e-5
     x = as_point(x, f, "x")
     n = x.shape[0]

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, SingularMatrix
-from .linalg import as_square_matrix, as_vector, pseudoinverse, solve, spectral_bounds
+from .linalg import (as_square_matrix, as_vector, pseudoinverse, solve, solve_operands,
+                     spectral_bounds)
 
 # Guards every 1/(EPSILON + ...) against division by zero; not a tuning knob.
 EPSILON = 1e-8
@@ -86,11 +87,9 @@ def newton_ratios(h, g) -> NewtonRatios:
     When ``h`` is invertible and no gradient entry is zero this is computed
     exactly as r_i = solve(h, g)_i / g_i. Otherwise r comes from the
     pseudoinverse of h @ diag(g), which agrees with the exact form whenever
-    both exist. Bad input raises InvalidInput. This function coerces ``g``;
-    on the exact path ``solve`` coerces ``h``, checks its order against len(g)
-    and refuses a non-finite entry in either. The fallback checks ``h`` and
-    its order itself, with ``solve``'s message, and ``pseudoinverse`` refuses
-    a non-finite or overflowing h @ diag(g).
+    both exist. Bad input raises InvalidInput, the same on both branches: ``solve``'s
+    check (``solve_operands`` alone, with no factorisation, when g has a zero entry)
+    refuses a bad ``h`` or ``g``, and ``pseudoinverse`` an h @ diag(g) that overflows.
     """
     grad = as_vector(g)
     # no zero entry (NaN is nonzero: solve refuses it); cheaper than grad.all()
@@ -98,13 +97,10 @@ def newton_ratios(h, g) -> NewtonRatios:
         try:
             return NewtonRatios(ratios=solve(h, grad) / grad, used_pseudoinverse=False)
         except SingularMatrix:
-            pass
-    m = as_square_matrix(h)
-    if grad.shape[0] != m.shape[0]:
-        raise InvalidInput(f"matrix order {m.shape[0]} does not match vector length "
-                           f"{grad.shape[0]}")
-    # inf or NaN in m or grad, or an overflow, leaves one in the product: pseudoinverse refuses it
-    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is NaN
+            m = np.asarray(h, dtype=float)  # the matrix solve accepted
+    else:
+        m, grad, _ = solve_operands(h, grad)
+    with np.errstate(over="ignore"):  # finite operands: only an overflow leaves an inf
         product = m * grad[np.newaxis, :]
     return NewtonRatios(ratios=pseudoinverse(product) @ grad, used_pseudoinverse=True)
 

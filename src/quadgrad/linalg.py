@@ -166,6 +166,18 @@ def spectral_bounds(h) -> SpectralBounds:
     return SpectralBounds(float(eigenvalues[0]), float(eigenvalues[-1]))
 
 
+def solve_operands(a, b) -> tuple[np.ndarray, np.ndarray, float]:
+    """``a`` and ``b`` as float64 arrays, with max|a|; ``solve``'s InvalidInput unless
+    ``a`` is a square matrix, ``b`` a vector of its order and every entry finite."""
+    m = as_square_matrix(a)
+    rhs = as_vector(b)
+    if rhs.shape[0] != m.shape[0]:
+        raise InvalidInput(f"matrix order {m.shape[0]} does not match vector length "
+                           f"{rhs.shape[0]}")
+    _max_abs(rhs, "solve")
+    return m, rhs, _max_abs(m, "solve")
+
+
 def solve(a, b) -> np.ndarray:
     """Solve ``a @ x = b`` by partially pivoted LU (LAPACK dgetrf/dgetrs).
 
@@ -173,17 +185,10 @@ def solve(a, b) -> np.ndarray:
     ``PIVOT_TOL * max|a|``, signalling the caller to switch to the
     pseudoinverse path.
     """
-    m = as_square_matrix(a)
-    rhs = as_vector(b)
-    if rhs.shape[0] != m.shape[0]:
-        raise InvalidInput(
-            f"matrix order {m.shape[0]} does not match vector length {rhs.shape[0]}"
-        )
-    _max_abs(rhs, "solve")
-    scale = max(_max_abs(m, "solve"), _TINY)
+    m, rhs, max_abs = solve_operands(a, b)
     # an exactly zero pivot (info > 0) fails the pivot test below
     lu, piv, _ = _lapack.dgetrf(m)
-    if np.minimum.reduce(abs(lu.diagonal())) < PIVOT_TOL * scale:
+    if np.minimum.reduce(abs(lu.diagonal())) < PIVOT_TOL * max(max_abs, _TINY):
         raise SingularMatrix("pivot below tolerance; matrix is numerically singular")
     return _lapack.dgetrs(lu, piv, rhs)[0]
 

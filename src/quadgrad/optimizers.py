@@ -209,8 +209,9 @@ def run(f: ObjectiveFunction, config: OptimizerConfig, x0) -> Trajectory:
     """Iterate until the budget, a vanishing gradient, or divergence.
 
     Raises ``InvalidInput`` before any evaluation when ``f`` is not an
-    ``ObjectiveFunction``, ``config`` not an ``OptimizerConfig``, or ``x0``
-    not a vector of ``f.dim`` finite real numbers; and before the first step
+    ``ObjectiveFunction`` or ``x0`` not a vector of ``f.dim`` finite real
+    numbers (``as_point`` checks both, in that order), or ``config`` not an
+    ``OptimizerConfig``; and before the first step
     when the objective's value at ``x0`` is not a finite real number, its gradient
     there not a real ndarray of shape (n,), or its Hessian (for a method that
     reads one) not one of shape (n, n), or when one of them raises an
@@ -235,11 +236,9 @@ def run(f: ObjectiveFunction, config: OptimizerConfig, x0) -> Trajectory:
     Floating-point overflow and invalid operations raise no warnings: the
     run's checks see their inf and NaN results instead.
     """
-    if not isinstance(f, ObjectiveFunction):
-        raise InvalidInput(f"f must be an ObjectiveFunction, got {type(f).__name__}")
+    theta = as_point(x0, f, "x0").copy()
     if not isinstance(config, OptimizerConfig):
         raise InvalidInput(f"config must be an OptimizerConfig, got {type(config).__name__}")
-    theta = as_point(x0, f, "x0").copy()
     step_name, derive, direction = _STEPS[config.method, config.qg_variant]
     step = globals()[step_name]
     state = []

@@ -281,6 +281,38 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @staticmethod
+    def _open_sink(sink):
+        """A write descriptor on which every write fails: ENOSPC or EPIPE."""
+        if sink == "dev-full":
+            if not os.path.exists("/dev/full"):
+                pytest.skip("needs /dev/full")
+            return os.open("/dev/full", os.O_WRONLY)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        return write_end
+
+    # with buffered stdout the interpreter flushes the kept bytes again at exit
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("sink", ["dev-full", "closed-pipe"])
+    def test_unwritable_stdout_exit_code(self, sink, unbuffered):
+        src = str(Path(quadgrad.__file__).resolve().parents[1])
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        fd = self._open_sink(sink)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "quadgrad.bench", "--iters", "1"],
+                env=env, stdout=fd, stderr=subprocess.PIPE, text=True, timeout=120,
+            )
+        finally:
+            os.close(fd)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: [Errno ")
+        assert proc.stderr.count("\n") == 1, proc.stderr
+
     def test_nonfinite_objective_at_x0_exit_code(self, capsys):
         code = main(["--experiment", "lemma-lr", "--function", "rosenbrock:2",
                      "--x0", "1e80,1e80", "--iters", "3"])

@@ -43,6 +43,8 @@ BAD_INPUT = {
     "newton-ratios-length-mismatch-zero-gradient":
         lambda: newton_ratios(np.eye(2), [1.0, 0.0, 3.0]),
     "newton-ratios-non-finite": lambda: newton_ratios([[np.nan, 0.0], [0.0, 1.0]], [1.0, 1.0]),
+    "newton-ratios-non-square": lambda: newton_ratios(np.ones((2, 3)), [1.0, 1.0]),
+    "newton-ratios-non-square-zero-gradient": lambda: newton_ratios(np.ones((2, 3)), [1.0, 0.0]),
     "x0-length-mismatch": lambda: run(booth(), OptimizerConfig(Method.ADAM), [0.0, 0.0, 0.0]),
     "rosenbrock-n-below-two": lambda: rosenbrock(1),
     "rosenbrock-id-n-below-two": lambda: get_function("rosenbrock:1"),
@@ -73,6 +75,10 @@ BAD_INPUT = {
     "csv-cell-not-a-number": lambda: CsvTable.parse("a,b\n1,x\n"),
     "csv-row-shorter-than-header": lambda: CsvTable.parse("a,b\n1\n"),
     "csv-row-longer-than-header": lambda: CsvTable.parse("a,b\n1,2,3\n"),
+    # an Iterations index that emit() could not write back as it was read
+    "csv-index-nan": lambda: CsvTable.parse("a,b\nnan,2\n"),
+    "csv-index-inf": lambda: CsvTable.parse("a,b\ninf,2\n"),
+    "csv-index-fraction": lambda: CsvTable.parse("a,b\n1.5,2\n"),
     "finite-difference-x-too-long": lambda: finite_difference_check(booth(), [1, 2, 3]),
     "finite-difference-x-complex": lambda: finite_difference_check(booth(), [1j, 2]),
     "finite-difference-x-non-finite": lambda: finite_difference_check(booth(), [np.nan, 2.0]),
