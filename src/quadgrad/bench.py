@@ -209,33 +209,35 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    code = 0
     try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-
-    try:
-        if args.experiment == "adam-qg":
-            table = experiment_adam_qg(args.nvars, iterations=args.iters,
-                                       eta=args.eta, x0=args.x0,
-                                       fixed_hessian=args.fixed_hessian)
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse has written --help or a usage error
+            code = int(exc.code or 0)
         else:
-            table = experiment_lemma_lr(args.function, x0=args.x0,
-                                        iterations=args.iters,
-                                        fixed_hessian=args.fixed_hessian)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(table.emit())
-        else:
-            try:
-                print(table.emit(), end="", flush=True)
-            except OSError:  # the exit-time flush retries the kept bytes: send them nowhere
-                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-                raise
+            if args.experiment == "adam-qg":
+                table = experiment_adam_qg(args.nvars, iterations=args.iters,
+                                           eta=args.eta, x0=args.x0,
+                                           fixed_hessian=args.fixed_hessian)
+            else:
+                table = experiment_lemma_lr(args.function, x0=args.x0,
+                                            iterations=args.iters,
+                                            fixed_hessian=args.fixed_hessian)
+            if args.out:
+                with open(args.out, "w", encoding="utf-8") as handle:
+                    handle.write(table.emit())
+            else:
+                print(table.emit(), end="")
+        sys.stdout.flush()
     except (QuadGradError, OSError) as exc:
+        try:
+            sys.stdout.flush()
+        except OSError:  # the exit-time flush would retry the kept bytes: send them nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, UnknownFunction) else 2
-    return 0
+    return code
 
 
 if __name__ == "__main__":

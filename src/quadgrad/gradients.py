@@ -88,7 +88,7 @@ def newton_ratios(h, g) -> NewtonRatios:
     exactly as r_i = solve(h, g)_i / g_i. Otherwise r comes from the
     pseudoinverse of h @ diag(g), which agrees with the exact form whenever
     both exist. Bad input raises InvalidInput, the same on both branches: ``solve``'s
-    check (``solve_operands`` alone, with no factorisation, when g has a zero entry)
+    check, ``solve_operands``, which the fallback calls for its operands without factorising,
     refuses a bad ``h`` or ``g``, and ``pseudoinverse`` an h @ diag(g) that overflows.
     """
     grad = as_vector(g)
@@ -97,9 +97,8 @@ def newton_ratios(h, g) -> NewtonRatios:
         try:
             return NewtonRatios(ratios=solve(h, grad) / grad, used_pseudoinverse=False)
         except SingularMatrix:
-            m = np.asarray(h, dtype=float)  # the matrix solve accepted
-    else:
-        m, grad, _ = solve_operands(h, grad)
+            pass
+    m, grad, _ = solve_operands(h, grad)
     with np.errstate(over="ignore"):  # finite operands: only an overflow leaves an inf
         product = m * grad[np.newaxis, :]
     return NewtonRatios(ratios=pseudoinverse(product) @ grad, used_pseudoinverse=True)

@@ -3,8 +3,10 @@
 Everything here works on plain float64 numpy arrays: matrices are square
 (n, n) arrays, vectors are (n,) arrays. The heavy lifting is delegated to
 LAPACK through numpy and scipy; this module adds the validation and error
-contracts the rest of the package relies on. Tridiagonal input to
-``spectral_bounds`` skips the dense reduction and gives the same bits.
+contracts the rest of the package relies on. ``spectral_bounds`` hands a
+tridiagonal matrix to LAPACK ``dsterf`` with temporaries of length n, and any
+other matrix, after one n x n temporary for its symmetry test, to
+``np.linalg.eigvalsh``; both routes give eigvalsh's bits.
 
 The three scipy LAPACK routines used here (``dsterf``, ``dgetrf``,
 ``dgetrs``) come from scipy's compiled wrapper module
@@ -114,54 +116,41 @@ def _max_abs(m: np.ndarray, who: str) -> float:
     return max(hi, -lo)
 
 
-def _tridiagonal_eigenvalues(m: np.ndarray, max_abs: float) -> np.ndarray | None:
-    """Ascending eigenvalues of a finite tridiagonal ``m``; None for other input.
-
-    ``np.linalg.eigvalsh`` (LAPACK dsyevd on the lower triangle) reduces the
-    matrix to tridiagonal form and hands it to dsterf. On tridiagonal input
-    that reduction changes nothing, so calling dsterf on the diagonal and
-    the subdiagonal returns the same bits without the O(n^3) reduction.
-    Declines (None) at n = 1, which the dsterf wrapper rejects, when a nonzero lies off the three
-    central diagonals (never at n = 2, so the count is skipped there), when ``max_abs`` (max|m|)
-    is outside [2 * SYMMETRY_TOL, _RMAX], or when the off-diagonals fail ``spectral_bounds``' test.
-    Past both tests dsyevd's own scale max(|d|, |lower|) is in [~SYMMETRY_TOL, _RMAX]: no rescaling.
-    """
-    d = m.diagonal()
-    lower = m.diagonal(-1)
-    upper = m.diagonal(1)
-    n = d.shape[0]
-    if n == 1 or (n > 2 and np.count_nonzero(m) != (
-        np.count_nonzero(d) + np.count_nonzero(lower) + np.count_nonzero(upper)
-    )):
-        return None
-    # the scale test first, so lower - upper cannot overflow
-    if not (2.0 * SYMMETRY_TOL <= max_abs <= _RMAX
-            and np.maximum.reduce(abs(lower - upper)) <= SYMMETRY_TOL * (1.0 + max_abs)):
-        return None
-    eigenvalues, info = _lapack.dsterf(d, lower)
-    if info != 0:
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-    return eigenvalues
-
-
 def spectral_bounds(h) -> SpectralBounds:
     """Smallest and largest eigenvalue of a symmetric matrix.
 
     Raises InvalidInput for non-finite entries, or unless |h_ij - h_ji| <=
-    SYMMETRY_TOL * (1 + max|h|) everywhere; a dense test makes one n x n temporary.
-    A tridiagonal matrix takes LAPACK dsterf directly; the result is
-    identical to ``np.linalg.eigvalsh``.
+    SYMMETRY_TOL * (1 + max|h|) everywhere. A tridiagonal matrix (always at n = 2, never at
+    n = 1, else by its nonzero count) with max|h| in [2 * SYMMETRY_TOL, _RMAX] takes the
+    direct route: the symmetry test reads its off-diagonals and LAPACK dsterf its diagonal
+    and subdiagonal, so no temporary is longer than n. ``np.linalg.eigvalsh`` (LAPACK dsyevd
+    on the lower triangle) would reduce it to tridiagonal form, changing nothing, and hand it
+    to dsterf unscaled (dsyevd's scale max(|d|, |lower|) is in [~SYMMETRY_TOL, _RMAX]), so the
+    bits are eigvalsh's. Any other matrix is tested through one n x n temporary, m - m.T,
+    freed before eigvalsh copies m.
     """
     m = as_square_matrix(h)
     max_abs = _max_abs(m, "spectral_bounds")
-    eigenvalues = _tridiagonal_eigenvalues(m, max_abs)
-    if eigenvalues is None:
+    d, lower, upper = m.diagonal(), m.diagonal(-1), m.diagonal(1)
+    n = d.shape[0]
+    # the scale first: inside it lower - upper cannot overflow; the dsterf wrapper rejects n = 1
+    direct = 2.0 * SYMMETRY_TOL <= max_abs <= _RMAX and (n == 2 or n > 2 and (
+        np.count_nonzero(m)
+        == np.count_nonzero(d) + np.count_nonzero(lower) + np.count_nonzero(upper)))
+    if direct:
+        asymmetry = np.maximum.reduce(abs(lower - upper))
+    else:
         with np.errstate(all="ignore"):  # m - m.T can overflow near the float range
             diff = m - m.T
             asymmetry = np.abs(diff, out=diff).max()
         del diff  # not held while eigvalsh copies m
-        if not asymmetry <= SYMMETRY_TOL * (1.0 + max_abs):
-            raise InvalidInput("matrix is not symmetric within tolerance")
+    if not asymmetry <= SYMMETRY_TOL * (1.0 + max_abs):
+        raise InvalidInput("matrix is not symmetric within tolerance")
+    if direct:
+        eigenvalues, info = _lapack.dsterf(d, lower)
+        if info != 0:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    else:
         eigenvalues = np.linalg.eigvalsh(m)
     return SpectralBounds(float(eigenvalues[0]), float(eigenvalues[-1]))
 

@@ -139,11 +139,21 @@ class TestTridiagonalPath:
                     spectral_bounds(t)
         assert outcomes == {True, False}
 
-    def test_makes_no_matrix_sized_temporary(self):
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "asymmetric"])
+    def test_makes_no_matrix_sized_temporary(self, symmetric):
         # finiteness is decided by max and min, with no n x n mask beside the
-        # diagonals that dsterf reads
+        # diagonals that dsterf reads; an asymmetric one is refused from its off-diagonals
         h = rosenbrock(300).hessian(np.linspace(-1.0, 1.0, 300))
-        assert peak_traced_bytes(spectral_bounds, h) < 0.05 * h.nbytes
+        if not symmetric:
+            h[0, 1] *= 1.5
+
+        def bounds():
+            if symmetric:
+                return spectral_bounds(h)
+            with pytest.raises(InvalidInput, match="not symmetric"):
+                spectral_bounds(h)
+
+        assert peak_traced_bytes(bounds) < 0.05 * h.nbytes
 
     @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-300, 1e300])
     def test_two_by_two_asymmetric_beyond_tolerance_is_refused(self, scale):

@@ -552,7 +552,7 @@ class TestRun:
         methods = [Method.GD_SPECTRAL, Method.NAG_SPECTRAL, Method.ENHANCED_NAG]
         cfgs = [config(m, max_iterations=50) for m in methods]
         banded = [records(run(f, cfg, x0)) for cfg in cfgs]
-        monkeypatch.setattr(linalg, "_tridiagonal_eigenvalues", lambda *args: None)
+        monkeypatch.setattr(linalg, "_RMAX", 0.0)  # an empty dsterf window: eigvalsh only
         dense = [records(run(f, cfg, x0)) for cfg in cfgs]
         assert all(len(r[1]) == 51 for r in banded)
         assert banded == dense
