@@ -21,7 +21,7 @@ import numpy as np
 from .errors import InvalidInput, QuadGradError, UnknownFunction
 from .functions import ObjectiveFunction, Sense, get_function, rosenbrock
 from .gradients import Variant
-from .optimizers import Method, OptimizerConfig, Trajectory, run
+from .optimizers import Method, OptimizerConfig, run
 
 # Column labels of the published comparison data files; keep byte-exact.
 LEMMA_LR_COLUMNS = (
@@ -78,20 +78,6 @@ class CsvTable:
         return self.emit() == other.emit()
 
 
-def _loss(f: ObjectiveFunction, objective: float) -> float:
-    # report -f for maximization problems so every curve decreases toward 0
-    return objective if f.sense is Sense.MINIMIZE else -objective
-
-
-def _fill_loss_column(column: list[float], f: ObjectiveFunction, trajectory: Trajectory):
-    """Write the run's losses over the first of ``column``'s NaN slots; a run
-    that did not diverge repeats its last loss in the rest."""
-    values = [_loss(f, r.objective) for r in trajectory.records]
-    if not trajectory.diverged:
-        values.extend([values[-1]] * (len(column) - len(values)))
-    column[:len(values)] = values
-
-
 def run_experiment(f: ObjectiveFunction, x0, methods: dict[str, OptimizerConfig]) -> CsvTable:
     """Run each method from ``x0`` on ``f`` and assemble the loss table.
 
@@ -116,7 +102,12 @@ def run_experiment(f: ObjectiveFunction, x0, methods: dict[str, OptimizerConfig]
         raise InvalidInput(f"a budget of {iterations} iterations needs a table too large "
                            f"to build") from exc
     for column, config in zip(columns, methods.values()):
-        _fill_loss_column(column, f, run(f, config, x0))
+        trajectory = run(f, config, x0)
+        # report -f for maximization problems so every curve decreases toward 0
+        losses = [v if f.sense is Sense.MINIMIZE else -v for v in trajectory.objectives()]
+        if not trajectory.diverged:  # a run that stopped early repeats its last loss
+            losses += [losses[-1]] * (len(column) - len(losses))
+        column[:len(losses)] = losses
     header = ["Iterations", *methods]
     rows = [[i] + [col[i] for col in columns] for i in range(iterations + 1)]
     return CsvTable(header=header, rows=rows)
@@ -186,8 +177,13 @@ def _parse_x0(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(f"bad --x0 value {text!r}: {exc}") from exc
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):  # argparse's own write would swallow an OSError
+        (file or sys.stdout).write(self.format_help())
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(
         prog="quadgrad-bench",
         description="Optimizer comparison benchmarks; writes CSV loss curves.",
     )

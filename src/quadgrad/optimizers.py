@@ -211,30 +211,30 @@ def run(f: ObjectiveFunction, config: OptimizerConfig, x0) -> Trajectory:
     Raises ``InvalidInput`` before any evaluation when ``f`` is not an
     ``ObjectiveFunction`` or ``x0`` not a vector of ``f.dim`` finite real
     numbers (``as_point`` checks both, in that order), or ``config`` not an
-    ``OptimizerConfig``; and before the first step
-    when the objective's value at ``x0`` is not a finite real number, its gradient
-    there not a real ndarray of shape (n,), or its Hessian (for a method that
-    reads one) not one of shape (n, n), or when one of them raises an
-    ``Exception`` (the ``InvalidInput`` is raised from it).
-    The gradient is evaluated once per step and shared by the ``GRAD_TOL``
-    check and the step; the Hessian once per step after that check (once at
-    ``x0`` under ``fixed_hessian``), and only for methods that read it. Each
-    Hessian is derived once, just before the step that first uses it, and a
-    fresh one and its derived value are let go before the next Hessian is
-    evaluated. A gradient or Hessian of another real dtype is
-    converted to float64 once; ``run()`` neither copies nor writes the float64
-    arrays the objective returns: a minimised objective's gradient and Hessian
-    reach ``direction`` and ``derive`` as they are, a maximised one's are
-    negated into new arrays.
-    Divergence (a derivation or step that raises a ``QuadGradError`` or
-    ``LinAlgError`` on a breakdown, a non-finite iterate, any coordinate beyond
-    ``DIVERGENCE_BOUND``, or a later value, gradient or Hessian that fails
-    the checks made at ``x0`` or raises an ``Exception``) truncates the
-    trajectory and sets the flag; it is never raised to the caller, while
-    any other ``BaseException`` propagates. The objective is not evaluated
-    at an iterate that failed the bound.
-    Floating-point overflow and invalid operations raise no warnings: the
-    run's checks see their inf and NaN results instead.
+    ``OptimizerConfig``; and before the first step when the objective's
+    value at ``x0`` is not a finite real number, its gradient there not a
+    real ndarray of shape (n,), or its Hessian (for a method that reads one)
+    not one of shape (n, n), or when one of them raises an ``Exception``
+    (the ``InvalidInput`` is raised from it).
+    Each step, while the budget of ``max_iterations`` lasts (budget), takes the
+    gradient (bad-evaluation if it fails the checks made at ``x0`` or raises an
+    ``Exception``) and stops at a norm of at most ``GRAD_TOL`` (grad-tol); then
+    the Hessian, for a method that reads it and only at ``x0`` under
+    ``fixed_hessian`` (bad-evaluation). Each Hessian is derived once, just
+    before the first step that uses it; a fresh one and its derived value are
+    let go before the next is evaluated. A derivation or step that raises a
+    ``QuadGradError`` or ``LinAlgError`` (step-failed), an iterate not finite or
+    beyond ``DIVERGENCE_BOUND``, where the objective is never evaluated
+    (bound-exceeded), and a bad value (bad-value) end the run; step-failed and
+    bad-value share the step's ``except``. All stops but budget and grad-tol
+    truncate the trajectory and set ``diverged``; none is raised, while any
+    other ``BaseException`` propagates.
+    A gradient or Hessian of another real dtype is converted to float64
+    once; ``run()`` neither copies nor writes the float64 arrays the
+    objective returns: a minimised objective's gradient and Hessian reach
+    ``direction`` and ``derive`` as they are, a maximised one's are negated
+    into new arrays. Floating-point overflow and invalid operations raise no
+    warnings: the run's checks see their inf and NaN results instead.
     """
     theta = as_point(x0, f, "x0").copy()
     if not isinstance(config, OptimizerConfig):
@@ -274,7 +274,6 @@ def run(f: ObjectiveFunction, config: OptimizerConfig, x0) -> Trajectory:
              if derive is not None and config.fixed_hessian else None)
         c = None
         records = [TrajectoryRecord(objective, theta.copy())]
-        diverged = False
         for _ in range(config.max_iterations):
             try:
                 g = evaluated("gradient", f.gradient, (n,))
@@ -287,29 +286,22 @@ def run(f: ObjectiveFunction, config: OptimizerConfig, x0) -> Trajectory:
             except InvalidInput:
                 if len(records) == 1:  # no step has run: the objective is bad input
                     raise
-                diverged = True
-                break
+                return Trajectory(records=records, diverged=True)
             try:
                 if h is not None:
                     c, h = derive(h), None
                 theta = step(theta, state, config, direction(c, g))
+                if fresh_hessian:
+                    # free what this step derived (for AdamNewQG, its Hessian) before the
+                    # next Hessian is allocated: holding the Hessian alive moved n=1000
+                    # step times by up to 2x either way (allocator)
+                    c = None
+                # max propagates NaN, and NaN and inf fail the comparison, so this
+                # one test catches both
+                if not np.maximum.reduce(abs(theta)) <= DIVERGENCE_BOUND:
+                    return Trajectory(records=records, diverged=True)
+                objective = evaluated("value", f.value)
             except (QuadGradError, np.linalg.LinAlgError):
-                diverged = True
-                break
-            if fresh_hessian:
-                # free what this step derived (for AdamNewQG, its Hessian) before the
-                # next Hessian is allocated: holding the Hessian alive moved n=1000
-                # step times by up to 2x either way (allocator)
-                c = None
-            # max propagates NaN, and NaN and inf fail the comparison, so this
-            # one test catches both
-            within = np.maximum.reduce(abs(theta)) <= DIVERGENCE_BOUND
-            try:
-                objective = evaluated("value", f.value) if within else math.nan
-            except InvalidInput:
-                objective = math.nan
-            if objective != objective:  # NaN: the bound or the value failed
-                diverged = True
-                break
+                return Trajectory(records=records, diverged=True)
             records.append(TrajectoryRecord(objective, theta.copy()))
-    return Trajectory(records=records, diverged=diverged)
+    return Trajectory(records=records)

@@ -21,7 +21,7 @@ from quadgrad import (
 )
 from quadgrad.bench import default_x0, main
 from quadgrad.functions import get_function
-from test_optimizers import counted
+from test_optimizers import bowl, counted
 
 LEMMA_HEADER = (
     "Iterations,fSFHasLRrawgradientmethod,naiveNAGwithfSFHasLR,enhancedNAGwithQGandfSFHasLR"
@@ -161,6 +161,15 @@ class TestDivergencePadding:
         # the partial prefix stays numeric
         assert math.isfinite(table.rows[0][1])
 
+    def test_grad_tol_stop_pads_like_a_spent_budget(self):
+        # the run stops after two steps, not diverged (see test_optimizers)
+        table = run_experiment(bowl(), np.array([1.0, 1.0]), {
+            "bowl": OptimizerConfig(Method.GD_SPECTRAL, max_iterations=10)})
+        column = [row[1] for row in table.rows]
+        assert len(column) == 11
+        assert column[3:] == [column[2]] * 8
+        assert not any(math.isnan(loss) for loss in column)
+
     def test_rows_cover_the_largest_budget(self):
         # each method runs its own budget; a shorter column repeats its last value
         table = run_experiment(booth(), np.zeros(2), {
@@ -292,11 +301,11 @@ class TestCli:
         os.close(read_end)
         return write_end
 
-    # with buffered stdout the interpreter flushes the kept bytes again at exit. Unbuffered,
-    # argparse's --help write swallows its own OSError and exits 0: nothing to assert there
+    # with buffered stdout the interpreter flushes the kept bytes again at exit
     @pytest.mark.parametrize("unbuffered, argv", [
         (False, ["--iters", "1"]), (True, ["--iters", "1"]), (False, ["--help"]),
-    ], ids=["buffered", "unbuffered", "buffered-help"])
+        (True, ["--help"]),
+    ], ids=["buffered", "unbuffered", "buffered-help", "unbuffered-help"])
     @pytest.mark.parametrize("sink", ["dev-full", "closed-pipe"])
     def test_unwritable_stdout_exit_code(self, sink, unbuffered, argv):
         src = str(Path(quadgrad.__file__).resolve().parents[1])

@@ -91,6 +91,18 @@ def counted(f):
     return counted_f, calls
 
 
+def bowl():
+    """``x @ x`` on two variables: gradient ``2x``, Hessian ``2I``."""
+    return ObjectiveFunction(
+        name="bowl",
+        dim=2,
+        sense=Sense.MINIMIZE,
+        value=lambda x: float(x @ x),
+        gradient=lambda x: 2.0 * x,
+        hessian=lambda x: 2.0 * np.eye(2),
+    )
+
+
 def raising_on_call(f, name, call, exc):
     """A copy of ``f`` whose ``name`` callable raises ``exc`` on its ``call``-th call."""
     own = getattr(f, name)
@@ -365,6 +377,9 @@ class TestRun:
         f = booth()
         cfg = config(method, max_iterations=10, qg_variant=variant)
         traj = run(f, cfg, [1.0, 3.0])
+        # the gradient vanishes at the optimum: a GRAD_TOL stop before any step
+        assert not traj.diverged
+        assert len(traj.records) == 1
         assert all(r.objective == 0.0 for r in traj.records)
         for record in traj.records:
             np.testing.assert_array_equal(record.iterate, [1.0, 3.0])
@@ -399,11 +414,20 @@ class TestRun:
     def test_divergence_bound_flags_run(self):
         # zero curvature makes the spectral rate 1/EPSILON = 1e8, so the
         # first step lands at 1e13, beyond DIVERGENCE_BOUND
-        f = synthetic(grad=[1e5, 1e5], hess=np.zeros((2, 2)))
+        f, calls = counted(synthetic(grad=[1e5, 1e5], hess=np.zeros((2, 2))))
         cfg = config(Method.GD_SPECTRAL, max_iterations=10)
         traj = run(f, cfg, [0.0, 0.0])
         assert traj.diverged
         assert len(traj.records) == 1  # partial trajectory kept
+        assert calls["value"] == 1  # at x0 only, never beyond the bound
+
+    def test_grad_tol_stop_is_not_divergence(self):
+        # the spectral rate 1/(EPSILON + 2) takes each step to about
+        # EPSILON / 2 times the last iterate, so the gradient falls below
+        # GRAD_TOL after two steps
+        traj = run(bowl(), config(Method.GD_SPECTRAL, max_iterations=10), [1.0, 1.0])
+        assert not traj.diverged
+        assert len(traj.records) == 3
 
     # the synthetic objective is always 0, so only the iterate check or a
     # step that breaks down can flag these runs: the NaN gradient under plain

@@ -24,8 +24,8 @@ def snapshot():
     return modules, bench.CsvTable.emit
 
 
-def traced_run(monkeypatch, objective, cfg, x0):
-    """``run()`` under perfbench's tracer: the trajectory and the tracer's
+def traced(monkeypatch, call):
+    """``call(tracer)`` under perfbench's tracer: its result and the tracer's
     totals, after checking that uninstalling restored every attribute."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from tracing import Tracer
@@ -34,7 +34,7 @@ def traced_run(monkeypatch, objective, cfg, x0):
     tracer = Tracer(lambda cfg: cfg.method.value)
     tracer.install()
     try:
-        traj = optimizers.run(tracer.objective(objective), cfg, x0)
+        result = call(tracer)
         totals = tracer.drain()
     finally:
         tracer.uninstall()
@@ -43,7 +43,13 @@ def traced_run(monkeypatch, objective, cfg, x0):
         assert vars(module).keys() == attrs.keys()
         assert all(vars(module)[name] is value for name, value in attrs.items())
     assert bench.CsvTable.emit is emit
-    return traj, totals
+    return result, totals
+
+
+def traced_run(monkeypatch, objective, cfg, x0):
+    """``run()`` under perfbench's tracer: the trajectory and the tracer's totals."""
+    return traced(monkeypatch,
+                  lambda tracer: optimizers.run(tracer.objective(objective), cfg, x0))
 
 
 def reached(totals):
@@ -85,3 +91,17 @@ def test_tracer_counts_exact_newton_ratio_solves(fixed_hessian, monkeypatch):
     assert reached(totals) == {"new_quadratic_gradient": 20, "newton_ratios": 20, "solve": 20}
     assert totals["calls"]["optimizers.step"] == 20
     assert totals["counts"] == {"singular": 0, "exact": 20, "csv_bytes": 0}
+
+
+def test_tracer_sees_every_bench_layer_of_one_cli_call(tmp_path, monkeypatch):
+    # main, the experiment and run() are looked up in the module globals the
+    # tracer rebinds, so each layer of the call gets its span
+    out = tmp_path / "booth.csv"
+    argv = ["--experiment", "lemma-lr", "--function", "booth", "--iters", "3", "--out", str(out)]
+    code, totals = traced(monkeypatch, lambda tracer: bench.main(argv))
+
+    assert code == 0
+    layers = ("optimizers.run", "bench.run_experiment", "bench.emit", "bench.main")
+    assert {name: totals["calls"][name] for name in layers} == {
+        "optimizers.run": 3, "bench.run_experiment": 1, "bench.emit": 1, "bench.main": 1}
+    assert totals["counts"]["csv_bytes"] == out.stat().st_size
