@@ -23,16 +23,21 @@ from .functions import ObjectiveFunction, Sense, get_function, rosenbrock
 from .gradients import Variant
 from .optimizers import Method, OptimizerConfig, run
 
-# Column labels of the published comparison data files; keep byte-exact.
-LEMMA_LR_COLUMNS = (
-    "fSFHasLRrawgradientmethod",
-    "naiveNAGwithfSFHasLR",
-    "enhancedNAGwithQGandfSFHasLR",
-)
-ADAM_QG_COLUMNS = ("Adam", "AdamOldQG", "AdamNewQG")
-
 DEFAULT_ADAM_ALPHA = 0.1
 DEFAULT_ENHANCED_ETA = 1.0
+
+# Column labels of the published comparison data files (keep byte-exact), in
+# column order, each with the config fields that column sets itself
+LEMMA_LR_COLUMNS = {
+    "fSFHasLRrawgradientmethod": {"method": Method.GD_SPECTRAL},
+    "naiveNAGwithfSFHasLR": {"method": Method.NAG_SPECTRAL},
+    "enhancedNAGwithQGandfSFHasLR": {"method": Method.ENHANCED_NAG},
+}
+ADAM_QG_COLUMNS = {
+    "Adam": {"method": Method.ADAM, "stepsize": DEFAULT_ADAM_ALPHA},
+    "AdamOldQG": {"method": Method.ENHANCED_ADAM, "qg_variant": Variant.ORIGINAL},
+    "AdamNewQG": {"method": Method.ENHANCED_ADAM, "qg_variant": Variant.NEW},
+}
 
 
 @dataclass(eq=False)
@@ -129,6 +134,12 @@ def default_x0(f: ObjectiveFunction) -> np.ndarray:
     return np.zeros(f.dim)
 
 
+def _experiment(f: ObjectiveFunction, columns: dict[str, dict], x0, **shared) -> CsvTable:
+    """Run a column per label on ``f``, configured by ``shared`` overridden by its own fields."""
+    methods = {label: OptimizerConfig(**{**shared, **own}) for label, own in columns.items()}
+    return run_experiment(f, default_x0(f) if x0 is None else x0, methods)
+
+
 def experiment_lemma_lr(
     function_id: str,
     x0=None,
@@ -136,16 +147,8 @@ def experiment_lemma_lr(
     fixed_hessian: bool = False,
 ) -> CsvTable:
     """Spectral-rate comparison: raw gradient vs plain NAG vs enhanced NAG."""
-    f = get_function(function_id)
-    methods = {
-        label: OptimizerConfig(method=method, max_iterations=iterations,
-                               fixed_hessian=fixed_hessian)
-        for label, method in zip(
-            LEMMA_LR_COLUMNS,
-            (Method.GD_SPECTRAL, Method.NAG_SPECTRAL, Method.ENHANCED_NAG),
-        )
-    }
-    return run_experiment(f, default_x0(f) if x0 is None else x0, methods)
+    return _experiment(get_function(function_id), LEMMA_LR_COLUMNS, x0,
+                       max_iterations=iterations, fixed_hessian=fixed_hessian)
 
 
 def experiment_adam_qg(
@@ -156,18 +159,8 @@ def experiment_adam_qg(
     fixed_hessian: bool = False,
 ) -> CsvTable:
     """Plain Adam (stepsize DEFAULT_ADAM_ALPHA) vs the QG Adam variants on Rosenbrock(n_vars)."""
-    f = rosenbrock(n_vars)
-    methods = {
-        label: OptimizerConfig(method=method, stepsize=stepsize, qg_variant=variant,
-                               max_iterations=iterations, fixed_hessian=fixed_hessian)
-        for label, (method, stepsize, variant) in zip(
-            ADAM_QG_COLUMNS,
-            ((Method.ADAM, DEFAULT_ADAM_ALPHA, None),
-             (Method.ENHANCED_ADAM, eta, Variant.ORIGINAL),
-             (Method.ENHANCED_ADAM, eta, Variant.NEW)),
-        )
-    }
-    return run_experiment(f, default_x0(f) if x0 is None else x0, methods)
+    return _experiment(rosenbrock(n_vars), ADAM_QG_COLUMNS, x0, stepsize=eta,
+                       max_iterations=iterations, fixed_hessian=fixed_hessian)
 
 
 def _parse_x0(text: str) -> np.ndarray:
@@ -212,14 +205,11 @@ def main(argv=None) -> int:
         except SystemExit as exc:  # argparse has written --help or a usage error
             code = int(exc.code or 0)
         else:
+            shared = {"x0": args.x0, "iterations": args.iters, "fixed_hessian": args.fixed_hessian}
             if args.experiment == "adam-qg":
-                table = experiment_adam_qg(args.nvars, iterations=args.iters,
-                                           eta=args.eta, x0=args.x0,
-                                           fixed_hessian=args.fixed_hessian)
+                table = experiment_adam_qg(args.nvars, eta=args.eta, **shared)
             else:
-                table = experiment_lemma_lr(args.function, x0=args.x0,
-                                            iterations=args.iters,
-                                            fixed_hessian=args.fixed_hessian)
+                table = experiment_lemma_lr(args.function, **shared)
             if args.out:
                 with open(args.out, "w", encoding="utf-8") as handle:
                     handle.write(table.emit())

@@ -279,7 +279,7 @@ def finite_difference_check(f: ObjectiveFunction, x) -> tuple[float, float]:
     return grad_err, hess_err
 
 
-_ROSENBROCK_ID = re.compile(r"^rosenbrock(?::(\d+))?$")
+_ROSENBROCK_ID = re.compile(r"rosenbrock(?::([0-9]+))?")
 
 # Registry names of the fixed-dimension functions, in standard_suite's order
 _FIXED_DIMENSION = {"beale": beale, "booth": booth, "himmelblau": himmelblau,
@@ -291,12 +291,13 @@ def get_function(function_id: str) -> ObjectiveFunction:
 
     Accepted names: ``rosenbrock:<n>`` (bare ``rosenbrock`` means n=2),
     ``beale``, ``booth``, ``himmelblau``, ``quadratic-counterexample``.
-    A name that is not a str, or an n too long for ``int()``, raises
-    InvalidInput; any other unlisted name raises UnknownFunction.
+    An id is matched whole, and n is written in ASCII digits. A name that
+    is not a str, or an n too long for ``int()``, raises InvalidInput; any
+    other unlisted name raises UnknownFunction.
     """
     if not isinstance(function_id, str):
         raise InvalidInput(f"function id must be a str, got {type(function_id).__name__}")
-    match = _ROSENBROCK_ID.match(function_id)
+    match = _ROSENBROCK_ID.fullmatch(function_id)
     if match:
         try:
             n = int(match.group(1) or 2)

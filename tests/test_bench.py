@@ -13,6 +13,7 @@ from quadgrad import (
     InvalidInput,
     Method,
     OptimizerConfig,
+    Variant,
     booth,
     experiment_adam_qg,
     experiment_lemma_lr,
@@ -129,6 +130,37 @@ class TestAdamQgExperiment:
     def test_twenty_variables_completes(self):
         table = experiment_adam_qg(20, iterations=30)
         assert len(table.rows) == 31
+
+
+class TestColumnConfigs:
+    # the README's mapping of each published label to its method, written out by hand
+    def test_lemma_lr_columns(self):
+        f = get_function("himmelblau")
+        expected = run_experiment(f, default_x0(f), {
+            "fSFHasLRrawgradientmethod": OptimizerConfig(Method.GD_SPECTRAL, max_iterations=30),
+            "naiveNAGwithfSFHasLR": OptimizerConfig(Method.NAG_SPECTRAL, max_iterations=30),
+            "enhancedNAGwithQGandfSFHasLR": OptimizerConfig(Method.ENHANCED_NAG,
+                                                            max_iterations=30),
+        })
+        assert experiment_lemma_lr("himmelblau", iterations=30) == expected
+
+    @pytest.mark.parametrize("eta", [0.5, 2.0])
+    def test_adam_qg_columns(self, eta):
+        f = rosenbrock(2)
+        expected = run_experiment(f, default_x0(f), {
+            "Adam": OptimizerConfig(Method.ADAM, stepsize=0.1, max_iterations=30),
+            "AdamOldQG": OptimizerConfig(Method.ENHANCED_ADAM, stepsize=eta,
+                                         qg_variant=Variant.ORIGINAL, max_iterations=30),
+            "AdamNewQG": OptimizerConfig(Method.ENHANCED_ADAM, stepsize=eta,
+                                         qg_variant=Variant.NEW, max_iterations=30),
+        })
+        assert experiment_adam_qg(2, iterations=30, eta=eta) == expected
+
+    def test_eta_moves_only_the_qg_columns(self):
+        low, high = (experiment_adam_qg(2, iterations=30, eta=eta) for eta in (0.5, 2.0))
+        assert [row[1] for row in low.rows] == [row[1] for row in high.rows]
+        for column in (2, 3):
+            assert [row[column] for row in low.rows] != [row[column] for row in high.rows]
 
 
 EXPERIMENTS = {
@@ -255,8 +287,9 @@ class TestCli:
         assert lines[0] == LEMMA_HEADER
         assert len(lines) == 4
 
-    def test_unknown_function_exit_code(self, capsys):
-        assert main(["--function", "nosuch"]) == 3
+    @pytest.mark.parametrize("name", ["nosuch", "rosenbrock:3\n"])
+    def test_unknown_function_exit_code(self, name, capsys):
+        assert main(["--function", name]) == 3
 
     def test_bad_flag_exit_code(self, capsys):
         assert main(["--experiment", "bogus"]) == 2
@@ -342,11 +375,18 @@ class TestCli:
             ) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_fixed_hessian_flag(self, tmp_path, capsys):
+    # every shared flag and each experiment's own flags reach the library call
+    @pytest.mark.parametrize("argv, experiment", [
+        (["--experiment", "lemma-lr", "--function", "rosenbrock:2", "--x0", "0.5,-0.5"],
+         lambda **kw: experiment_lemma_lr("rosenbrock:2", x0=[0.5, -0.5], **kw)),
+        (["--experiment", "adam-qg", "--nvars", "3", "--eta", "1.5", "--x0", "0.5,-0.5,0.25"],
+         lambda **kw: experiment_adam_qg(3, eta=1.5, x0=[0.5, -0.5, 0.25], **kw)),
+    ], ids=["lemma-lr", "adam-qg"])
+    def test_fixed_hessian_flag(self, argv, experiment, tmp_path, capsys):
         out = tmp_path / "fixed.csv"
-        code = main(
-            ["--experiment", "lemma-lr", "--function", "rosenbrock:2",
-             "--iters", "10", "--fixed-hessian", "--out", str(out)]
-        )
+        code = main(argv + ["--iters", "10", "--fixed-hessian", "--out", str(out)])
         assert code == 0
-        assert len(out.read_text().splitlines()) == 12
+        text = out.read_text()
+        assert len(text.splitlines()) == 12
+        assert text == experiment(iterations=10, fixed_hessian=True).emit()
+        assert text != experiment(iterations=10).emit()

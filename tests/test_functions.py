@@ -230,9 +230,11 @@ class TestRegistry:
         f = get_function(name)
         assert f.dim == dim
 
-    def test_unknown_name(self):
+    @pytest.mark.parametrize("name", ["nosuch", "booth\n", "rosenbrock\n", "rosenbrock:5\n",
+                                      "rosenbrock:\u0665", "rosenbrock:\uff15"])
+    def test_unknown_name(self, name):
         with pytest.raises(UnknownFunction):
-            get_function("nosuch")
+            get_function(name)
 
     def test_bad_rosenbrock_dimension(self):
         with pytest.raises(InvalidInput):
