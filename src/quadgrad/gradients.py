@@ -109,8 +109,10 @@ def new_quadratic_gradient(h, g) -> np.ndarray:
 
     ``newton_ratios`` checks ``h`` and ``g``, so ``g`` enters the product as
     given: any real dtype it accepts gives the float64 bits.
-    A zero ratio can only arise together with a zero gradient entry, so the
-    guarded 1/EPSILON accelerator entry never amplifies anything.
+    Each accelerator entry is at most 1/EPSILON, so |G_i| <= |g_i| / EPSILON, reached
+    when r_i = 0 and g_i != 0: whenever the Newton step's i-th entry (h^-1 g)_i is 0,
+    whatever g_i is. h = [[2, 1], [1, 1]] and g = (1, 1) give h^-1 g = (0, 1) and
+    G = (1e8, 0.99999999); g = (1, 1 + 1e-9) still gives G_1 = 9.09e7.
     """
     return 1.0 / (EPSILON + np.abs(newton_ratios(h, g).ratios)) * g
 

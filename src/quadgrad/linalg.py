@@ -3,10 +3,10 @@
 Everything here works on plain float64 numpy arrays: matrices are square
 (n, n) arrays, vectors are (n,) arrays. The heavy lifting is delegated to
 LAPACK through numpy and scipy; this module adds the validation and error
-contracts the rest of the package relies on. ``spectral_bounds`` hands a
-tridiagonal matrix to LAPACK ``dsterf`` with temporaries of length n, and any
-other matrix, after one n x n temporary for its symmetry test, to
-``np.linalg.eigvalsh``; both routes give eigvalsh's bits.
+contracts the rest of the package relies on. ``spectral_bounds`` reads a 2 x 2
+matrix as four floats, hands a tridiagonal matrix to LAPACK ``dsterf`` with
+temporaries of length n, and any other matrix, after one n x n temporary for
+its symmetry test, to ``np.linalg.eigvalsh``; both routes give eigvalsh's bits.
 
 The three scipy LAPACK routines used here (``dsterf``, ``dgetrf``,
 ``dgetrs``) come from scipy's compiled wrapper module
@@ -120,9 +120,9 @@ def spectral_bounds(h) -> SpectralBounds:
     """Smallest and largest eigenvalue of a symmetric matrix.
 
     Raises InvalidInput for non-finite entries, or unless |h_ij - h_ji| <=
-    SYMMETRY_TOL * (1 + max|h|) everywhere. A tridiagonal matrix (always at n = 2, never at
-    n = 1, else by its nonzero count) with max|h| in [2 * SYMMETRY_TOL, _RMAX] takes the
-    direct route: the symmetry test reads its off-diagonals and LAPACK dsterf its diagonal
+    SYMMETRY_TOL * (1 + max|h|) everywhere. A tridiagonal matrix (a 2 x 2 one, read as four
+    floats, or by its nonzero count for n > 2) with max|h| in [2 * SYMMETRY_TOL, _RMAX] takes
+    the direct route: the symmetry test reads its off-diagonals and LAPACK dsterf its diagonal
     and subdiagonal, so no temporary is longer than n. ``np.linalg.eigvalsh`` (LAPACK dsyevd
     on the lower triangle) would reduce it to tridiagonal form, changing nothing, and hand it
     to dsterf unscaled (dsyevd's scale max(|d|, |lower|) is in [~SYMMETRY_TOL, _RMAX]), so the
@@ -130,20 +130,28 @@ def spectral_bounds(h) -> SpectralBounds:
     freed before eigvalsh copies m.
     """
     m = as_square_matrix(h)
-    max_abs = _max_abs(m, "spectral_bounds")
-    d, lower, upper = m.diagonal(), m.diagonal(-1), m.diagonal(1)
-    n = d.shape[0]
-    # the scale first: inside it lower - upper cannot overflow; the dsterf wrapper rejects n = 1
-    direct = 2.0 * SYMMETRY_TOL <= max_abs <= _RMAX and (n == 2 or n > 2 and (
-        np.count_nonzero(m)
-        == np.count_nonzero(d) + np.count_nonzero(lower) + np.count_nonzero(upper)))
-    if direct:
-        asymmetry = np.maximum.reduce(abs(lower - upper))
+    if m.shape[0] == 2:  # Python floats: no numpy reduction, view or strided copy
+        (a, upper), (lower, c) = m.tolist()
+        if not all(map(math.isfinite, (a, upper, lower, c))):
+            raise InvalidInput("spectral_bounds requires finite inputs")
+        max_abs = max(abs(a), abs(upper), abs(lower), abs(c))
+        asymmetry = abs(lower - upper)  # inf where it overflows, and so refused
+        d, lower = [a, c], [lower]
+        direct = 2.0 * SYMMETRY_TOL <= max_abs <= _RMAX
     else:
-        with np.errstate(all="ignore"):  # m - m.T can overflow near the float range
-            diff = m - m.T
-            asymmetry = np.abs(diff, out=diff).max()
-        del diff  # not held while eigvalsh copies m
+        max_abs = _max_abs(m, "spectral_bounds")
+        d, lower, upper = m.diagonal(), m.diagonal(-1), m.diagonal(1)
+        # the scale first, so lower - upper cannot overflow; dsterf's wrapper rejects n = 1
+        direct = 2.0 * SYMMETRY_TOL <= max_abs <= _RMAX and d.shape[0] > 2 and (
+            np.count_nonzero(m)
+            == np.count_nonzero(d) + np.count_nonzero(lower) + np.count_nonzero(upper))
+        if direct:
+            asymmetry = np.maximum.reduce(abs(lower - upper))
+        else:
+            with np.errstate(all="ignore"):  # m - m.T can overflow near the float range
+                diff = m - m.T
+                asymmetry = np.abs(diff, out=diff).max()
+            del diff  # not held while eigvalsh copies m
     if not asymmetry <= SYMMETRY_TOL * (1.0 + max_abs):
         raise InvalidInput("matrix is not symmetric within tolerance")
     if direct:

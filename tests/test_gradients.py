@@ -202,6 +202,16 @@ class TestNewQuadraticGradient:
         assert qg[1] == 0.0
         assert np.all(np.isfinite(qg))
 
+    @pytest.mark.parametrize("g", [[1.0, 1.0], [-2.0, -2.0]])
+    def test_zero_newton_step_entry_amplifies_by_one_over_epsilon(self, g):
+        # h^-1 g = (0, g_2): a nonzero gradient entry with a zero ratio reaches |g_i| / EPSILON
+        h = [[2.0, 1.0], [1.0, 1.0]]
+        np.testing.assert_array_equal(newton_ratios(h, g).ratios, [0.0, 1.0])
+        np.testing.assert_array_equal(new_quadratic_gradient(h, g),
+                                      [g[0] / EPSILON, g[1] / (EPSILON + 1.0)])
+        near = new_quadratic_gradient(h, [1.0, 1.0 + 1e-9])
+        assert 9e7 < near[0] < 1.0 / EPSILON
+
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidInput):
             new_quadratic_gradient(np.eye(2), [1.0, 2.0, 3.0])

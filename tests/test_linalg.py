@@ -113,13 +113,15 @@ class TestTridiagonalPath:
         b = spectral_bounds([[-3.0]])
         assert (b.lambda_min, b.lambda_max, b.spectral_radius) == (-3.0, -3.0, 3.0)
 
+    @pytest.mark.parametrize("block", [slice(None), slice(1, 3)], ids=["4x4", "2x2"])
     @pytest.mark.parametrize("scale", [1.0, 1e-6])
-    def test_symmetry_decided_as_the_reference(self, scale):
+    def test_symmetry_decided_as_the_reference(self, scale, block):
         # mismatches from a quarter to four times SYMMETRY_TOL * (1 + max|a|),
         # plus one that passes only because the mismatched upper entry, itself
         # the largest entry, raises max|a|: a scale that left that entry out
         # would refuse it. At scale 1 the rounding of 1 + mismatch is larger
-        # than that margin; the matrix scaled down to 1e-6 resolves it.
+        # than that margin; the matrix scaled down to 1e-6 resolves it. The
+        # 2 x 2 block around that entry is decided the same way.
         diagonal = np.array([0.1, -0.2, 0.05, 0.15])
         lower = np.array([0.05, 1.0, 0.025])
         mismatches = list(np.geomspace(0.25, 4.0, 41) * SYMMETRY_TOL * (1.0 + scale))
@@ -128,8 +130,9 @@ class TestTridiagonalPath:
         for mismatch in mismatches:
             upper = scale * lower
             upper[1] += mismatch
-            t = scale * (np.diag(diagonal) + np.diag(lower, -1)) + np.diag(upper, 1)
-            assert np.abs(t).max() == t[1, 2]
+            full = scale * (np.diag(diagonal) + np.diag(lower, -1)) + np.diag(upper, 1)
+            t = full[block, block]
+            assert np.abs(t).max() == full[1, 2]
             outcomes.add(reference_is_symmetric(t))
             if reference_is_symmetric(t):
                 b = spectral_bounds(t)
@@ -157,12 +160,24 @@ class TestTridiagonalPath:
 
     @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-300, 1e300])
     def test_two_by_two_asymmetric_beyond_tolerance_is_refused(self, scale):
-        # the structure count is skipped at n = 2; the symmetry test is not.
-        # 1e-300 and 1e300 lie outside dsterf's range, so the dense test refuses those
+        # a 2 x 2 matrix is read as four floats, whether or not its scale is dsterf's:
+        # 1e-300 and 1e300 lie outside that range, yet the same test refuses them
         t = scale * np.array([[1.0, 2.0], [2.0, 1.0]])
         t[1, 0] += 4.0 * SYMMETRY_TOL * (1.0 + 2.0 * scale)
         with pytest.raises(InvalidInput, match="not symmetric"):
             spectral_bounds(t)
+
+    @pytest.mark.parametrize("a", [
+        np.array([[-4, 2], [2, -2]]),
+        np.array([[True, True], [True, False]]),
+        np.asfortranarray([[0.3, -1.7], [-1.7, 2.9]]),
+        (lambda big: big + big.T)(np.random.default_rng(5).standard_normal((4, 4)))[::2, ::2],
+        [[0.0, 0.0], [0.0, 0.0]],
+    ], ids=["int", "bool", "f-order", "strided", "zero"])
+    def test_two_by_two_operands_give_eigvalsh_bits(self, a):
+        b = spectral_bounds(a)
+        eigenvalues = np.linalg.eigvalsh(a)
+        assert (b.lambda_min, b.lambda_max) == (eigenvalues[0], eigenvalues[-1])
 
     def test_only_dense_input_reaches_eigvalsh(self, monkeypatch):
         def refuse(a, UPLO="L"):
@@ -390,18 +405,31 @@ def test_symmetry_refused_exactly_where_the_reference_says_asymmetric():
     assert outcomes == {True, False}
 
 
-# inf and NaN fail the finiteness test; near overflow, a - a^T overflows to inf
-@pytest.mark.parametrize("a", [
-    [[np.inf, 0.0], [0.0, 1.0]],
-    [[1.0, np.inf], [5.0, 1.0]],
-    [[1.0, np.inf], [np.inf, 1.0]],
-    [[1.0, np.nan], [np.nan, 1.0]],
-    [[1.0, -1e308], [1e308, 1.0]],
-], ids=["inf", "one-inf", "mirrored-inf", "mirrored-nan", "near-overflow"])
-def test_nonfinite_or_overflowing_asymmetry_is_refused_without_a_warning(a):
+def with_entry(slot, value):
+    """[[1, 2], [2, 1]] with entry ``slot`` (row-major, 0-3) set to ``value``."""
+    a = [[1.0, 2.0], [2.0, 1.0]]
+    a[slot // 2][slot % 2] = value
+    return a
+
+
+# inf and NaN fail the finiteness test in any slot; near overflow, a - a^T overflows to inf
+@pytest.mark.parametrize("a, message", [
+    pytest.param(with_entry(slot, value), "requires finite inputs", id=f"{name}-at-{slot}")
+    for slot in range(4) for name, value in [("nan", np.nan), ("inf", np.inf), ("-inf", -np.inf)]
+] + [
+    pytest.param([[np.inf, 0.0], [0.0, 1.0]], "requires finite inputs", id="inf"),
+    pytest.param([[1.0, np.inf], [5.0, 1.0]], "requires finite inputs", id="one-inf"),
+    pytest.param([[1.0, np.inf], [np.inf, 1.0]], "requires finite inputs", id="mirrored-inf"),
+    pytest.param([[1.0, np.nan], [np.nan, 1.0]], "requires finite inputs", id="mirrored-nan"),
+    pytest.param([[1.0, -1e308], [1e308, 1.0]], "not symmetric", id="near-overflow"),
+    pytest.param([[1.0, -1.7e308], [1.7e308, 1.0]], "not symmetric", id="overflow"),
+    pytest.param([[1.0, -1e308, 0.0], [1e308, 1.0, 0.0], [0.0, 0.0, 1.0]], "not symmetric",
+                 id="near-overflow-3x3"),
+])
+def test_nonfinite_or_overflowing_asymmetry_is_refused_without_a_warning(a, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidInput, match=message):
             spectral_bounds(a)
 
 

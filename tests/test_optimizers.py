@@ -21,10 +21,12 @@ from quadgrad import (
     TrajectoryRecord,
     Variant,
     booth,
+    himmelblau,
     quadratic_counterexample,
     rosenbrock,
     run,
 )
+from quadgrad.bench import default_x0
 from quadgrad.optimizers import (
     step_adam,
     step_enhanced_adagrad,
@@ -570,9 +572,11 @@ class TestRun:
         assert len(traj.records) == 21
         assert calls == {STEP_FUNCTION[method]: 20}
 
-    def test_tridiagonal_path_keeps_trajectories_bit_identical(self, monkeypatch):
-        f = rosenbrock(30)
-        x0 = -np.ones(30)
+    # Rosenbrock(30) is tridiagonal by its nonzero count; Himmelblau's Hessian is 2 x 2
+    @pytest.mark.parametrize("f", [rosenbrock(30), himmelblau()],
+                             ids=["rosenbrock30", "himmelblau"])
+    def test_tridiagonal_path_keeps_trajectories_bit_identical(self, monkeypatch, f):
+        x0 = default_x0(f)
         methods = [Method.GD_SPECTRAL, Method.NAG_SPECTRAL, Method.ENHANCED_NAG]
         cfgs = [config(m, max_iterations=50) for m in methods]
         banded = [records(run(f, cfg, x0)) for cfg in cfgs]

@@ -22,6 +22,7 @@ rng = np.random.default_rng(0)
 a = rng.standard_normal((6, 6))
 dense = a + a.T
 tridiagonal = quadgrad.rosenbrock(30).hessian(np.linspace(-1.0, 1.0, 30))
+two_by_two = quadgrad.rosenbrock(2).hessian(np.array([-1.2, 1.0]))
 trajectory = quadgrad.run(
     quadgrad.rosenbrock(5),
     quadgrad.OptimizerConfig(quadgrad.Method.ENHANCED_ADAM, qg_variant=quadgrad.Variant.NEW,
@@ -29,7 +30,7 @@ trajectory = quadgrad.run(
     -np.ones(5))
 assert len(trajectory.records) == 21 and not trajectory.diverged
 digest = hashlib.sha256(quadgrad.solve(dense, np.arange(6.0)).tobytes())
-for h in (tridiagonal, dense):
+for h in (tridiagonal, two_by_two, dense):
     bounds = quadgrad.spectral_bounds(h)
     digest.update(np.array([bounds.lambda_min, bounds.lambda_max]).tobytes())
 for record in trajectory.records:
