@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quadgrad.functions as functions
 from quadgrad import (
     InvalidInput,
     Sense,
@@ -62,11 +64,14 @@ class TestRosenbrock:
         )
 
 
+def beale_residuals(x, y):
+    return [c + x * (y**k - 1.0) for k, c in enumerate((1.5, 2.25, 2.625), start=1)]
+
+
 def per_residual_beale_hessian(x, y):
-    """Beale's Hessian at (x, y) summed one residual k at a time, each term
-    from its own outer product: the reference for the broadcast form."""
-    x, y = np.float64(x), np.float64(y)
-    r = [c + x * (y**k - 1.0) for k, c in enumerate((1.5, 2.25, 2.625), start=1)]
+    """Beale's Hessian at numpy float64 scalars (x, y), summed from zeros one
+    residual k at a time, each term from its own outer product."""
+    r = beale_residuals(x, y)
     curvatures = (
         np.array([[0.0, 1.0], [1.0, 0.0]]),
         np.array([[0.0, 2.0 * y], [2.0 * y, 2.0 * x]]),
@@ -77,6 +82,86 @@ def per_residual_beale_hessian(x, y):
         jac = np.array([y**k - 1.0, k * x * y ** (k - 1)])
         h += 2.0 * (np.outer(jac, jac) + r[k - 1] * curvatures[k - 1])
     return h
+
+
+# (value, gradient, Hessian) of each fixed 2-D objective at numpy float64
+# scalars (x, y), as the library computed them before it read its point as
+# Python floats: every power is numpy's scalar pow, and every sum() starts at 0
+NUMPY_SCALAR_FORMULAS = {
+    "beale": (
+        lambda x, y: sum(r * r for r in beale_residuals(x, y)),
+        lambda x, y: [
+            sum(2.0 * r * (y**k - 1.0) for k, r in enumerate(beale_residuals(x, y), start=1)),
+            sum(2.0 * r * k * x * y ** (k - 1)
+                for k, r in enumerate(beale_residuals(x, y), start=1))],
+        per_residual_beale_hessian,
+    ),
+    "booth": (
+        lambda x, y: (x + 2.0 * y - 7.0) ** 2 + (2.0 * x + y - 5.0) ** 2,
+        lambda x, y: [2.0 * (x + 2.0 * y - 7.0) + 4.0 * (2.0 * x + y - 5.0),
+                      4.0 * (x + 2.0 * y - 7.0) + 2.0 * (2.0 * x + y - 5.0)],
+        lambda x, y: [[10.0, 8.0], [8.0, 10.0]],
+    ),
+    "himmelblau": (
+        lambda x, y: (x * x + y - 11.0) ** 2 + (x + y * y - 7.0) ** 2,
+        lambda x, y: [4.0 * x * (x * x + y - 11.0) + 2.0 * (x + y * y - 7.0),
+                      2.0 * (x * x + y - 11.0) + 4.0 * y * (x + y * y - 7.0)],
+        lambda x, y: [[12.0 * x * x + 4.0 * y - 42.0, 4.0 * x + 4.0 * y],
+                      [4.0 * x + 4.0 * y, 12.0 * y * y + 4.0 * x - 26.0]],
+    ),
+    "quadratic-counterexample": (
+        lambda x, y: -2.0 * x * x + 2.0 * x * y - y * y,
+        lambda x, y: [-4.0 * x + 2.0 * y, 2.0 * x - 2.0 * y],
+        lambda x, y: [[-4.0, 2.0], [2.0, -2.0]],
+    ),
+}
+
+# zeros of both signs, subnormals, magnitudes from 2**-1074 to 2**1023
+# (products overflow to inf, and inf - inf gives NaN), inf and NaN
+COORDINATES = st.sampled_from([0.0, -0.0, 5e-324, math.inf, -math.inf, math.nan]) | st.tuples(
+    st.sampled_from([-1.0, 1.0]), st.floats(-1074.0, 1023.0)).map(lambda p: p[0] * 2.0 ** p[1])
+
+
+@pytest.mark.parametrize("v", [0.0, -0.0, 5e-324, 1.5, -1.5, 1e103, -1e103, 1e155, -1e155,
+                               math.inf, -math.inf, math.nan,
+                               pytest.param(-math.nan, id="-nan")])
+def test_pow_is_the_numpy_scalar_pow_without_a_warning(v):
+    # beyond the float range (1e103**3, 1e155**2) Python's ** raises, and it
+    # hands a NaN back as it came, where pow(-nan, 1) is +nan
+    for k in range(4):
+        with np.errstate(all="ignore"):
+            expected = np.float64(v) ** k
+        assert np.float64(functions._pow(v, k)).tobytes() == expected.tobytes()
+
+
+def assert_numpy_scalar_bits(function_id, x, y):
+    """The library's value, gradient and Hessian at (x, y) are the bytes of the
+    numpy-scalar formulas, ``value`` is a float, and the library warns on
+    nothing (a warning fails the test); the reference warns, so it runs silenced."""
+    f = get_function(function_id)
+    with np.errstate(all="ignore"):
+        value, gradient, hessian = (formula(np.float64(x), np.float64(y))
+                                    for formula in NUMPY_SCALAR_FORMULAS[function_id])
+    assert type(f.value([x, y])) is float
+    assert np.float64(f.value([x, y])).tobytes() == np.float64(value).tobytes()
+    assert f.gradient([x, y]).tobytes() == np.array(gradient).tobytes()
+    assert f.hessian([x, y]).tobytes() == np.array(hessian).tobytes()
+
+
+@pytest.mark.parametrize("function_id", NUMPY_SCALAR_FORMULAS)
+@settings(derandomize=True, deadline=None, max_examples=500, database=None)
+@given(x=COORDINATES, y=COORDINATES)
+def test_fixed_2d_objectives_keep_the_numpy_scalar_bits(function_id, x, y):
+    assert_numpy_scalar_bits(function_id, x, y)
+
+
+@pytest.mark.parametrize("function_id", NUMPY_SCALAR_FORMULAS)
+def test_fixed_2d_objectives_keep_the_numpy_scalar_bits_at_random_points(function_id):
+    # full random mantissas, which powers of two lack: pow(v, 2) and v * v
+    # differ on about 1 in 1,100 of them. At these 4,000 points, squaring any
+    # one residual of Booth or Himmelblau by a product changes some values
+    for x, y in np.random.default_rng(3).uniform(-10.0, 10.0, (4000, 2)).tolist():
+        assert_numpy_scalar_bits(function_id, x, y)
 
 
 def scatter_hessian(x):
@@ -106,17 +191,6 @@ class TestBeale:
     def test_hessian_finite_at_y_zero(self):
         h = beale().hessian([1.0, 0.0])
         assert np.all(np.isfinite(h))
-
-    # zeros of both signs, subnormals, magnitudes from 2**-1074 to 2**1023
-    # (products overflow to inf, and inf - inf gives NaN), inf and NaN
-    COORDINATES = st.sampled_from([0.0, -0.0, 5e-324, math.inf, -math.inf, math.nan]) | st.tuples(
-        st.sampled_from([-1.0, 1.0]), st.floats(-1074.0, 1023.0)).map(lambda p: p[0] * 2.0 ** p[1])
-
-    @settings(derandomize=True, deadline=None, max_examples=500, database=None)
-    @given(COORDINATES, COORDINATES)
-    def test_hessian_keeps_the_per_residual_bits(self, x, y):
-        with np.errstate(all="ignore"):
-            assert beale().hessian([x, y]).tobytes() == per_residual_beale_hessian(x, y).tobytes()
 
 
 class TestBooth:
@@ -183,6 +257,38 @@ class TestFiniteDifferenceCheck:
         for _ in range(5):
             _, hess_err = finite_difference_check(f, rng.uniform(-5, 5, 2))
             assert hess_err <= 1e-7
+
+
+class TestDirectCallWarnings:
+    SUBTRACT, SQUARE = "invalid value encountered in subtract", "overflow encountered in square"
+    # (function, call) -> the RuntimeWarning messages it emits at [c, c]; any
+    # other call there emits none. Only Rosenbrock computes on numpy arrays,
+    # and finite_difference_check subtracts gradients that overflowed to inf.
+    EXPECTED = {
+        1e200: {("rosenbrock:2", "value"): {SQUARE}, ("rosenbrock:2", "gradient"): {SQUARE},
+                ("rosenbrock:2", "hessian"): {SQUARE},
+                ("rosenbrock:2", "finite_difference_check"): {SQUARE, SUBTRACT},
+                ("beale", "finite_difference_check"): {SUBTRACT},
+                ("himmelblau", "finite_difference_check"): {SUBTRACT}},
+        1e100: {("rosenbrock:2", "value"): {SQUARE},
+                ("rosenbrock:2", "finite_difference_check"): {SQUARE},
+                ("beale", "finite_difference_check"): {SUBTRACT}},
+    }
+
+    @pytest.mark.parametrize("c", EXPECTED)
+    def test_warnings_at_large_coordinates_are_the_documented_set(self, c):
+        seen = {}
+        for f in standard_suite():
+            calls = {"value": f.value, "gradient": f.gradient, "hessian": f.hessian,
+                     "finite_difference_check": lambda x: finite_difference_check(f, x)}
+            for name, call in calls.items():
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    call(np.array([c, c]))
+                if caught:
+                    assert {w.category for w in caught} == {RuntimeWarning}
+                    seen[f.name, name] = {str(w.message) for w in caught}
+        assert seen == self.EXPECTED[c]
 
 
 class TestSuiteInvariants:

@@ -21,6 +21,7 @@ from quadgrad import (
     TrajectoryRecord,
     Variant,
     booth,
+    get_function,
     himmelblau,
     quadratic_counterexample,
     rosenbrock,
@@ -223,6 +224,28 @@ class TestGdSpectral:
         theta, state = start([1.0, 3.0])
         theta = step_gd_spectral(theta, state, cfg, direction(f, cfg, theta))
         np.testing.assert_array_equal(theta, [1.0, 3.0])
+
+    # steps taken from bench.default_x0 in 30 and 300 iterations: booth stops
+    # at GRAD_TOL, himmelblau converges, and the counterexample starts at its
+    # maximum, where the gradient is 0
+    LEMMA_STEPS = {"booth": (30, 244), "beale": (30, 300), "himmelblau": (30, 84),
+                   "rosenbrock:2": (30, 300), "quadratic-counterexample": (0, 0)}
+
+    @pytest.mark.parametrize("function_id", LEMMA_STEPS)
+    def test_every_step_from_the_documented_start_meets_the_lemma(self, function_id):
+        # the paper's lemma, proved for quadratics: with lr = 1/(eps + max|lambda|)
+        # of the Hessian at x_k, f(x_{k+1}) <= f(x_k) - lr |g_k|^2 / 2 (for a
+        # maximised f, with f, g and H negated)
+        f = get_function(function_id)
+        s = sign(f)
+        for iterations, steps in zip((30, 300), self.LEMMA_STEPS[function_id]):
+            records = run(f, config(Method.GD_SPECTRAL, max_iterations=iterations),
+                          default_x0(f)).records
+            assert len(records) - 1 == steps
+            for before, after in zip(records, records[1:]):
+                g = s * f.gradient(before.iterate)
+                lr = gradients.spectral_learning_rate(s * f.hessian(before.iterate))
+                assert s * after.objective <= s * before.objective - lr * g.dot(g) / 2.0
 
 
 class TestNag:

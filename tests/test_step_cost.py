@@ -68,3 +68,24 @@ def test_summary_has_every_method_and_repetition(step_cost, copy):
         assert set(row) == {"rev", "tree", "ratio", "wins", "reps"}
         assert row["reps"] == 2 and 0 <= row["wins"] <= 2
         assert row["rev"] > 0.0 and row["tree"] > 0.0
+
+
+def test_lemma_methods_split_per_function(step_cost, copy, capsys):
+    grids = {side: [(label, call) for label, call in step_cost.grid(package)
+                    if label in step_cost.LEMMA_METHODS]
+             for side, package in (("rev", copy), ("tree", quadgrad))}
+    totals = step_cost.time_grids(grids, reps=2)
+    summary = step_cost.summarise(totals, "rev", "tree", lambda label, function: (label, function))
+    # the quadratic counterexample starts at its maximum: no step, no us/iter, no row
+    assert set(summary) == {(label, function) for label in step_cost.LEMMA_METHODS
+                            for function in step_cost.LEMMA_FUNCTIONS
+                            if function != "quadratic-counterexample"}
+    assert all(row["reps"] == 2 and row["tree"] > 0.0 for row in summary.values())
+    # the per-method rows pool the same runs
+    methods = step_cost.summarise(totals, "rev", "tree")
+    assert set(methods) == set(step_cost.LEMMA_METHODS)
+    step_cost.print_table("method on function",
+                          {f"{label} {function}": row for (label, function), row in summary.items()})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split()[:4] == ["method", "on", "function", "rev"]
+    assert len(lines) == 1 + len(summary) and lines[1].startswith("gd-spectral booth ")

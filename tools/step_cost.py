@@ -24,8 +24,10 @@ alike. Sequential timing in separate processes does not survive that drift.
 
 For each method it prints both sides' median us/iter over the repetitions,
 the median of the paired ratios change / revision, and in how many
-repetitions the change was faster. Set ``OPENBLAS_NUM_THREADS=1`` to time
-BLAS on one thread, as perfbench does.
+repetitions the change was faster; then the same per function for the three
+``lemma-lr`` methods. A function on which a method takes no step (the
+quadratic counterexample starts at its maximum) has no us/iter and no row.
+Set ``OPENBLAS_NUM_THREADS=1`` to time BLAS on one thread, as perfbench does.
 
 Standard library, quadgrad, ``ab_bench`` and ``fingerprint`` only; nothing under
 ``perfbench/`` is imported.
@@ -47,6 +49,10 @@ from ab_bench import ROOT, extract
 sys.path.insert(0, str(ROOT / "src"))
 import quadgrad
 from fingerprint import LEMMA_FUNCTIONS, LEMMA_ITERATIONS, PANEL_HORIZONS, PANEL_SIZES, digest
+
+
+# the lemma-lr experiment's methods, timed on each of its functions
+LEMMA_METHODS = ("gd-spectral", "nag-spectral", "enhanced-nag")
 
 
 def method_configs(package) -> dict:
@@ -78,8 +84,7 @@ def grid(package) -> list[tuple[str, functools.partial]]:
     runs = []
     for function_id in LEMMA_FUNCTIONS:
         f = package.get_function(function_id)
-        runs += [entry(label, f, LEMMA_ITERATIONS)
-                 for label in ("gd-spectral", "nag-spectral", "enhanced-nag")]
+        runs += [entry(label, f, LEMMA_ITERATIONS) for label in LEMMA_METHODS]
     for labels in (("adam", "adam-oldqg", "adam-newqg"), ("enhanced-adagrad",)):
         for n in PANEL_SIZES:
             f = package.rosenbrock(n)
@@ -99,7 +104,8 @@ def load(package_dir: Path, name: str):
 
 
 def time_grids(grids: dict, reps: int) -> dict:
-    """Per side, per method label, per repetition: (seconds, iterations) summed over the grid.
+    """Per side, per (method label, function name), per repetition: (seconds,
+    iterations) summed over the grid's runs.
 
     ``grids`` maps each side to its grid; both list the same runs in the same order.
     """
@@ -113,24 +119,52 @@ def time_grids(grids: dict, reps: int) -> dict:
                 start = perf_counter()
                 trajectory = call()
                 elapsed = perf_counter() - start
-                per_rep = totals[side].setdefault(label, [[0.0, 0] for _ in range(reps)])
+                key = label, call.args[0].name
+                per_rep = totals[side].setdefault(key, [[0.0, 0] for _ in range(reps)])
                 per_rep[rep][0] += elapsed
                 per_rep[rep][1] += len(trajectory.records) - 1
     return totals
 
 
-def summarise(totals: dict, base: str, change: str) -> dict:
-    """Per method: both sides' median us/iter, the median paired ratio and the wins."""
+def pooled(per_key: dict, group) -> dict:
+    """``time_grids``' per-repetition totals of one side summed per ``group(label,
+    function)``; a key whose group is None is left out."""
+    groups = {}
+    for key, reps in per_key.items():
+        name = group(*key)
+        if name is not None:
+            sums = groups.setdefault(name, [[0.0, 0] for _ in reps])
+            for total, (seconds, iterations) in zip(sums, reps):
+                total[0] += seconds
+                total[1] += iterations
+    return groups
+
+
+def summarise(totals: dict, base: str, change: str, group=lambda label, function: label) -> dict:
+    """Per group of runs, by default per method: both sides' median us/iter,
+    the median paired ratio and the wins. A group with no iterations is left out."""
     summary = {}
-    for label, base_reps in totals[base].items():
+    change_groups = pooled(totals[change], group)
+    for name, base_reps in pooled(totals[base], group).items():
+        if not all(i for _, i in base_reps + change_groups[name]):
+            continue
         base_us = [1e6 * s / i for s, i in base_reps]
-        change_us = [1e6 * s / i for s, i in totals[change][label]]
+        change_us = [1e6 * s / i for s, i in change_groups[name]]
         ratios = [c / b for b, c in zip(base_us, change_us)]
-        summary[label] = {base: statistics.median(base_us), change: statistics.median(change_us),
-                          "ratio": statistics.median(ratios),
-                          "wins": sum(c < b for b, c in zip(base_us, change_us)),
-                          "reps": len(ratios)}
+        summary[name] = {base: statistics.median(base_us), change: statistics.median(change_us),
+                         "ratio": statistics.median(ratios),
+                         "wins": sum(c < b for b, c in zip(base_us, change_us)),
+                         "reps": len(ratios)}
     return summary
+
+
+def print_table(title: str, summary: dict):
+    """``summarise``'s rows under a header whose first column is ``title``."""
+    width = max(map(len, [title, *summary])) + 2
+    print(f"{title:<{width}}{'rev us/iter':>12}{'tree us/iter':>13}{'ratio':>8}{'wins':>8}")
+    for name, row in summary.items():
+        print(f"{name:<{width}}{row['rev']:>12.1f}{row['tree']:>13.1f}{row['ratio']:>8.3f}"
+              f"{row['wins']:>5}/{row['reps']}")
 
 
 def main(argv=None):
@@ -147,11 +181,11 @@ def main(argv=None):
                  for (_, a), (_, b) in zip(grids["rev"], grids["tree"]))
     print(f"rev {sha[:12]} vs working tree: {len(grids['tree'])} runs, "
           f"{differ} with different bits, {args.reps} reps")
-    summary = summarise(time_grids(grids, args.reps), "rev", "tree")
-    print(f"{'method':<18}{'rev us/iter':>12}{'tree us/iter':>13}{'ratio':>8}{'wins':>8}")
-    for label, row in summary.items():
-        print(f"{label:<18}{row['rev']:>12.1f}{row['tree']:>13.1f}{row['ratio']:>8.3f}"
-              f"{row['wins']:>5}/{row['reps']}")
+    totals = time_grids(grids, args.reps)
+    print_table("method", summarise(totals, "rev", "tree"))
+    print_table("method on function", summarise(
+        totals, "rev", "tree",
+        lambda label, function: f"{label} {function}" if label in LEMMA_METHODS else None))
     return 1 if differ else 0
 
 
