@@ -2,15 +2,8 @@
 
 Each factory returns an :class:`ObjectiveFunction` whose derivatives were
 worked out by hand from the standard formulas; ``finite_difference_check``
-provides the independent cross-check used by the test suite.
-
-The four fixed 2-D objectives read their point once as two Python floats
-and compute on them: IEEE ``+ - *`` give the bits numpy float64 scalars
-give, for a fraction of the cost and without warnings. Every power stays
-libm ``pow``, through ``_pow`` (``pow(v, 2)`` and ``v * v`` differ in the
-last bit on some doubles). Only a NaN can differ: where two NaNs of
-different bits meet in ``+`` or ``*``, CPython's specialised float
-operations return the first and numpy the second.
+provides the independent cross-check used by the test suite. ``_fixed_2d``
+builds the four fixed 2-D objectives from their formulas in two floats.
 """
 
 from __future__ import annotations
@@ -118,6 +111,33 @@ def rosenbrock(n: int) -> ObjectiveFunction:
     )
 
 
+def _fixed_2d(name, value, gradient, hessian, optima, sense=Sense.MINIMIZE) -> ObjectiveFunction:
+    """An objective on R^2 from its formulas in two Python floats ``(x, y)``:
+    ``value`` returns a float, ``gradient`` a tuple and ``hessian`` a tuple of
+    tuples; the objective is 0 at each point of ``optima``.
+
+    Each callable reads its point once as two Python floats (ValueError or
+    TypeError unless it is two reals) and builds one float64 array. IEEE
+    ``+ - *`` on Python floats give the bits numpy float64 scalars give, for
+    a fraction of the cost and without warnings. Every power stays libm
+    ``pow``, through ``_pow`` (``pow(v, 2)`` and ``v * v`` differ in the last
+    bit on some doubles). Only a NaN can differ: where two NaNs of different
+    bits meet in ``+`` or ``*``, CPython's specialised float operations
+    return the first and numpy the second.
+    """
+
+    def reading(formula, build):
+        def call(p):
+            x, y = np.asarray(p, dtype=float).tolist()
+            return build(formula(x, y))
+        return call
+
+    return ObjectiveFunction(name=name, dim=2, sense=sense, value=reading(value, float),
+                             gradient=reading(gradient, np.array),
+                             hessian=reading(hessian, np.array),
+                             known_optima=tuple((np.array(point), 0.0) for point in optima))
+
+
 def beale() -> ObjectiveFunction:
     """Beale function, sum_k r_k^2 with r_k = c_k + x * (y^k - 1) for k = 1, 2, 3
     and c = (1.5, 2.25, 2.625). Minimum is at f(3, 0.5) = 0."""
@@ -129,22 +149,20 @@ def beale() -> ObjectiveFunction:
         return ((1, y0, u1, 1.5 + x * u1), (2, y1, u2, 2.25 + x * u2),
                 (3, y2, u3, 2.625 + x * u3))
 
-    def value(p):
+    def value(x, y):
         total = 0.0
-        for _, _, _, r in residuals(*np.asarray(p, dtype=float).tolist()):
+        for _, _, _, r in residuals(x, y):
             total += r * r
         return total
 
-    def gradient(p):
-        x, y = np.asarray(p, dtype=float).tolist()
+    def gradient(x, y):
         gx = gy = 0.0
         for k, below, u, r in residuals(x, y):
             gx += 2.0 * r * u
             gy += 2.0 * r * k * x * below
-        return np.array([gx, gy])
+        return gx, gy
 
-    def hessian(p):
-        x, y = np.asarray(p, dtype=float).tolist()
+    def hessian(x, y):
         # residual k's curvature is ((0, b), (b, d)), written out per k to avoid
         # 0 * y**-1 at y = 0; its Jacobian is (u, v)
         curvatures = ((1.0, 0.0), (2.0 * y, 2.0 * x), (3.0 * y * y, 6.0 * x * y))
@@ -156,44 +174,22 @@ def beale() -> ObjectiveFunction:
             hxy += 2.0 * (u * v + r * b)
             hyx += 2.0 * (v * u + r * b)
             hyy += 2.0 * (v * v + r * d)
-        return np.array([[hxx, hxy], [hyx, hyy]])
+        return (hxx, hxy), (hyx, hyy)
 
-    return ObjectiveFunction(
-        name="beale",
-        dim=2,
-        sense=Sense.MINIMIZE,
-        value=value,
-        gradient=gradient,
-        hessian=hessian,
-        known_optima=((np.array([3.0, 0.5]), 0.0),),
-    )
+    return _fixed_2d("beale", value, gradient, hessian, [(3.0, 0.5)])
 
 
 def booth() -> ObjectiveFunction:
     """Booth function. Minimum is at f(1, 3) = 0; the Hessian is constant."""
 
-    def value(p):
-        x, y = np.asarray(p, dtype=float).tolist()
-        return _pow(x + 2.0 * y - 7.0, 2) + _pow(2.0 * x + y - 5.0, 2)
-
-    def gradient(p):
-        x, y = np.asarray(p, dtype=float).tolist()
+    def gradient(x, y):
         r1 = x + 2.0 * y - 7.0
         r2 = 2.0 * x + y - 5.0
-        return np.array([2.0 * r1 + 4.0 * r2, 4.0 * r1 + 2.0 * r2])
+        return 2.0 * r1 + 4.0 * r2, 4.0 * r1 + 2.0 * r2
 
-    def hessian(p):
-        return np.array([[10.0, 8.0], [8.0, 10.0]])
-
-    return ObjectiveFunction(
-        name="booth",
-        dim=2,
-        sense=Sense.MINIMIZE,
-        value=value,
-        gradient=gradient,
-        hessian=hessian,
-        known_optima=((np.array([1.0, 3.0]), 0.0),),
-    )
+    return _fixed_2d("booth",
+                     lambda x, y: _pow(x + 2.0 * y - 7.0, 2) + _pow(2.0 * x + y - 5.0, 2),
+                     gradient, lambda x, y: ((10.0, 8.0), (8.0, 10.0)), [(1.0, 3.0)])
 
 
 # The two symmetric minima pairs below were refined from the usual literature
@@ -209,34 +205,18 @@ _HIMMELBLAU_OPTIMA = (
 def himmelblau() -> ObjectiveFunction:
     """Himmelblau function. Four minima with value 0, including f(3, 2)."""
 
-    def value(p):
-        x, y = np.asarray(p, dtype=float).tolist()
-        return _pow(x * x + y - 11.0, 2) + _pow(x + y * y - 7.0, 2)
-
-    def gradient(p):
-        x, y = np.asarray(p, dtype=float).tolist()
+    def gradient(x, y):
         r1 = x * x + y - 11.0
         r2 = x + y * y - 7.0
-        return np.array([4.0 * x * r1 + 2.0 * r2, 2.0 * r1 + 4.0 * y * r2])
+        return 4.0 * x * r1 + 2.0 * r2, 2.0 * r1 + 4.0 * y * r2
 
-    def hessian(p):
-        x, y = np.asarray(p, dtype=float).tolist()
-        return np.array(
-            [
-                [12.0 * x * x + 4.0 * y - 42.0, 4.0 * x + 4.0 * y],
-                [4.0 * x + 4.0 * y, 12.0 * y * y + 4.0 * x - 26.0],
-            ]
-        )
+    def hessian(x, y):
+        return ((12.0 * x * x + 4.0 * y - 42.0, 4.0 * x + 4.0 * y),
+                (4.0 * x + 4.0 * y, 12.0 * y * y + 4.0 * x - 26.0))
 
-    return ObjectiveFunction(
-        name="himmelblau",
-        dim=2,
-        sense=Sense.MINIMIZE,
-        value=value,
-        gradient=gradient,
-        hessian=hessian,
-        known_optima=tuple((np.array(p), 0.0) for p in _HIMMELBLAU_OPTIMA),
-    )
+    return _fixed_2d("himmelblau",
+                     lambda x, y: _pow(x * x + y - 11.0, 2) + _pow(x + y * y - 7.0, 2),
+                     gradient, hessian, _HIMMELBLAU_OPTIMA)
 
 
 def quadratic_counterexample() -> ObjectiveFunction:
@@ -245,26 +225,13 @@ def quadratic_counterexample() -> ObjectiveFunction:
     Its constant Hessian [[-4, 2], [2, -2]] is the stock example for which
     the Newton-ratio accelerator breaks the Loewner bound condition.
     """
-
-    def value(p):
-        x1, x2 = np.asarray(p, dtype=float).tolist()
-        return -2.0 * x1 * x1 + 2.0 * x1 * x2 - x2 * x2
-
-    def gradient(p):
-        x1, x2 = np.asarray(p, dtype=float).tolist()
-        return np.array([-4.0 * x1 + 2.0 * x2, 2.0 * x1 - 2.0 * x2])
-
-    def hessian(p):
-        return np.array([[-4.0, 2.0], [2.0, -2.0]])
-
-    return ObjectiveFunction(
-        name="quadratic-counterexample",
-        dim=2,
-        sense=Sense.MAXIMIZE,
-        value=value,
-        gradient=gradient,
-        hessian=hessian,
-        known_optima=((np.zeros(2), 0.0),),
+    return _fixed_2d(
+        "quadratic-counterexample",
+        lambda x1, x2: -2.0 * x1 * x1 + 2.0 * x1 * x2 - x2 * x2,
+        lambda x1, x2: (-4.0 * x1 + 2.0 * x2, 2.0 * x1 - 2.0 * x2),
+        lambda x1, x2: ((-4.0, 2.0), (2.0, -2.0)),
+        [(0.0, 0.0)],
+        Sense.MAXIMIZE,
     )
 
 
@@ -288,19 +255,22 @@ def finite_difference_check(f: ObjectiveFunction, x) -> tuple[float, float]:
     value, the Hessian from the analytic gradient, both with step 1e-5.
     ``as_point`` checks ``f`` and ``x``: InvalidInput unless ``f`` is an
     ObjectiveFunction and ``x`` a finite real vector of length ``f.dim``.
+    Nothing warns, ``f``'s own evaluations included; where they overflow the
+    errors are inf or NaN.
     """
     h = 1e-5
     x = as_point(x, f, "x")
     n = x.shape[0]
     fd_grad = np.zeros(n)
     fd_hess = np.zeros((n, n))
-    for j in range(n):
-        step = np.zeros(n)
-        step[j] = h
-        fd_grad[j] = (f.value(x + step) - f.value(x - step)) / (2.0 * h)
-        fd_hess[:, j] = (f.gradient(x + step) - f.gradient(x - step)) / (2.0 * h)
-    grad_err = float(np.max(np.abs(fd_grad - f.gradient(x))))
-    hess_err = float(np.max(np.abs(fd_hess - f.hessian(x))))
+    with np.errstate(all="ignore"):
+        for j in range(n):
+            step = np.zeros(n)
+            step[j] = h
+            fd_grad[j] = (f.value(x + step) - f.value(x - step)) / (2.0 * h)
+            fd_hess[:, j] = (f.gradient(x + step) - f.gradient(x - step)) / (2.0 * h)
+        grad_err = float(np.max(np.abs(fd_grad - f.gradient(x))))
+        hess_err = float(np.max(np.abs(fd_hess - f.hessian(x))))
     return grad_err, hess_err
 
 

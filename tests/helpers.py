@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 
+from quadgrad import ObjectiveFunction, Sense
+
 
 def random_symmetric(rng, n, scale=1.0):
     a = rng.standard_normal((n, n))
@@ -26,6 +28,33 @@ def random_rank_deficient_symmetric(rng, n, rank):
 
 def random_nonzero_vector(rng, n, low=0.1, high=2.0):
     return rng.uniform(low, high, n) * rng.choice([-1.0, 1.0], n)
+
+
+def logistic_loss(seed, samples=200, features=6) -> ObjectiveFunction:
+    """Mean logistic loss of w on seeded Gaussian data, labels drawn from a
+    seeded model so the classes overlap and a minimum exists. Its Hessian
+    H(w) = X^T S(w) X / m has S(w) = diag(s (1 - s)) <= I/4, and S(0) = I/4."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((samples, features))
+    w_true = 2.0 * rng.standard_normal(features) / np.sqrt(features)
+    y = np.where(rng.random(samples) < 1.0 / (1.0 + np.exp(-x @ w_true)), 1.0, -1.0)
+    a = x * y[:, None]
+
+    def sigmoid(t):
+        return 0.5 * (1.0 + np.tanh(0.5 * t))
+
+    def value(w):
+        return float(np.mean(np.logaddexp(0.0, -(a @ w))))
+
+    def gradient(w):
+        return a.T @ (-sigmoid(-(a @ w))) / samples
+
+    def hessian(w):
+        s = sigmoid(a @ w)
+        return (x.T * (s * (1.0 - s))) @ x / samples
+
+    return ObjectiveFunction(name=f"logistic:{seed}", dim=features, sense=Sense.MINIMIZE,
+                             value=value, gradient=gradient, hessian=hessian)
 
 
 def peak_traced_bytes(fn, *args):

@@ -164,6 +164,26 @@ def test_fixed_2d_objectives_keep_the_numpy_scalar_bits_at_random_points(functio
         assert_numpy_scalar_bits(function_id, x, y)
 
 
+CALLABLES = ("value", "gradient", "hessian")
+
+
+@pytest.mark.parametrize("function_id", NUMPY_SCALAR_FORMULAS)
+@pytest.mark.parametrize("call", CALLABLES)
+def test_fixed_2d_callables_read_a_point_by_one_rule(function_id, call):
+    evaluate = getattr(get_function(function_id), call)
+    with pytest.raises(ValueError):
+        evaluate([1.0, 2.0, 3.0])
+    with pytest.raises(TypeError):
+        evaluate(None)
+    # every real form of a point gives the bytes of its float64 array
+    expected = np.asarray(evaluate(np.array([3.0, -2.0]))).tobytes()
+    for point in ([3, -2], (3.0, -2.0), np.array([3, -2], dtype=np.int32),
+                  np.array([3.0, -2.0], dtype=np.float32)):
+        assert np.asarray(evaluate(point)).tobytes() == expected
+    assert (np.asarray(evaluate(np.array([True, False]))).tobytes()
+            == np.asarray(evaluate(np.array([1.0, 0.0]))).tobytes())
+
+
 def scatter_hessian(x):
     """Rosenbrock's Hessian at ``x`` built by np.arange index scatter, the
     reference for the strided builder."""
@@ -260,19 +280,14 @@ class TestFiniteDifferenceCheck:
 
 
 class TestDirectCallWarnings:
-    SUBTRACT, SQUARE = "invalid value encountered in subtract", "overflow encountered in square"
+    SQUARE = "overflow encountered in square"
     # (function, call) -> the RuntimeWarning messages it emits at [c, c]; any
     # other call there emits none. Only Rosenbrock computes on numpy arrays,
-    # and finite_difference_check subtracts gradients that overflowed to inf.
+    # and finite_difference_check silences the evaluations it makes.
     EXPECTED = {
         1e200: {("rosenbrock:2", "value"): {SQUARE}, ("rosenbrock:2", "gradient"): {SQUARE},
-                ("rosenbrock:2", "hessian"): {SQUARE},
-                ("rosenbrock:2", "finite_difference_check"): {SQUARE, SUBTRACT},
-                ("beale", "finite_difference_check"): {SUBTRACT},
-                ("himmelblau", "finite_difference_check"): {SUBTRACT}},
-        1e100: {("rosenbrock:2", "value"): {SQUARE},
-                ("rosenbrock:2", "finite_difference_check"): {SQUARE},
-                ("beale", "finite_difference_check"): {SUBTRACT}},
+                ("rosenbrock:2", "hessian"): {SQUARE}},
+        1e100: {("rosenbrock:2", "value"): {SQUARE}},
     }
 
     @pytest.mark.parametrize("c", EXPECTED)

@@ -16,8 +16,11 @@ on the float64 array of the same values.
 
 On any symmetric quadratic, a step of the spectral learning rate lowers the
 objective by at least lr |g|^2 / 2; for any symmetric H, diag(row sums of
-|H|) - H and diag(row sums of |H|) + H are positive semidefinite. Every argv drawn from the CLI's
-flags exits 0, 2 or 3, with no traceback and no warning.
+|H|) - H and diag(row sums of |H|) + H are positive semidefinite. On the mean
+logistic loss, H(0) bounds every H(w), the row-sum diagonal of H(0) bounds
+H(0), and the bound-diagonal step from w = 0 never raises the loss. Every
+argv drawn from the CLI's flags exits 0, 2 or 3, with no traceback and no
+warning.
 """
 
 import contextlib
@@ -31,6 +34,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import test_linalg
+from helpers import logistic_loss
 from quadgrad import (
     InvalidInput,
     OptimizerConfig,
@@ -370,6 +374,33 @@ def test_row_sum_diagonal_bounds_the_hessian_both_ways(case):
     tolerance = 1e-14 * n * (np.abs(h).max() + EPSILON)
     for bound in (d - h, d + h):
         assert np.linalg.eigvalsh(bound)[0] >= -tolerance
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(st.integers(0, 2**32 - 1))
+def test_bound_diagonal_of_the_logistic_hessian_at_zero_is_a_fixed_hessian_bound(seed):
+    # S(w) <= I/4 = S(0), so H(0) >= H(w) for every w (Bohning-Lindsay), and
+    # diag(row sums of |H(0)|) >= H(0): the step w <- w - D g with D =
+    # bound_diagonal(H(0)) minimises a quadratic majorant, which lowers the
+    # loss by at least g'Dg / 2
+    f = logistic_loss(seed)
+    w = np.zeros(f.dim)
+    h0 = f.hessian(w)
+    tolerance = 1e-14 * np.abs(h0).max()
+    rng = np.random.default_rng(seed)
+    for scale in (0.1, 1.0, 10.0):
+        assert np.linalg.eigvalsh(h0 - f.hessian(scale * rng.standard_normal(f.dim)))[0] >= (
+            -tolerance)
+    d = bound_diagonal(h0)
+    assert np.linalg.eigvalsh(np.diag(1.0 / d - EPSILON) - h0)[0] >= -tolerance
+    loss = f.value(w)
+    for _ in range(50):
+        g = f.gradient(w)
+        w = w - d * g
+        new_loss = f.value(w)
+        # the mean of 200 terms is exact to a few ulps
+        assert new_loss <= loss - g @ (d * g) / 2.0 + 1e-14 * loss
+        loss = new_loss
 
 
 def option_values(out_dir):

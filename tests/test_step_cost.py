@@ -1,4 +1,4 @@
-"""tools/step_cost.py's grid, loading and summary, without timing anything.
+"""tools/step_cost.py's grid, loading, summary and verdicts.
 
 The revision side is the working tree's package imported under another
 name, so no git call is made.
@@ -62,12 +62,36 @@ def test_summary_has_every_method_and_repetition(step_cost, copy):
         for label, call in step_cost.grid(package):
             firsts.setdefault(label, (label, call))
         grids[side] = list(firsts.values())
-    summary = step_cost.summarise(step_cost.time_grids(grids, reps=2), "rev", "tree")
+    totals = step_cost.time_grids(grids, reps=2)
+    summary = step_cost.summarise(totals, "rev", "tree", step_cost.bounds())
     assert set(summary) == LABELS
     for row in summary.values():
-        assert set(row) == {"rev", "tree", "ratio", "wins", "reps"}
+        assert set(row) == {"rev", "rev_iqr", "tree", "ratio", "wins", "reps", "verdict"}
         assert row["reps"] == 2 and 0 <= row["wins"] <= 2
-        assert row["rev"] > 0.0 and row["tree"] > 0.0
+        assert row["rev"] > 0.0 and row["tree"] > 0.0 and row["rev_iqr"] >= 0.0
+        assert row["verdict"] in {"gain", "regression", "unresolved", "within bound"}
+    # runs whose bits differ count for nothing
+    failed = step_cost.summarise(totals, "rev", "tree", step_cost.bounds(), differ=True)
+    assert {row["verdict"] for row in failed.values()} == {"failed"}
+
+
+def test_bounds_are_the_benchmark_us_per_iter_bounds(step_cost):
+    bounds = step_cost.bounds()
+    assert set(bounds) == LABELS and all(0.0 < bound < 1.0 for bound in bounds.values())
+
+
+def test_verdict_is_the_ab_bench_rule(step_cost):
+    # rev side 100 us/iter in every repetition but one, the change 10% faster in all ten
+    base = [100.0] * 9 + [101.0]
+    totals = {"rev": {("adam", "rosenbrock:2"): [[1e-4 * us, 100] for us in base]},
+              "tree": {("adam", "rosenbrock:2"): [[0.9e-4 * us, 100] for us in base]}}
+    row = step_cost.summarise(totals, "rev", "tree", {"adam": 0.25})["adam"]
+    assert row["wins"] == 10 and row["ratio"] == pytest.approx(0.9)
+    assert row["rev_iqr"] == pytest.approx(0.0) and row["verdict"] == "gain"
+    swapped = step_cost.summarise(totals, "tree", "rev", {"adam": 0.05})["adam"]
+    assert swapped["verdict"] == "regression"
+    assert step_cost.summarise(totals, "tree", "rev", {"adam": 0.25})["adam"]["verdict"] == (
+        "within bound")
 
 
 def test_lemma_methods_split_per_function(step_cost, copy, capsys):
@@ -75,17 +99,20 @@ def test_lemma_methods_split_per_function(step_cost, copy, capsys):
                     if label in step_cost.LEMMA_METHODS]
              for side, package in (("rev", copy), ("tree", quadgrad))}
     totals = step_cost.time_grids(grids, reps=2)
-    summary = step_cost.summarise(totals, "rev", "tree", lambda label, function: (label, function))
+    summary = step_cost.summarise(totals, "rev", "tree", step_cost.bounds(),
+                                  group=lambda label, function: (label, function))
     # the quadratic counterexample starts at its maximum: no step, no us/iter, no row
     assert set(summary) == {(label, function) for label in step_cost.LEMMA_METHODS
                             for function in step_cost.LEMMA_FUNCTIONS
                             if function != "quadratic-counterexample"}
     assert all(row["reps"] == 2 and row["tree"] > 0.0 for row in summary.values())
     # the per-method rows pool the same runs
-    methods = step_cost.summarise(totals, "rev", "tree")
+    methods = step_cost.summarise(totals, "rev", "tree", step_cost.bounds())
     assert set(methods) == set(step_cost.LEMMA_METHODS)
     step_cost.print_table("method on function",
                           {f"{label} {function}": row for (label, function), row in summary.items()})
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].split()[:4] == ["method", "on", "function", "rev"]
     assert len(lines) == 1 + len(summary) and lines[1].startswith("gd-spectral booth ")
+    assert lines[0].split()[-1] == "verdict" and all(
+        line.endswith(row["verdict"]) for line, row in zip(lines[1:], summary.values()))

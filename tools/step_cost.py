@@ -22,11 +22,15 @@ back, the side that goes first alternating from run to run and from
 repetition to repetition, so a drift of the host's speed falls on both sides
 alike. Sequential timing in separate processes does not survive that drift.
 
-For each method it prints both sides' median us/iter over the repetitions,
-the median of the paired ratios change / revision, and in how many
-repetitions the change was faster; then the same per function for the three
-``lemma-lr`` methods. A function on which a method takes no step (the
-quadratic counterexample starts at its maximum) has no us/iter and no row.
+For each method it prints the revision's median us/iter over the
+repetitions and its interquartile range, the working tree's median, the
+median of the paired ratios change / revision, in how many repetitions the
+change was faster, and the verdict of ``ab_bench.verdict``, the rule the
+BENCH files use, with the regression bound of ``BENCHMARK.json``'s
+``us_per_iter.<method>``; then the same per function for the three
+``lemma-lr`` methods. Every verdict reads ``failed`` when some run's bits
+differ. A function on which a method takes no step (the quadratic
+counterexample starts at its maximum) has no us/iter and no row.
 Set ``OPENBLAS_NUM_THREADS=1`` to time BLAS on one thread, as perfbench does.
 
 Standard library, quadgrad, ``ab_bench`` and ``fingerprint`` only; nothing under
@@ -38,12 +42,13 @@ from __future__ import annotations
 import argparse
 import functools
 import importlib.util
+import json
 import statistics
 import sys
 from pathlib import Path
 from time import perf_counter
 
-from ab_bench import ROOT, extract
+from ab_bench import ROOT, extract, spread, verdict
 
 # the working tree's quadgrad, which fingerprint imports too
 sys.path.insert(0, str(ROOT / "src"))
@@ -53,6 +58,13 @@ from fingerprint import LEMMA_FUNCTIONS, LEMMA_ITERATIONS, PANEL_HORIZONS, PANEL
 
 # the lemma-lr experiment's methods, timed on each of its functions
 LEMMA_METHODS = ("gd-spectral", "nag-spectral", "enhanced-nag")
+
+
+def bounds() -> dict:
+    """Method label -> the regression bound of ``us_per_iter.<label>`` in ``BENCHMARK.json``."""
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    return {metric["name"].removeprefix("us_per_iter."): metric["bound"]
+            for metric in metrics if metric["name"].startswith("us_per_iter.")}
 
 
 def method_configs(package) -> dict:
@@ -140,31 +152,39 @@ def pooled(per_key: dict, group) -> dict:
     return groups
 
 
-def summarise(totals: dict, base: str, change: str, group=lambda label, function: label) -> dict:
+def summarise(totals: dict, base: str, change: str, bound: dict, differ: bool = False,
+              group=lambda label, function: label) -> dict:
     """Per group of runs, by default per method: both sides' median us/iter,
-    the median paired ratio and the wins. A group with no iterations is left out."""
+    the base side's IQR, the median paired ratio, the wins and the verdict
+    under the method's ``bound`` (``failed`` when ``differ``). A group with
+    no iterations is left out."""
     summary = {}
+    labels = {group(*key): key[0] for key in totals[base]}
     change_groups = pooled(totals[change], group)
     for name, base_reps in pooled(totals[base], group).items():
         if not all(i for _, i in base_reps + change_groups[name]):
             continue
-        base_us = [1e6 * s / i for s, i in base_reps]
-        change_us = [1e6 * s / i for s, i in change_groups[name]]
-        ratios = [c / b for b, c in zip(base_us, change_us)]
-        summary[name] = {base: statistics.median(base_us), change: statistics.median(change_us),
-                         "ratio": statistics.median(ratios),
-                         "wins": sum(c < b for b, c in zip(base_us, change_us)),
-                         "reps": len(ratios)}
+        base_us = spread([1e6 * s / i for s, i in base_reps])
+        change_us = spread([1e6 * s / i for s, i in change_groups[name]])
+        pairs = list(zip(base_us["values"], change_us["values"]))
+        wins = sum(c < b for b, c in pairs)
+        summary[name] = {base: base_us["median"], f"{base}_iqr": base_us["iqr"],
+                         change: change_us["median"],
+                         "ratio": statistics.median(c / b for b, c in pairs),
+                         "wins": wins, "reps": len(pairs),
+                         "verdict": verdict(base_us, change_us, wins, len(pairs), "lower",
+                                            bound[labels[name]], differ)}
     return summary
 
 
 def print_table(title: str, summary: dict):
     """``summarise``'s rows under a header whose first column is ``title``."""
     width = max(map(len, [title, *summary])) + 2
-    print(f"{title:<{width}}{'rev us/iter':>12}{'tree us/iter':>13}{'ratio':>8}{'wins':>8}")
+    print(f"{title:<{width}}{'rev us/iter':>12}{'rev IQR':>9}{'tree us/iter':>13}{'ratio':>8}"
+          f"{'wins':>8}  verdict")
     for name, row in summary.items():
-        print(f"{name:<{width}}{row['rev']:>12.1f}{row['tree']:>13.1f}{row['ratio']:>8.3f}"
-              f"{row['wins']:>5}/{row['reps']}")
+        print(f"{name:<{width}}{row['rev']:>12.1f}{row['rev_iqr']:>9.1f}{row['tree']:>13.1f}"
+              f"{row['ratio']:>8.3f}{row['wins']:>5}/{row['reps']}  {row['verdict']}")
 
 
 def main(argv=None):
@@ -181,10 +201,10 @@ def main(argv=None):
                  for (_, a), (_, b) in zip(grids["rev"], grids["tree"]))
     print(f"rev {sha[:12]} vs working tree: {len(grids['tree'])} runs, "
           f"{differ} with different bits, {args.reps} reps")
-    totals = time_grids(grids, args.reps)
-    print_table("method", summarise(totals, "rev", "tree"))
+    totals, bound = time_grids(grids, args.reps), bounds()
+    print_table("method", summarise(totals, "rev", "tree", bound, bool(differ)))
     print_table("method on function", summarise(
-        totals, "rev", "tree",
+        totals, "rev", "tree", bound, bool(differ),
         lambda label, function: f"{label} {function}" if label in LEMMA_METHODS else None))
     return 1 if differ else 0
 
