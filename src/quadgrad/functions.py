@@ -76,7 +76,9 @@ def rosenbrock(n: int) -> ObjectiveFunction:
     def value(x):
         x = np.asarray(x, dtype=float)
         head = x[:-1]
-        return float((100.0 * (x[1:] - head ** 2) ** 2 + (1.0 - head) ** 2).sum())
+        # np.add.reduce is what .sum() calls after its Python-level wrapper
+        return float(np.add.reduce(100.0 * (x[1:] - head ** 2) ** 2 + (1.0 - head) ** 2,
+                                   axis=None))
 
     def gradient(x):
         x = np.asarray(x, dtype=float)

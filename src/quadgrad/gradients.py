@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, SingularMatrix
-from .linalg import (as_square_matrix, as_vector, pseudoinverse, solve, solve_operands,
-                     spectral_bounds)
+from .linalg import (_vector_max_abs, as_square_matrix, as_vector, pseudoinverse, solve,
+                     solve_operands, spectral_bounds)
 
 # Guards every 1/(EPSILON + ...) against division by zero; not a tuning knob.
 EPSILON = 1e-8
@@ -49,7 +49,8 @@ class NewtonRatios:
 
 
 def _abs_row_sums(m: np.ndarray) -> np.ndarray:
-    """``np.sum(np.abs(m), axis=1)`` without an n x n temporary, same bits.
+    """``np.sum(np.abs(m), axis=1)`` without an n x n temporary, same bits; ``np.add.reduce``
+    is the call ``sum`` makes after its Python-level wrapper.
 
     A C-ordered row is reduced the same way alone or inside the whole
     matrix, so summing blocks of rows changes nothing. Other layouts keep
@@ -57,11 +58,11 @@ def _abs_row_sums(m: np.ndarray) -> np.ndarray:
     where the whole matrix is reduced sequentially, and the last bit differs.
     """
     if m.shape[0] <= _ROW_BLOCK or not m.flags.c_contiguous:
-        return abs(m).sum(axis=1)
+        return np.add.reduce(abs(m), axis=1)
     sums = np.empty(m.shape[0])
     for i in range(0, m.shape[0], _ROW_BLOCK):
         rows = slice(i, i + _ROW_BLOCK)
-        abs(m[rows]).sum(axis=1, out=sums[rows])
+        np.add.reduce(abs(m[rows]), axis=1, out=sums[rows])
     return sums
 
 
@@ -75,8 +76,8 @@ def bound_diagonal(hbar) -> np.ndarray:
     InvalidInput: that row's entry would be a silent 0 or NaN.
     """
     sums = _abs_row_sums(as_square_matrix(hbar))
-    # the sums are >= 0 or NaN, and maximum propagates NaN: one test for both
-    if not math.isfinite(np.maximum.reduce(sums)):
+    # the max norm is NaN or inf if a sum is: one test for both
+    if not math.isfinite(_vector_max_abs(sums)):
         raise InvalidInput("bound_diagonal requires finite row sums of |hbar|")
     return 1.0 / (EPSILON + sums)
 

@@ -8,8 +8,8 @@ matrix as four floats, hands a tridiagonal matrix to LAPACK ``dsterf`` with
 temporaries of length n, and any other matrix, after one n x n temporary for
 its symmetry test, to ``np.linalg.eigvalsh``; both routes give eigvalsh's bits.
 
-The three scipy LAPACK routines used here (``dsterf``, ``dgetrf``,
-``dgetrs``) come from scipy's compiled wrapper module
+The four scipy LAPACK routines used here (``dlange``, ``dsterf``,
+``dgetrf``, ``dgetrs``) come from scipy's compiled wrapper module
 ``scipy/linalg/_flapack``, loaded by file under the private name
 ``quadgrad._flapack``: importing ``scipy.linalg`` for them would run the
 whole package, which took most of the start-up time of ``import quadgrad``.
@@ -105,10 +105,18 @@ def as_vector(v) -> np.ndarray:
     return x
 
 
+def _vector_max_abs(v: np.ndarray) -> float:
+    """max|v| of a non-empty float64 vector, exactly: LAPACK dlange's max norm of ``v``
+    as one column. It is NaN if an entry is NaN, else inf if one is infinite; it neither
+    overflows nor warns, and costs one call where a numpy reduction's set-up alone costs
+    more. dlange reads a matrix one element at a time, so matrices go to ``_max_abs``."""
+    return _lapack.dlange("M", v[:, np.newaxis])
+
+
 def _max_abs(m: np.ndarray, who: str) -> float:
-    """max|m| of a non-empty array; InvalidInput naming ``who`` if an entry is NaN or
-    infinite, which the maximum or the minimum then is. Both are tested before ``max``
-    sees them: with a NaN argument its result depends on the argument order.
+    """The matrix guard: max|m| of a non-empty array; InvalidInput naming ``who`` if an
+    entry is NaN or infinite, which the maximum or the minimum then is. Both are tested
+    before ``max`` sees them: with a NaN argument its result depends on the argument order.
     ``np.maximum.reduce`` is ``m.max()`` without numpy's Python-level wrapper."""
     hi, lo = np.maximum.reduce(m, axis=None), np.minimum.reduce(m, axis=None)
     if not (math.isfinite(hi) and math.isfinite(lo)):
@@ -146,7 +154,7 @@ def spectral_bounds(h) -> SpectralBounds:
             np.count_nonzero(m)
             == np.count_nonzero(d) + np.count_nonzero(lower) + np.count_nonzero(upper))
         if direct:
-            asymmetry = np.maximum.reduce(abs(lower - upper))
+            asymmetry = _vector_max_abs(lower - upper)
         else:
             with np.errstate(all="ignore"):  # m - m.T can overflow near the float range
                 diff = m - m.T
@@ -171,7 +179,8 @@ def solve_operands(a, b) -> tuple[np.ndarray, np.ndarray, float]:
     if rhs.shape[0] != m.shape[0]:
         raise InvalidInput(f"matrix order {m.shape[0]} does not match vector length "
                            f"{rhs.shape[0]}")
-    _max_abs(rhs, "solve")
+    if not math.isfinite(_vector_max_abs(rhs)):
+        raise InvalidInput("solve requires finite inputs")
     return m, rhs, _max_abs(m, "solve")
 
 

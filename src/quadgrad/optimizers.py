@@ -296,9 +296,11 @@ def run(f: ObjectiveFunction, config: OptimizerConfig, x0) -> Trajectory:
                     # next Hessian is allocated: holding the Hessian alive moved n=1000
                     # step times by up to 2x either way (allocator)
                     c = None
-                # max propagates NaN, and NaN and inf fail the comparison, so this
-                # one test catches both
-                if not np.maximum.reduce(abs(theta)) <= DIVERGENCE_BOUND:
+                # theta.dot(theta) <= DIVERGENCE_BOUND bounds every |theta_i| by its square
+                # root without a reduction; beyond it max|theta| decides: max propagates NaN,
+                # and NaN and inf fail the comparison, as does an overflowed or NaN dot
+                if not (theta.dot(theta) <= DIVERGENCE_BOUND
+                        or np.maximum.reduce(abs(theta)) <= DIVERGENCE_BOUND):
                     return Trajectory(records=records, diverged=True)
                 objective = evaluated("value", f.value)
             except (QuadGradError, np.linalg.LinAlgError):

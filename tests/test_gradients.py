@@ -24,6 +24,14 @@ from helpers import (
 
 H_F = np.array([[-4.0, 2.0], [2.0, -2.0]])
 
+
+def with_entry(a, index, value):
+    """A float copy of ``a`` with ``a[index]`` set to ``value``."""
+    a = np.array(a, dtype=float)
+    a[index] = value
+    return a
+
+
 # Every memory layout a caller can hand bound_diagonal, built at order n
 LAYOUTS = {
     "c-order": lambda rng, n: rng.standard_normal((n, n)),
@@ -68,15 +76,33 @@ class TestBoundDiagonal:
         h = rosenbrock(300).hessian(np.linspace(-2.0, 2.0, 300))
         assert peak_traced_bytes(bound_diagonal, h) < 0.5 * h.nbytes
 
-    # an inf entry once gave that row a silent 0, a NaN entry a NaN
+    # an inf entry once gave that row a silent 0, a NaN entry a NaN; the guard reads
+    # every row sum, so a bad one in the first, middle or last row is refused alike
     @pytest.mark.parametrize("h", [
-        [[np.inf, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, -np.inf]], [[np.nan, 0.0], [0.0, 1.0]],
-        [[1e308, 1e308], [0.0, 1.0]],
-    ], ids=["inf", "minus-inf", "nan", "overflowing-row-sum"])
+        pytest.param([[np.inf, 0.0], [0.0, 1.0]], id="inf"),
+        pytest.param([[1.0, 0.0], [0.0, -np.inf]], id="minus-inf"),
+        pytest.param([[np.nan, 0.0], [0.0, 1.0]], id="nan"),
+        pytest.param([[1e308, 1e308], [0.0, 1.0]], id="overflowing-row-sum"),
+    ] + [
+        pytest.param(with_entry(np.eye(3), (row, 2 - row), value), id=f"{name}-in-row-{row}")
+        for row in range(3) for name, value in [("nan", np.nan), ("inf", np.inf),
+                                                ("minus-inf", -np.inf)]
+    ])
     def test_nonfinite_row_sum_raises(self, h):
         with np.errstate(over="ignore"):
-            with pytest.raises(InvalidInput, match="requires finite row sums"):
+            with pytest.raises(InvalidInput) as info:
                 bound_diagonal(h)
+        assert type(info.value) is InvalidInput
+        assert str(info.value) == "bound_diagonal requires finite row sums of |hbar|"
+
+    def test_huge_finite_row_sums_are_accepted_without_a_warning(self):
+        # their squares overflow: a guard built on sums.dot(sums) would warn here
+        h = np.array([[1e200, -1e200, 0.0], [0.0, 1e200, 0.0], [0.0, 0.0, -1e200]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            diag = bound_diagonal(h)
+        assert diag.tolist() == [1.0 / (EPSILON + 2e200), 1.0 / (EPSILON + 1e200),
+                                 1.0 / (EPSILON + 1e200)]
 
 
 class TestQuadraticGradient:
@@ -131,18 +157,26 @@ class TestNewtonRatios:
             assert np.max(np.abs(r.ratios * g - newton_step)) <= 1e-8
 
     # solve scans h and g on both branches; with a zero entry pseudoinverse
-    # scans h @ diag(g), where a finite product that overflows becomes inf
+    # scans h @ diag(g), where a finite product that overflows becomes inf.
+    # A bad g entry first, in the middle or last is refused alike, with or without
+    # a zero entry elsewhere
     @pytest.mark.parametrize("h, g, who", [
-        ([[np.nan, 0.0], [0.0, 1.0]], [1.0, 1.0], "solve"),
-        (np.eye(2), [np.inf, 1.0], "solve"),
-        (np.eye(2), [np.nan, 1.0], "solve"),
-        ([[np.nan, 0.0], [0.0, 1.0]], [1.0, 0.0], "solve"),
-        (np.eye(2), [np.inf, 0.0], "solve"),
-        (np.eye(2), [np.nan, 0.0], "solve"),
-        ([[1.0, np.inf], [np.inf, 1.0]], [1.0, 0.0], "solve"),
-        (1e200 * np.eye(2), [1e200, 0.0], "pseudoinverse"),
-    ], ids=["nan-h", "inf-g", "nan-g", "nan-h-zero-g", "inf-g-zero-g", "nan-g-zero-g",
-            "inf-h-times-zero-g", "product-overflows"])
+        pytest.param([[np.nan, 0.0], [0.0, 1.0]], [1.0, 1.0], "solve", id="nan-h"),
+        pytest.param(np.eye(2), [np.inf, 1.0], "solve", id="inf-g"),
+        pytest.param(np.eye(2), [np.nan, 1.0], "solve", id="nan-g"),
+        pytest.param([[np.nan, 0.0], [0.0, 1.0]], [1.0, 0.0], "solve", id="nan-h-zero-g"),
+        pytest.param(np.eye(2), [np.inf, 0.0], "solve", id="inf-g-zero-g"),
+        pytest.param(np.eye(2), [np.nan, 0.0], "solve", id="nan-g-zero-g"),
+        pytest.param([[1.0, np.inf], [np.inf, 1.0]], [1.0, 0.0], "solve",
+                     id="inf-h-times-zero-g"),
+        pytest.param(1e200 * np.eye(2), [1e200, 0.0], "pseudoinverse", id="product-overflows"),
+    ] + [
+        pytest.param(np.eye(3), with_entry(g, at, value), "solve",
+                     id=f"{name}-g-at-{at}{suffix}")
+        for g, suffix in [([1.0, 2.0, 3.0], ""), ([0.0, 2.0, 0.0], "-zero-g")]
+        for at in range(3)
+        for name, value in [("nan", np.nan), ("inf", np.inf), ("minus-inf", -np.inf)]
+    ])
     def test_rejects_nonfinite_input(self, h, g, who):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -150,6 +184,16 @@ class TestNewtonRatios:
                 newton_ratios(np.array(h), g)
         assert type(info.value) is InvalidInput
         assert str(info.value) == f"{who} requires finite inputs"
+
+    @pytest.mark.parametrize("g", [[1e200, -1e200, 1e200], [1e200, 0.0, -1e200]],
+                             ids=["exact-path", "fallback"])
+    def test_huge_finite_gradient_is_accepted_without_a_warning(self, g):
+        # g.dot(g) overflows: a guard built on it would warn here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = newton_ratios(np.eye(3), g)
+        assert r.used_pseudoinverse == (0.0 in g)
+        np.testing.assert_allclose(r.ratios, [1.0, 0.0 if 0.0 in g else 1.0, 1.0])
 
     @pytest.mark.parametrize("zero_entry", [False, True], ids=["singular-h", "zero-g"])
     def test_fallback_holds_the_product_and_the_svd(self, zero_entry):

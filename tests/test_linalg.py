@@ -265,6 +265,33 @@ class TestSolve:
             assert solve(a, b).tobytes() == expected.tobytes()
         assert 0 < raised < len(systems)
 
+    # the right-hand side's guard reads every entry: a bad one first, in the middle
+    # or last is refused alike, and so is a bad matrix entry
+    @pytest.mark.parametrize("a, b", [
+        pytest.param(np.eye(3), [value if i == at else 1.0 for i in range(3)],
+                     id=f"{name}-b-at-{at}")
+        for at in range(3) for name, value in [("nan", np.nan), ("inf", np.inf),
+                                               ("minus-inf", -np.inf)]
+    ] + [
+        pytest.param([[1.0, 0.0], [0.0, np.nan]], [1.0, 1.0], id="nan-a"),
+        pytest.param([[1.0, -np.inf], [0.0, 1.0]], [1.0, 1.0], id="minus-inf-a"),
+    ])
+    def test_rejects_nonfinite(self, a, b):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput) as info:
+                solve(a, b)
+        assert type(info.value) is InvalidInput
+        assert str(info.value) == "solve requires finite inputs"
+
+    def test_huge_finite_right_hand_side_is_accepted_without_a_warning(self):
+        # b.dot(b) overflows: a guard built on it would warn here
+        b = [1e200, -1e200, 1.7e308]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = solve(np.eye(3), b)
+        assert x.tolist() == b
+
     def test_holds_only_the_lu_factor(self):
         a = np.random.default_rng(13).standard_normal((300, 300))
         b = np.ones(300)
@@ -412,7 +439,17 @@ def with_entry(slot, value):
     return a
 
 
-# inf and NaN fail the finiteness test in any slot; near overflow, a - a^T overflows to inf
+def tridiagonal_with_entry(index, value):
+    """The 5 x 5 tridiagonal matrix with 2 on its diagonal and 1 beside it, with
+    ``[index]`` set to ``value``: it takes the direct route unless an entry is bad."""
+    a = 2.0 * np.eye(5) + np.eye(5, k=1) + np.eye(5, k=-1)
+    a[index] = value
+    return a
+
+
+# inf and NaN fail the finiteness test in any slot; near overflow, a - a^T overflows to inf.
+# The direct route's asymmetry is the largest |lower - upper|: one beyond the tolerance in
+# the first, middle or last subdiagonal entry is refused, and so is a bad entry there
 @pytest.mark.parametrize("a, message", [
     pytest.param(with_entry(slot, value), "requires finite inputs", id=f"{name}-at-{slot}")
     for slot in range(4) for name, value in [("nan", np.nan), ("inf", np.inf), ("-inf", -np.inf)]
@@ -425,12 +462,46 @@ def with_entry(slot, value):
     pytest.param([[1.0, -1.7e308], [1.7e308, 1.0]], "not symmetric", id="overflow"),
     pytest.param([[1.0, -1e308, 0.0], [1e308, 1.0, 0.0], [0.0, 0.0, 1.0]], "not symmetric",
                  id="near-overflow-3x3"),
+] + [
+    pytest.param(tridiagonal_with_entry((row + 1, row), 1.0 + 4.0 * SYMMETRY_TOL * 3.0),
+                 "not symmetric", id=f"asymmetric-tridiagonal-at-{row}")
+    for row in (0, 2, 3)
+] + [
+    pytest.param(tridiagonal_with_entry((row + 1, row), value), "requires finite inputs",
+                 id=f"{name}-tridiagonal-at-{row}")
+    for row in (0, 2, 3) for name, value in [("nan", np.nan), ("inf", np.inf),
+                                             ("minus-inf", -np.inf)]
 ])
 def test_nonfinite_or_overflowing_asymmetry_is_refused_without_a_warning(a, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InvalidInput, match=message):
             spectral_bounds(a)
+
+
+@pytest.mark.parametrize("v", [
+    np.array([0.0]), np.array([-0.0, -0.0]), np.array([5e-324, -0.0]),
+    np.array([1.0, -3.0, 2.0]), np.array([1e200, -1.7e308, 1e308]),
+    np.random.default_rng(33).standard_normal(1000),
+    np.random.default_rng(34).standard_normal(40)[::3],
+], ids=["zero", "negative-zeros", "subnormal", "small", "near-overflow", "n-1000", "strided"])
+def test_vector_max_abs_is_the_exact_maximum(v):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = linalg._vector_max_abs(v)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.max(np.abs(v)).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
+@pytest.mark.parametrize("at", [0, 2, 4])
+def test_vector_max_abs_is_nonfinite_for_any_bad_entry(bad, at):
+    v = np.array([1.0, -2.0, 3.0, -4.0, 5.0])
+    v[at] = bad
+    got = linalg._vector_max_abs(v)
+    assert math.isnan(got) if math.isnan(bad) else got == math.inf
+    v[(at + 1) % 5] = np.inf if math.isnan(bad) else np.nan  # with the other kind beside it
+    assert not math.isfinite(linalg._vector_max_abs(v))
 
 
 def test_refused_dense_matrix_makes_one_matrix_temporary():

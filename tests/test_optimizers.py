@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -436,15 +437,32 @@ class TestRun:
             assert a.objective == b.objective
             np.testing.assert_array_equal(a.iterate, b.iterate)
 
-    def test_divergence_bound_flags_run(self):
-        # zero curvature makes the spectral rate 1/EPSILON = 1e8, so the
-        # first step lands at 1e13, beyond DIVERGENCE_BOUND
-        f, calls = counted(synthetic(grad=[1e5, 1e5], hess=np.zeros((2, 2))))
-        cfg = config(Method.GD_SPECTRAL, max_iterations=10)
-        traj = run(f, cfg, [0.0, 0.0])
-        assert traj.diverged
-        assert len(traj.records) == 1  # partial trajectory kept
-        assert calls["value"] == 1  # at x0 only, never beyond the bound
+    # zero curvature makes the spectral rate 1/EPSILON = 1e8 exactly, so the first step
+    # lands at x0 - 1e8 * g. A norm within DIVERGENCE_BOUND's square root passes at once;
+    # beyond it max|theta| decides, so (9e11, 9e11) and exactly +-1e12 go on
+    @pytest.mark.parametrize("x0, gradient, landing, stops", [
+        pytest.param([0.0, 0.0], [1e5, 1e5], [-1e13, -1e13], True, id="beyond"),
+        pytest.param([0.0, 0.0], [-1e4, 1e4], [1e12, -1e12], False, id="at-the-bound"),
+        pytest.param([np.nextafter(1e12, np.inf), 0.0], [0.0, 1.0],
+                     [np.nextafter(1e12, np.inf), -1e8], True, id="one-ulp-beyond"),
+        pytest.param([0.0, 0.0], [-9e3, -9e3], [9e11, 9e11], False, id="norm-beyond"),
+        pytest.param([0.0, 0.0], [1e-3, 1e-3], [-1e5, -1e5], False, id="norm-within"),
+        pytest.param([0.0, 0.0], [np.nan, 1.0], [np.nan, -1e8], True, id="nan"),
+        pytest.param([0.0, 0.0], [1.0, -np.inf], [-1e8, np.inf], True, id="inf"),
+    ])
+    def test_divergence_bound_flags_run(self, x0, gradient, landing, stops):
+        f, calls = counted(synthetic(grad=gradient, hess=np.zeros((2, 2))))
+        traj = run(f, config(Method.GD_SPECTRAL, max_iterations=1), x0)
+        assert traj.diverged == stops
+        if stops:
+            assert len(traj.records) == 1  # partial trajectory kept
+            assert calls["value"] == 1  # at x0 only, never beyond the bound
+            with np.errstate(all="ignore"):
+                step = direction(f, config(Method.GD_SPECTRAL), np.array(x0))
+            np.testing.assert_array_equal(np.array(x0) - step, landing)
+        else:
+            assert calls["value"] == 2
+            assert traj.records[1].iterate.tolist() == landing
 
     def test_grad_tol_stop_is_not_divergence(self):
         # the spectral rate 1/(EPSILON + 2) takes each step to about
@@ -1035,3 +1053,52 @@ class TestConfigValidation:
         cfg = OptimizerConfig(Method.ADAM, stepsize=np.float64(0.5),
                               max_iterations=np.int64(3), fixed_hessian=np.bool_(True))
         assert len(run(booth(), cfg, [0.0, 0.0]).records) == 4
+
+
+# numpy ufunc reductions per step of a 30-step run: each costs about 0.55 us of set-up
+# whatever its length, so one put back on the step path shows here. On Rosenbrock(5) the
+# value sums its terms (1), spectral_bounds takes max|h| (2), bound_diagonal sums the rows
+# (1) and solve takes max|h| and its smallest pivot (3); Booth reads its point as floats and
+# spectral_bounds a 2 x 2 Hessian too. The finiteness, row-sum and asymmetry guards on
+# vectors, and the divergence test within the bound's square root, reduce nothing
+REDUCTIONS_PER_STEP = {
+    (Method.GD_SPECTRAL, None): {"booth": 0, "rosenbrock:5": 3},
+    (Method.NAG_SPECTRAL, None): {"booth": 0, "rosenbrock:5": 3},
+    (Method.ENHANCED_NAG, None): {"booth": 1, "rosenbrock:5": 4},
+    (Method.ENHANCED_ADAGRAD, None): {"booth": 1, "rosenbrock:5": 2},
+    (Method.ADAM, None): {"booth": 0, "rosenbrock:5": 1},
+    (Method.ENHANCED_ADAM, None): {"booth": 0, "rosenbrock:5": 1},
+    (Method.ENHANCED_ADAM, Variant.ORIGINAL): {"booth": 1, "rosenbrock:5": 2},
+    (Method.ENHANCED_ADAM, Variant.NEW): {"booth": 3, "rosenbrock:5": 4},
+}
+
+
+def ufunc_reductions(fn, *args):
+    """``fn(*args)`` and the number of ``ufunc.reduce`` calls it made."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if (event == "c_call" and getattr(arg, "__name__", None) == "reduce"
+                and isinstance(getattr(arg, "__self__", None), np.ufunc)):
+            count += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(previous)
+    return result, count
+
+
+@pytest.mark.parametrize("f, x0, at_x0", [
+    (booth(), [-1.0, -1.5], 1), (rosenbrock(5), -np.ones(5), 2),
+], ids=["booth", "rosenbrock:5"])
+@pytest.mark.parametrize("method, variant", METHOD_VARIANTS)
+def test_reductions_per_step(method, variant, f, x0, at_x0):
+    # at x0, as_point's finiteness test, and Rosenbrock's value
+    traj, count = ufunc_reductions(
+        run, f, config(method, qg_variant=variant, max_iterations=30), x0)
+    assert len(traj.records) == 31 and not traj.diverged
+    assert count == at_x0 + 30 * REDUCTIONS_PER_STEP[method, variant][f.name]

@@ -11,7 +11,8 @@ import quadgrad
 
 SRC = str(Path(quadgrad.__file__).resolve().parents[1])
 
-# solve, both spectral_bounds paths and a short AdamNewQG run, hashed bit for bit
+# solve, both spectral_bounds paths, the row-sum and vector guards and a short AdamNewQG
+# run, hashed bit for bit
 DIGEST = """
 import hashlib
 import numpy as np
@@ -33,6 +34,9 @@ digest = hashlib.sha256(quadgrad.solve(dense, np.arange(6.0)).tobytes())
 for h in (tridiagonal, two_by_two, dense):
     bounds = quadgrad.spectral_bounds(h)
     digest.update(np.array([bounds.lambda_min, bounds.lambda_max]).tobytes())
+digest.update(quadgrad.bound_diagonal(dense).tobytes())
+for v in (-np.arange(6.0), np.array([1.0, -np.inf, 2.0]), np.array([np.inf, np.nan])):
+    digest.update(np.float64(linalg._vector_max_abs(v)).tobytes())
 for record in trajectory.records:
     digest.update(np.float64(record.objective).tobytes())
     digest.update(record.iterate.tobytes())
