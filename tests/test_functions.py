@@ -55,13 +55,68 @@ class TestRosenbrock:
         assert f.name == "rosenbrock:3"
         assert f.value(np.ones(3)) == 0.0
 
-    @pytest.mark.parametrize("n", [2, 3, 64, 65, 400, 1000])
+    @pytest.mark.parametrize("n", [2, 3, functions._FLOAT_MAX_N, functions._FLOAT_MAX_N + 1,
+                                   64, 65, 400, 1000])
     def test_hessian_matches_index_scatter_bit_for_bit(self, n):
         x = np.random.default_rng(n).uniform(-2.0, 2.0, n)
         expected = scatter_hessian(x)
         assert rosenbrock(n).hessian(x).view(np.int64).tobytes() == (
             expected.view(np.int64).tobytes()
         )
+
+    @pytest.mark.parametrize("n", [2, functions._FLOAT_MAX_N, functions._FLOAT_MAX_N + 1])
+    @pytest.mark.parametrize("call", ["value", "gradient", "hessian"])
+    def test_callables_refuse_a_point_of_the_wrong_shape(self, n, call):
+        evaluate = getattr(rosenbrock(n), call)
+        for point in ([1.0] * (n + 1), [1.0] * (n - 1), [2.0], [[1.0] * n], None, 3.0):
+            with pytest.raises(ValueError, match=rf"needs a point of shape \({n},\)"):
+                evaluate(point)
+        assert np.asarray(evaluate([1] * n)).tobytes() == np.asarray(evaluate(np.ones(n))).tobytes()
+
+
+# zeros of both signs, subnormals, the smallest normal, squares that overflow to
+# inf (and inf - inf, which gives NaN), and the optimum's neighbourhood
+ROSENBROCK_SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e154, -1e154, 1e200, -1e300,
+                       1.7e308, 0.5, 1.0, 3.0]
+
+
+@st.composite
+def rosenbrock_points(draw):
+    """A point for n from 2 to the float path's largest: each entry a normal
+    scaled by 10**U(-3, 3), or one of ``ROSENBROCK_SPECIALS``."""
+    n = draw(st.integers(2, functions._FLOAT_MAX_N))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    normals = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+    specials = draw(st.lists(st.none() | st.sampled_from(ROSENBROCK_SPECIALS),
+                             min_size=n, max_size=n))
+    return np.array([v if s is None else s for v, s in zip(normals.tolist(), specials)])
+
+
+@settings(derandomize=True, deadline=None, max_examples=1000, database=None)
+@given(x=rosenbrock_points())
+def test_rosenbrock_floats_are_the_arrays_bit_for_bit(x):
+    n = x.shape[0]
+    floats = functions._rosenbrock_floats(n)
+    with np.errstate(all="ignore"):
+        arrays = functions._rosenbrock_arrays(n)
+        expected = [np.asarray(call(x)).tobytes() for call in arrays]
+    assert type(floats[0](x)) is float
+    assert [np.asarray(call(x)).tobytes() for call in floats] == expected
+
+
+@pytest.mark.parametrize("length", range(1, 128))
+def test_pairwise_sum_is_numpy_add_reduce(length):
+    # the float path's value sums fewer than 128 terms; -0.0 terms show where
+    # the sum starts from 0.0
+    rng = np.random.default_rng(length)
+    for trial in range(40):
+        terms = rng.standard_normal(length) * 10.0 ** rng.uniform(-3.0, 3.0, length)
+        terms[rng.random(length) < trial / 40] = -0.0
+        assert (np.float64(functions._pairwise_sum(terms.tolist())).tobytes()
+                == np.add.reduce(terms).tobytes())
+    for terms in (np.full(length, -0.0), np.arange(length) * -0.5 + 1e16):
+        assert (np.float64(functions._pairwise_sum(terms.tolist())).tobytes()
+                == np.add.reduce(terms).tobytes())
 
 
 def beale_residuals(x, y):
@@ -281,25 +336,29 @@ class TestFiniteDifferenceCheck:
 
 class TestDirectCallWarnings:
     SQUARE = "overflow encountered in square"
-    # (function, call) -> the RuntimeWarning messages it emits at [c, c]; any
-    # other call there emits none. Only Rosenbrock computes on numpy arrays,
-    # and finite_difference_check silences the evaluations it makes.
+    ADD = "invalid value encountered in add"
+    ARRAYS = f"rosenbrock:{functions._FLOAT_MAX_N + 1}"
+    # (function, call) -> the RuntimeWarning messages it emits at [c] * dim; any
+    # other call there emits none. Only Rosenbrock above the float path's sizes
+    # computes on numpy arrays (a gradient entry between two others adds -inf
+    # to inf there), and finite_difference_check silences the evaluations it makes.
     EXPECTED = {
-        1e200: {("rosenbrock:2", "value"): {SQUARE}, ("rosenbrock:2", "gradient"): {SQUARE},
-                ("rosenbrock:2", "hessian"): {SQUARE}},
-        1e100: {("rosenbrock:2", "value"): {SQUARE}},
+        1e200: {(ARRAYS, "value"): {SQUARE}, (ARRAYS, "gradient"): {SQUARE, ADD},
+                (ARRAYS, "hessian"): {SQUARE}},
+        1e100: {(ARRAYS, "value"): {SQUARE}},
     }
 
     @pytest.mark.parametrize("c", EXPECTED)
     def test_warnings_at_large_coordinates_are_the_documented_set(self, c):
         seen = {}
-        for f in standard_suite():
+        for f in [*standard_suite(), rosenbrock(functions._FLOAT_MAX_N),
+                  rosenbrock(functions._FLOAT_MAX_N + 1)]:
             calls = {"value": f.value, "gradient": f.gradient, "hessian": f.hessian,
                      "finite_difference_check": lambda x: finite_difference_check(f, x)}
             for name, call in calls.items():
                 with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always")
-                    call(np.array([c, c]))
+                    call(np.full(f.dim, c))
                 if caught:
                     assert {w.category for w in caught} == {RuntimeWarning}
                     seen[f.name, name] = {str(w.message) for w in caught}

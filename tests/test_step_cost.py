@@ -116,3 +116,27 @@ def test_lemma_methods_split_per_function(step_cost, copy, capsys):
     assert len(lines) == 1 + len(summary) and lines[1].startswith("gd-spectral booth ")
     assert lines[0].split()[-1] == "verdict" and all(
         line.endswith(row["verdict"]) for line, row in zip(lines[1:], summary.values()))
+
+
+def test_main_splits_every_method_per_function(step_cost, monkeypatch, capsys):
+    # the revision side is the working tree again, as the copy fixture makes it
+    root = Path(quadgrad.__file__).parents[2]
+    sha = "f" * 40
+    monkeypatch.setattr(step_cost, "extract", lambda rev: (root, {"rev": sha}))
+    try:
+        assert step_cost.main(["--reps", "1"]) == 0
+    finally:
+        for name in [name for name in sys.modules if name.split(".")[0] == f"quadgrad_{sha[:12]}"]:
+            del sys.modules[name]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith("47 runs, 0 with different bits, 1 reps")
+    start = next(i for i, line in enumerate(lines) if line.startswith("method on function"))
+    table = lines[start + 1:]
+    # the lemma-lr methods on each function they step on, and the four
+    # Rosenbrock methods at each panel size
+    rosenbrock_methods = LABELS - set(step_cost.LEMMA_METHODS)
+    assert {" ".join(line.split()[:2]) for line in table} == {
+        f"{label} {function}" for label in step_cost.LEMMA_METHODS
+        for function in step_cost.LEMMA_FUNCTIONS if function != "quadratic-counterexample"
+    } | {f"{label} rosenbrock:{n}" for label in rosenbrock_methods
+         for n in step_cost.PANEL_SIZES}

@@ -27,10 +27,12 @@ repetitions and its interquartile range, the working tree's median, the
 median of the paired ratios change / revision, in how many repetitions the
 change was faster, and the verdict of ``ab_bench.verdict``, the rule the
 BENCH files use, with the regression bound of ``BENCHMARK.json``'s
-``us_per_iter.<method>``; then the same per function for the three
-``lemma-lr`` methods. Every verdict reads ``failed`` when some run's bits
-differ. A function on which a method takes no step (the quadratic
-counterexample starts at its maximum) has no us/iter and no row.
+``us_per_iter.<method>``; then the same per method and function: the three
+``lemma-lr`` methods on each of its functions, and the four Rosenbrock methods
+at each n, where the objective's share of a step shrinks as n grows. Every
+verdict reads ``failed`` when some run's bits differ. A function on which a
+method takes no step (the quadratic counterexample starts at its maximum) has
+no us/iter and no row.
 Set ``OPENBLAS_NUM_THREADS=1`` to time BLAS on one thread, as perfbench does.
 
 Standard library, quadgrad, ``ab_bench`` and ``fingerprint`` only; nothing under
@@ -140,15 +142,13 @@ def time_grids(grids: dict, reps: int) -> dict:
 
 def pooled(per_key: dict, group) -> dict:
     """``time_grids``' per-repetition totals of one side summed per ``group(label,
-    function)``; a key whose group is None is left out."""
+    function)``."""
     groups = {}
     for key, reps in per_key.items():
-        name = group(*key)
-        if name is not None:
-            sums = groups.setdefault(name, [[0.0, 0] for _ in reps])
-            for total, (seconds, iterations) in zip(sums, reps):
-                total[0] += seconds
-                total[1] += iterations
+        sums = groups.setdefault(group(*key), [[0.0, 0] for _ in reps])
+        for total, (seconds, iterations) in zip(sums, reps):
+            total[0] += seconds
+            total[1] += iterations
     return groups
 
 
@@ -205,7 +205,7 @@ def main(argv=None):
     print_table("method", summarise(totals, "rev", "tree", bound, bool(differ)))
     print_table("method on function", summarise(
         totals, "rev", "tree", bound, bool(differ),
-        lambda label, function: f"{label} {function}" if label in LEMMA_METHODS else None))
+        lambda label, function: f"{label} {function}"))
     return 1 if differ else 0
 
 
