@@ -113,9 +113,7 @@ def run_experiment(f: ObjectiveFunction, x0, methods: dict[str, OptimizerConfig]
         if not trajectory.diverged:  # a run that stopped early repeats its last loss
             losses += [losses[-1]] * (len(column) - len(losses))
         column[:len(losses)] = losses
-    header = ["Iterations", *methods]
-    rows = [[i] + [col[i] for col in columns] for i in range(iterations + 1)]
-    return CsvTable(header=header, rows=rows)
+    return CsvTable(["Iterations", *methods], [[i, *row] for i, row in enumerate(zip(*columns))])
 
 
 def default_x0(f: ObjectiveFunction) -> np.ndarray:

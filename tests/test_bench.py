@@ -234,6 +234,32 @@ class TestDefaults:
             default_x0(get_function("rosenbrock:4")), [-1.0, -1.0, -1.0, -1.0]
         )
 
+    # each default written out by hand: changing one changes the output
+    @pytest.mark.parametrize("argv, explicit", [
+        ([], ["--experiment", "lemma-lr", "--function", "booth", "--iters", "30"]),
+        (["--experiment", "adam-qg"],
+         ["--experiment", "adam-qg", "--nvars", "2", "--iters", "30", "--eta", "1.0"]),
+    ], ids=["no-flags", "adam-qg"])
+    def test_cli_defaults(self, argv, explicit, capsys):
+        outputs = []
+        for args in (argv, explicit):
+            assert main(args) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) == 32
+
+    def test_experiment_defaults(self):
+        # himmelblau's Hessian varies, so fixed_hessian changes its table
+        assert experiment_lemma_lr("himmelblau") == experiment_lemma_lr(
+            "himmelblau", x0=None, iterations=30, fixed_hessian=False)
+        assert experiment_adam_qg(3) == experiment_adam_qg(
+            3, iterations=30, eta=1.0, x0=None, fixed_hessian=False)
+
+    def test_config_defaults(self):
+        config = OptimizerConfig(Method.ADAM)
+        assert config.stepsize == 0.1
+        assert config == OptimizerConfig(Method.ADAM, stepsize=0.1, qg_variant=None,
+                                         max_iterations=100, fixed_hessian=False)
+
     def test_no_methods_rejected(self):
         with pytest.raises(InvalidInput, match="non-empty dict"):
             run_experiment(booth(), np.zeros(2), {})

@@ -329,6 +329,15 @@ class TestPseudoinverse:
         with pytest.raises(InvalidInput):
             pseudoinverse([[np.inf, 0.0], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("sigma_min, kept", [(1.5e-12, False), (4.5e-12, True)])
+    def test_rank_cutoff_is_rank_tol_times_sigma_max_times_order(self, sigma_min, kept):
+        # the cutoff here is 1e-12 * 1.0 * 3: 4.5e-12 is kept below twice it,
+        # 1.5e-12 dropped above half of it
+        q, _ = np.linalg.qr(np.random.default_rng(14).standard_normal((3, 3)))
+        a = (q * [1.0, 0.5, sigma_min]) @ q.T
+        assert np.linalg.norm(pseudoinverse(a), 2) == pytest.approx(
+            1.0 / sigma_min if kept else 2.0, rel=1e-3)
+
     @pytest.mark.parametrize("a", [[[5e-324]], [[-5e-324]], [[5e-324, 0.0], [0.0, -5e-324]]])
     def test_overflowing_reciprocal_warns_on_nothing(self, a):
         # 1 / 5e-324 overflows, and inf * 0 is NaN: the entries are not finite,

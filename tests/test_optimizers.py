@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quadgrad.gradients as gradients
 import quadgrad.linalg as linalg
@@ -369,6 +371,69 @@ class TestAdam:
             _, m, v = state
             assert np.all(v >= 0.0)
             assert np.max(np.abs(m)) <= largest_gradient + 1e-12
+
+
+ADAM_SPECIALS = [0.0, -0.0, 5e-324, 1e200, -1.7e308, math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def adam_steps(draw):
+    """A start point and the directions of consecutive Adam steps, for n from 1
+    to two past the float path's largest: each direction entry a normal scaled
+    by 10**U(-3, 3), or one of ``ADAM_SPECIALS``."""
+    n = draw(st.integers(1, optimizers._ADAM_FLOAT_MAX_N + 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def direction():
+        specials = draw(st.lists(st.none() | st.sampled_from(ADAM_SPECIALS),
+                                 min_size=n, max_size=n))
+        normals = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+        return np.array([v if s is None else s for v, s in zip(normals.tolist(), specials)])
+
+    return rng.standard_normal(n), [direction() for _ in range(draw(st.integers(1, 4)))]
+
+
+def adam_path(theta, directions, stepsize, switch):
+    """Each step's iterate and moments, with step_adam's switch at ``switch``."""
+    cfg, state, steps = config(Method.ADAM, stepsize=stepsize), [], []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optimizers, "_ADAM_FLOAT_MAX_N", switch)
+        for d in directions:
+            theta = step_adam(theta, state, cfg, d)
+            steps.append([theta, *state[1:]])
+    assert state[0] == len(directions)
+    return steps
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(case=adam_steps(), stepsize=st.sampled_from([0.1, 1.0, 2.0]) | st.floats(1e-6, 1e6))
+def test_adam_floats_are_the_arrays_bit_for_bit(case, stepsize):
+    # NaN payloads may differ between the paths, NaN positions may not
+    theta, directions = case
+    n = theta.shape[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        floats = adam_path(theta, directions, stepsize, n)
+        with np.errstate(all="ignore"):  # as run() steps
+            arrays = adam_path(theta, directions, stepsize, n - 1)
+    for float_step, array_step in zip(floats, arrays):
+        for a, b in zip(float_step, array_step):
+            assert type(a) is np.ndarray and a.dtype == np.float64 and a.shape == (n,)
+            np.testing.assert_array_equal(np.isnan(a), np.isnan(b))
+            assert a[~np.isnan(a)].tobytes() == b[~np.isnan(b)].tobytes()
+
+
+@pytest.mark.parametrize("n", [1, optimizers._ADAM_FLOAT_MAX_N, optimizers._ADAM_FLOAT_MAX_N + 1])
+def test_adam_maps_the_formula_over_floats_up_to_the_switch(monkeypatch, n):
+    own, seen = optimizers._adam_update, []
+
+    def recording(*args):
+        seen.append(type(args[0]))
+        return own(*args)
+
+    monkeypatch.setattr(optimizers, "_adam_update", recording)
+    step_adam(np.ones(n), [], config(Method.ADAM), np.ones(n))
+    assert seen == ([float] * n if n <= optimizers._ADAM_FLOAT_MAX_N else [np.ndarray])
 
 
 @pytest.mark.parametrize("method, variant", METHOD_VARIANTS)

@@ -140,3 +140,28 @@ def test_main_splits_every_method_per_function(step_cost, monkeypatch, capsys):
         for function in step_cost.LEMMA_FUNCTIONS if function != "quadratic-counterexample"
     } | {f"{label} rosenbrock:{n}" for label in rosenbrock_methods
          for n in step_cost.PANEL_SIZES}
+
+
+def test_sizes_set_the_rosenbrock_runs(step_cost, monkeypatch, capsys):
+    assert [call.args[0].name for _, call in step_cost.grid(quadgrad, [3])][15:] == (
+        ["rosenbrock:3"] * 8)
+    root = Path(quadgrad.__file__).parents[2]
+    sha = "e" * 40
+    monkeypatch.setattr(step_cost, "extract", lambda rev: (root, {"rev": sha}))
+    # argparse refuses a size Rosenbrock would refuse, before any revision is loaded
+    for bad in ("1", "3,x", ""):
+        with pytest.raises(SystemExit, match="2"):
+            step_cost.main(["--sizes", bad])
+        assert "expected integers n >= 2" in capsys.readouterr().err
+    try:
+        assert step_cost.main(["--reps", "1", "--sizes", "3,12"]) == 0
+    finally:
+        for name in [name for name in sys.modules if name.split(".")[0] == f"quadgrad_{sha[:12]}"]:
+            del sys.modules[name]
+    lines = capsys.readouterr().out.splitlines()
+    # the lemma-lr runs as before, the four Rosenbrock methods at the two sizes
+    assert lines[0].endswith("31 runs, 0 with different bits, 1 reps")
+    rosenbrock_methods = LABELS - set(step_cost.LEMMA_METHODS)
+    assert {" ".join(line.split()[:2]) for line in lines
+            if line.split()[0] in rosenbrock_methods and " rosenbrock:" in line} == {
+        f"{label} rosenbrock:{n}" for n in (3, 12) for label in rosenbrock_methods}

@@ -1,7 +1,7 @@
 """Per-method step cost of a git revision against this working tree, timed
 interleaved in one process.
 
-    python3 tools/step_cost.py [--rev REV] [--reps N]
+    python3 tools/step_cost.py [--rev REV] [--reps N] [--sizes N,N,...]
 
 The revision (default ``HEAD``) is extracted with ``git archive`` into the
 gitignored ``.bench_tmp/`` by ``ab_bench.extract``, and its ``src/quadgrad``
@@ -14,7 +14,10 @@ times per method: GD-spectral, NAG-spectral and enhanced NAG on the five
 ``lemma-lr`` functions at 30 iterations, Adam, AdamOldQG and AdamNewQG on
 Rosenbrock at n in {2, 5, 10, 20} for 30 and 300 iterations, and enhanced
 Adagrad on the same Rosenbrock runs, each from ``bench.default_x0``; the
-functions, sizes and horizons are those of ``fingerprint.py``'s CLI grid. One
+functions, sizes and horizons are those of ``fingerprint.py``'s CLI grid.
+``--sizes`` runs the four Rosenbrock methods at other n instead, for example
+around a size switch such as ``functions._FLOAT_MAX_N`` or
+``optimizers._ADAM_FLOAT_MAX_N``. One
 untimed pass checks that both sides give the same bits on every run, by
 ``fingerprint.digest`` of each run. Then
 each of ``--reps`` repetitions times every run once on each side, back to
@@ -86,8 +89,9 @@ def method_configs(package) -> dict:
     }
 
 
-def grid(package) -> list[tuple[str, functools.partial]]:
-    """The paper-panels ``run()`` grid of ``package`` as (method label, the call)."""
+def grid(package, sizes=PANEL_SIZES) -> list[tuple[str, functools.partial]]:
+    """The paper-panels ``run()`` grid of ``package`` as (method label, the call),
+    with the Rosenbrock runs at each n of ``sizes``."""
     bench = importlib.import_module(f"{package.__name__}.bench")
     configs = method_configs(package)
 
@@ -100,7 +104,7 @@ def grid(package) -> list[tuple[str, functools.partial]]:
         f = package.get_function(function_id)
         runs += [entry(label, f, LEMMA_ITERATIONS) for label in LEMMA_METHODS]
     for labels in (("adam", "adam-oldqg", "adam-newqg"), ("enhanced-adagrad",)):
-        for n in PANEL_SIZES:
+        for n in sizes:
             f = package.rosenbrock(n)
             runs += [entry(label, f, iterations)
                      for iterations in PANEL_HORIZONS for label in labels]
@@ -187,16 +191,29 @@ def print_table(title: str, summary: dict):
               f"{row['ratio']:>8.3f}{row['wins']:>5}/{row['reps']}  {row['verdict']}")
 
 
+def rosenbrock_sizes(text: str) -> list[int]:
+    """``--sizes``' comma-separated integers, each at least 2."""
+    try:
+        sizes = [int(n) for n in text.split(",")]
+    except ValueError:
+        sizes = []
+    if not sizes or min(sizes) < 2:
+        raise argparse.ArgumentTypeError(f"expected integers n >= 2, got {text!r}")
+    return sizes
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rev", default="HEAD", help="the revision to compare against")
     parser.add_argument("--reps", type=int, default=15)
+    parser.add_argument("--sizes", type=rosenbrock_sizes, default=PANEL_SIZES,
+                        help="Rosenbrock n, comma-separated (default: the panel sizes)")
     args = parser.parse_args(argv)
 
     tree, rev = extract(args.rev)
     sha = rev["rev"]
     base = load(tree / "src" / "quadgrad", f"quadgrad_{sha[:12]}")
-    grids = {"rev": grid(base), "tree": grid(quadgrad)}
+    grids = {"rev": grid(base, args.sizes), "tree": grid(quadgrad, args.sizes)}
     differ = sum(digest([a()]) != digest([b()])
                  for (_, a), (_, b) in zip(grids["rev"], grids["tree"]))
     print(f"rev {sha[:12]} vs working tree: {len(grids['tree'])} runs, "
