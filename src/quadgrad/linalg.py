@@ -8,19 +8,23 @@ matrix as four floats, hands a tridiagonal matrix to LAPACK ``dsterf`` with
 temporaries of length n, and any other matrix, after one n x n temporary for
 its symmetry test, to ``np.linalg.eigvalsh``; both routes give eigvalsh's bits.
 
-The four scipy LAPACK routines used here (``dlange``, ``dsterf``,
-``dgetrf``, ``dgetrs``) come from scipy's compiled wrapper module
-``scipy/linalg/_flapack``, loaded by file under the private name
-``quadgrad._flapack``: importing ``scipy.linalg`` for them would run the
-whole package, which took most of the start-up time of ``import quadgrad``.
-``scipy.linalg.lapack`` re-exports the same routines from that module, so
-the results are the same bits; it is the fallback when the file is not
-found. scipy's own import state is left alone: a later ``import
+The four scipy LAPACK routines used here (``dlange``, ``dsterf``, ``dgetrf``, ``dgetrs``)
+come from scipy's compiled wrapper module ``scipy/linalg/_flapack``, loaded by file under the
+private name ``quadgrad._flapack``: importing ``scipy.linalg`` for them would run the whole
+package, which took most of the start-up time of ``import quadgrad``. ``scipy.linalg.lapack``
+re-exports the same routines from that module, so the results are the same bits; it is the
+fallback when the file is not found. scipy's own import state is left alone: a later ``import
 scipy.linalg`` loads its ``_flapack`` as usual.
+
+Inside ``optimizers.run()`` only, ``solve`` copies its matrix into one F-ordered buffer that
+the run owns and factors it there (``dgetrf`` with ``overwrite_a``), where the wrapper would
+copy a C-ordered matrix into fresh n x n pages at every call; the bits are the same.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import importlib.util
 import math
 import os
@@ -62,6 +66,17 @@ def _load_lapack():
 
 
 _lapack = _load_lapack()
+_workspace = contextvars.ContextVar("quadgrad.linalg.workspace", default=None)
+
+
+@contextlib.contextmanager
+def _lu_workspace():
+    """A one-slot list in ``_workspace`` for ``solve``'s buffer, per thread and nested block."""
+    token = _workspace.set([np.empty(0)])
+    try:
+        yield
+    finally:
+        _workspace.reset(token)
 
 
 @dataclass(frozen=True)
@@ -187,13 +202,17 @@ def solve_operands(a, b) -> tuple[np.ndarray, np.ndarray, float]:
 def solve(a, b) -> np.ndarray:
     """Solve ``a @ x = b`` by partially pivoted LU (LAPACK dgetrf/dgetrs).
 
-    Raises SingularMatrix when any pivot falls below
-    ``PIVOT_TOL * max|a|``, signalling the caller to switch to the
-    pseudoinverse path.
+    Raises SingularMatrix when any pivot falls below ``PIVOT_TOL * max|a|``, signalling the
+    caller to switch to the pseudoinverse path. ``a`` and ``b`` are never written: in a run
+    the factor overwrites the run's buffer (module docstring), made anew for a new order.
     """
     m, rhs, max_abs = solve_operands(a, b)
+    if (slot := _workspace.get()) is not None:
+        if slot[0].shape != m.shape:
+            slot[0] = np.empty(m.shape, order="F")
+        slot[0][...] = m
     # an exactly zero pivot (info > 0) fails the pivot test below
-    lu, piv, _ = _lapack.dgetrf(m)
+    lu, piv, _ = _lapack.dgetrf(m if slot is None else slot[0], overwrite_a=slot is not None)
     if np.minimum.reduce(abs(lu.diagonal())) < PIVOT_TOL * max(max_abs, _TINY):
         raise SingularMatrix("pivot below tolerance; matrix is numerically singular")
     return _lapack.dgetrs(lu, piv, rhs)[0]

@@ -39,6 +39,7 @@ import numpy as np
 from .errors import InvalidInput, QuadGradError
 from .functions import ObjectiveFunction, Sense, as_point
 from .gradients import Variant, bound_diagonal, new_quadratic_gradient, spectral_learning_rate
+from .linalg import _lu_workspace
 
 # Adam's moment decay rates and denominator guard, as in Kingma and Ba; the
 # enhanced Adagrad shares the guard.
@@ -246,12 +247,12 @@ def run(f: ObjectiveFunction, config: OptimizerConfig, x0) -> Trajectory:
     bad-value share the step's ``except``. All stops but budget and grad-tol
     truncate the trajectory and set ``diverged``; none is raised, while any
     other ``BaseException`` propagates.
-    A gradient or Hessian of another real dtype is converted to float64
-    once; ``run()`` neither copies nor writes the float64 arrays the
-    objective returns: a minimised objective's gradient and Hessian reach
-    ``direction`` and ``derive`` as they are, a maximised one's are negated
-    into new arrays. Floating-point overflow and invalid operations raise no
-    warnings: the run's checks see their inf and NaN results instead.
+    A gradient or Hessian of another real dtype is converted to float64 once; ``run()`` neither
+    copies nor writes the float64 arrays the objective returns: a minimised objective's gradient
+    and Hessian reach ``direction`` and ``derive`` as they are, a maximised one's are negated
+    into new arrays. AdamNewQG's solves share one n x n LU buffer, the run's own, freed when it
+    returns or raises. Floating-point overflow and invalid operations raise no warnings: the
+    run's checks see their inf and NaN results instead.
     """
     theta = as_point(x0, f, "x0").copy()
     if not isinstance(config, OptimizerConfig):
@@ -283,7 +284,7 @@ def run(f: ObjectiveFunction, config: OptimizerConfig, x0) -> Trajectory:
         return -1.0 * a if f.sense is Sense.MAXIMIZE else a
 
     fresh_hessian = derive is not None and not config.fixed_hessian
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"), _lu_workspace():
         objective = evaluated("value", f.value)
         # h holds a Hessian not yet derived: each fresh one, and the frozen
         # one until the first step; c is what was derived from the last one
@@ -309,9 +310,9 @@ def run(f: ObjectiveFunction, config: OptimizerConfig, x0) -> Trajectory:
                     c, h = derive(h), None
                 theta = step(theta, state, config, direction(c, g))
                 if fresh_hessian:
-                    # free what this step derived (for AdamNewQG, its Hessian) before the
-                    # next Hessian is allocated: holding the Hessian alive moved n=1000
-                    # step times by up to 2x either way (allocator)
+                    # free what this step derived (for AdamNewQG, its Hessian) before the next
+                    # is allocated, so one is live: at n=1000 holding it took 449 page faults
+                    # per AdamNewQG step against 171, and 1.02x the time (0.89-1.13x, 10 pairs)
                     c = None
                 # theta.dot(theta) <= DIVERGENCE_BOUND bounds every |theta_i| by its square
                 # root without a reduction; beyond it max|theta| decides: max propagates NaN,

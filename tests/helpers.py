@@ -1,6 +1,7 @@
 """Shared random-matrix generators and measurements for the test suite."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 
@@ -71,3 +72,29 @@ def peak_traced_bytes(fn, *args):
         return tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+
+
+class RecordingLapack:
+    """Stands in for ``quadgrad.linalg._lapack``: every routine passes through, and each
+    ``dgetrf`` call is recorded as ``(weakref to the array it factored in place, or None,
+    whether the factor it returned is that array)``."""
+
+    def __init__(self, lapack):
+        self._lapack = lapack
+        self.factored = []
+
+    def __getattr__(self, name):
+        return getattr(self._lapack, name)
+
+    def dgetrf(self, a, overwrite_a=False):
+        lu, piv, info = self._lapack.dgetrf(a, overwrite_a=overwrite_a)
+        self.factored.append((weakref.ref(a) if overwrite_a else None, lu is a))
+        return lu, piv, info
+
+    def buffers(self):
+        """Weakrefs to the distinct arrays factored in place, in order of first use."""
+        refs = {}
+        for ref, _ in self.factored:
+            if ref is not None:
+                refs.setdefault(id(ref), ref)
+        return list(refs.values())

@@ -20,7 +20,8 @@ from quadgrad import (
     spectral_bounds,
 )
 from quadgrad.linalg import PIVOT_TOL, SYMMETRY_TOL, as_square_matrix, as_vector
-from helpers import peak_traced_bytes, random_rank_deficient_symmetric, random_symmetric
+from helpers import (RecordingLapack, peak_traced_bytes, random_rank_deficient_symmetric,
+                     random_symmetric)
 
 # Constant Hessian of the concave-quadratic counterexample; its eigenvalues
 # are the roots of lambda^2 + 6*lambda + 4, i.e. -3 +- sqrt(5).
@@ -553,3 +554,62 @@ def test_coercion_converts_real_dtypes_to_float64(good):
     x = as_vector(good)
     assert x.dtype == np.float64
     np.testing.assert_array_equal(x, np.asarray(good, dtype=float))
+
+
+class TestSolveWorkspace:
+    """``solve`` in and out of ``_lu_workspace``, the block ``run()`` puts it in."""
+
+    @pytest.fixture
+    def lapack(self, monkeypatch):
+        recording = RecordingLapack(linalg._lapack)
+        monkeypatch.setattr(linalg, "_lapack", recording)
+        return recording
+
+    @staticmethod
+    def systems(order):
+        """Invertible and singular systems of two orders, ``a`` laid out in ``order``."""
+        rng = np.random.default_rng(17)
+        for n in (3, 3, 8, 3):
+            for a in (rng.standard_normal((n, n)), random_rank_deficient_symmetric(rng, n, 1)):
+                yield np.array(a, order=order), rng.standard_normal(n)
+
+    @staticmethod
+    def solved(a, b):
+        try:
+            return solve(a, b).tobytes()
+        except SingularMatrix:
+            return "singular"
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_public_solve_leaves_its_operands_and_holds_no_buffer(self, order, lapack):
+        for a, b in self.systems(order):
+            before = a.copy(order="K"), b.copy()
+            self.solved(a, b)
+            assert a.flags.c_contiguous == (order == "C")
+            assert a.tobytes(order="A") == before[0].tobytes(order="A")
+            assert b.tobytes() == before[1].tobytes()
+        # every factor was dgetrf's own copy, gone with the call
+        assert lapack.factored == [(None, False)] * 8 and lapack.buffers() == []
+        assert linalg._workspace.get() is None
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_workspace_gives_the_same_bits_and_leaves_the_operands(self, order, lapack):
+        outside = [self.solved(a, b) for a, b in self.systems(order)]
+        assert "singular" in outside and len(set(outside)) == 5
+        inside = []
+        with linalg._lu_workspace():
+            for a, b in self.systems(order):
+                before = a.copy(order="K"), b.copy()
+                inside.append(self.solved(a, b))
+                assert a.tobytes(order="A") == before[0].tobytes(order="A")
+                assert b.tobytes() == before[1].tobytes()
+                buffer = linalg._workspace.get()[0]
+                assert buffer.shape == a.shape and buffer.flags.f_contiguous
+            del buffer
+        assert inside == outside
+        # factored in place, one buffer per run of equal orders: 3, 3, 8, 3
+        in_place = lapack.factored[8:]
+        assert all(ref is not None and same for ref, same in in_place)
+        assert len(lapack.buffers()) == 3
+        assert all(ref() is None for ref in lapack.buffers())
+        assert linalg._workspace.get() is None

@@ -1,6 +1,8 @@
+import contextlib
 import dataclasses
 import math
 import sys
+import threading
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 import quadgrad.gradients as gradients
 import quadgrad.linalg as linalg
 import quadgrad.optimizers as optimizers
-from helpers import peak_traced_bytes, random_rank_deficient_symmetric
+from helpers import RecordingLapack, peak_traced_bytes, random_rank_deficient_symmetric
 from quadgrad import (
     InvalidInput,
     Method,
@@ -1168,3 +1170,188 @@ def test_reductions_per_step(method, variant, f, x0, at_x0):
         run, f, config(method, qg_variant=variant, max_iterations=30), x0)
     assert len(traj.records) == 31 and not traj.diverged
     assert count == at_x0 + 30 * REDUCTIONS_PER_STEP[method, variant][f.name]
+
+
+def negated(f):
+    """``-f``, declared a maximisation problem: ``run()`` minimises ``f`` through it."""
+    return dataclasses.replace(
+        f, name=f"-{f.name}", sense=Sense.MAXIMIZE, value=lambda x, _v=f.value: -_v(x),
+        gradient=lambda x, _g=f.gradient: -_g(x), hessian=lambda x, _h=f.hessian: -_h(x))
+
+
+def newqg(stepsize=1.0, **kwargs):
+    return config(Method.ENHANCED_ADAM, qg_variant=Variant.NEW, stepsize=stepsize, **kwargs)
+
+
+class TestLuWorkspace:
+    """Inside ``run()``, ``solve`` factors in one F-ordered buffer the run owns."""
+
+    @pytest.fixture
+    def lapack(self, monkeypatch):
+        recording = RecordingLapack(linalg._lapack)
+        monkeypatch.setattr(linalg, "_lapack", recording)
+        return recording
+
+    def assert_let_go(self, lapack):
+        """Every buffer ``lapack`` saw factored in place is freed, and no workspace is set."""
+        assert all(ref() is None for ref in lapack.buffers())
+        assert linalg._workspace.get() is None
+
+    def singular(self):
+        """Constant gradient and a rank-2 Hessian of order 4: LU runs, then fails the pivot
+        test, so every step falls back to the pseudoinverse."""
+        h = random_rank_deficient_symmetric(np.random.default_rng(5), 4, 2)
+        return synthetic(grad=[1.0, -2.0, 0.5, 3.0], hess=h, dim=4)
+
+    @pytest.mark.parametrize("f", [rosenbrock(5), rosenbrock(30)], ids=["n5", "n30"])
+    @pytest.mark.parametrize("sense", list(Sense))
+    @FRESH_AND_FROZEN
+    def test_same_bits_as_without_it(self, f, sense, fixed_hessian, lapack, monkeypatch):
+        f = f if sense is Sense.MINIMIZE else negated(f)
+        cfg = newqg(max_iterations=40, fixed_hessian=fixed_hessian)
+        x0 = -np.ones(f.dim)
+        with_workspace = records(run(f, cfg, x0))
+        # one buffer for the whole run, factored in place and returned as the factor
+        assert len(lapack.factored) == 40 and len(lapack.buffers()) == 1
+        assert all(in_place for _, in_place in lapack.factored)
+        monkeypatch.setattr(optimizers, "_lu_workspace", contextlib.nullcontext)
+        del lapack.factored[:]
+        assert records(run(f, cfg, x0)) == with_workspace
+        assert lapack.factored == [(None, False)] * 40
+
+    @FRESH_AND_FROZEN
+    def test_pseudoinverse_fallback_gives_the_same_bits(self, fixed_hessian, lapack,
+                                                        monkeypatch):
+        f = self.singular()
+        fallbacks = []
+        monkeypatch.setattr(gradients, "pseudoinverse",
+                            lambda a, _p=gradients.pseudoinverse: fallbacks.append(1) or _p(a))
+        cfg = newqg(max_iterations=20, fixed_hessian=fixed_hessian)
+        with_workspace = records(run(f, cfg, np.zeros(4)))
+        assert len(fallbacks) == len(lapack.factored) == 20 and len(lapack.buffers()) == 1
+        monkeypatch.setattr(optimizers, "_lu_workspace", contextlib.nullcontext)
+        assert records(run(f, cfg, np.zeros(4))) == with_workspace
+        assert len(fallbacks) == 40
+
+    @pytest.mark.parametrize("f", [
+        rosenbrock(30),
+        dataclasses.replace(rosenbrock(30), hessian=lambda x: np.asfortranarray(
+            rosenbrock(30).hessian(x))),
+        None,
+    ], ids=["rosenbrock:30", "rosenbrock:30-F-ordered", "singular"])
+    @pytest.mark.parametrize("sense", list(Sense))
+    @FRESH_AND_FROZEN
+    def test_objectives_hessians_are_left_alone(self, f, sense, fixed_hessian):
+        f = self.singular() if f is None else f
+        f = f if sense is Sense.MINIMIZE else negated(f)
+        returned = []
+
+        def hessian(x):
+            h = f.hessian(x)
+            returned.append((h, h.tobytes()))
+            return h
+
+        run(dataclasses.replace(f, hessian=hessian), newqg(max_iterations=10,
+                                                           fixed_hessian=fixed_hessian),
+            np.linspace(-1.0, 1.0, f.dim))
+        assert len(returned) == (1 if fixed_hessian else 10)
+        assert all(h.tobytes() == before for h, before in returned)
+
+    def stops(self):
+        """Per way a run can end after its first solve, an objective of order 5 on which a
+        3-step AdamNewQG run ends that way: (objective, stepsize, diverged, records kept)."""
+        f = rosenbrock(5)
+        calls = Counter()
+
+        def after(name, call, value):
+            def fn(x):
+                calls[name] += 1
+                return value(x) if calls[name] >= call else getattr(f, name)(x)
+            return fn
+
+        return {
+            "budget": (f, 1.0, False, 4),
+            "grad-tol": (dataclasses.replace(f, gradient=after("gradient", 3, np.zeros_like)),
+                         1.0, False, 3),
+            "bound-exceeded": (f, 1e13, True, 1),
+            "step-failed": (dataclasses.replace(
+                f, hessian=after("hessian", 3, lambda x: np.full((5, 5), np.nan))),
+                1.0, True, 3),
+            "bad-value": (dataclasses.replace(f, value=after("value", 3, lambda x: math.nan)),
+                          1.0, True, 2),
+        }
+
+    @pytest.mark.parametrize("stop", ["budget", "grad-tol", "bound-exceeded", "step-failed",
+                                      "bad-value"])
+    def test_buffer_is_let_go_at_every_stop(self, stop, lapack):
+        f, stepsize, diverged, kept = self.stops()[stop]
+        traj = run(f, newqg(stepsize, max_iterations=3), -np.ones(5))
+        assert traj.diverged == diverged and len(traj.records) == kept
+        assert lapack.buffers()
+        self.assert_let_go(lapack)
+
+    def test_no_buffer_when_x0_is_refused(self, lapack):
+        f = dataclasses.replace(rosenbrock(5), value=lambda x: math.nan)
+        with pytest.raises(InvalidInput):
+            run(f, newqg(), -np.ones(5))
+        assert lapack.factored == []
+        self.assert_let_go(lapack)
+
+    def test_buffer_is_let_go_when_the_gradient_interrupts(self, lapack):
+        f = raising_on_call(rosenbrock(5), "gradient", 3, KeyboardInterrupt())
+        with pytest.raises(KeyboardInterrupt):
+            run(f, newqg(max_iterations=5), -np.ones(5))
+        assert len(lapack.factored) == 2 and len(lapack.buffers()) == 1
+        self.assert_let_go(lapack)
+
+    def test_nested_run_has_its_own_buffer(self, lapack):
+        inner_f, outer_f = rosenbrock(30), rosenbrock(5)
+        cfg = newqg(max_iterations=6)
+        inner, outer_buffers = [], []
+
+        def hessian(x):
+            inner.append(records(run(inner_f, cfg, default_x0(inner_f))))
+            buffer = linalg._workspace.get()[0]
+            outer_buffers.append((id(buffer), buffer.shape))
+            return outer_f.hessian(x)
+
+        nested = records(run(dataclasses.replace(outer_f, hessian=hessian), cfg,
+                             default_x0(outer_f)))
+        assert len(lapack.buffers()) == 1 + 6  # the outer run's and each inner run's
+        assert nested == records(run(outer_f, cfg, default_x0(outer_f)))
+        assert inner == [records(run(inner_f, cfg, default_x0(inner_f)))] * 6
+        # after each inner run the outer run has its own buffer back, the same one from
+        # its first solve on
+        assert outer_buffers[0][1] == (0,)
+        assert len(set(outer_buffers[1:])) == 1 and outer_buffers[1][1] == (5, 5)
+        self.assert_let_go(lapack)
+
+    def test_threads_have_their_own_buffers(self, lapack):
+        # the two runs take their steps in turn, each thread's Hessian waiting for the other
+        sizes, steps = (5, 30), 25
+        turns = threading.Barrier(2, timeout=30)
+        seen, results = {n: set() for n in sizes}, {}
+
+        def hessian_of(f):
+            def hessian(x):
+                turns.wait()
+                seen[f.dim].add(linalg._workspace.get()[0].shape)
+                return f.hessian(x)
+            return hessian
+
+        def work(f):
+            traced = dataclasses.replace(f, hessian=hessian_of(f))
+            results[f.dim] = records(run(traced, newqg(max_iterations=steps), default_x0(f)))
+
+        threads = [threading.Thread(target=work, args=(rosenbrock(n),)) for n in sizes]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        for n in sizes:
+            f = rosenbrock(n)
+            assert results[n] == records(run(f, newqg(max_iterations=steps), default_x0(f)))
+            # each thread's buffer is of its own order, never the other's
+            assert seen[n] == {(0,), (n, n)}
+        assert linalg._workspace.get() is None

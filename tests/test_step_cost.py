@@ -66,7 +66,8 @@ def test_summary_has_every_method_and_repetition(step_cost, copy):
     summary = step_cost.summarise(totals, "rev", "tree", step_cost.bounds())
     assert set(summary) == LABELS
     for row in summary.values():
-        assert set(row) == {"rev", "rev_iqr", "tree", "ratio", "wins", "reps", "verdict"}
+        assert set(row) == {"rev", "rev_iqr", "tree", "ratio", "wins", "reps", "rev_faults",
+                            "tree_faults", "verdict"}
         assert row["reps"] == 2 and 0 <= row["wins"] <= 2
         assert row["rev"] > 0.0 and row["tree"] > 0.0 and row["rev_iqr"] >= 0.0
         assert row["verdict"] in {"gain", "regression", "unresolved", "within bound"}
@@ -83,8 +84,8 @@ def test_bounds_are_the_benchmark_us_per_iter_bounds(step_cost):
 def test_verdict_is_the_ab_bench_rule(step_cost):
     # rev side 100 us/iter in every repetition but one, the change 10% faster in all ten
     base = [100.0] * 9 + [101.0]
-    totals = {"rev": {("adam", "rosenbrock:2"): [[1e-4 * us, 100] for us in base]},
-              "tree": {("adam", "rosenbrock:2"): [[0.9e-4 * us, 100] for us in base]}}
+    totals = {"rev": {("adam", "rosenbrock:2"): [[1e-4 * us, 100, 0] for us in base]},
+              "tree": {("adam", "rosenbrock:2"): [[0.9e-4 * us, 100, 0] for us in base]}}
     row = step_cost.summarise(totals, "rev", "tree", {"adam": 0.25})["adam"]
     assert row["wins"] == 10 and row["ratio"] == pytest.approx(0.9)
     assert row["rev_iqr"] == pytest.approx(0.0) and row["verdict"] == "gain"
@@ -165,3 +166,31 @@ def test_sizes_set_the_rosenbrock_runs(step_cost, monkeypatch, capsys):
     assert {" ".join(line.split()[:2]) for line in lines
             if line.split()[0] in rosenbrock_methods and " rosenbrock:" in line} == {
         f"{label} rosenbrock:{n}" for n in (3, 12) for label in rosenbrock_methods}
+
+
+def test_tables_show_each_sides_faults_per_iteration(step_cost, monkeypatch, capsys):
+    # pooled over repetitions and runs: (3 + 5 + 7 + 9) faults over 4 x 10 iterations
+    totals = {side: {("adam", "rosenbrock:2"): [[1e-3, 10, faults], [1e-3, 10, faults + 2]],
+                     ("adam", "rosenbrock:3"): [[1e-3, 10, faults + 4], [1e-3, 10, faults + 6]]}
+              for side, faults in (("rev", 3), ("tree", 0))}
+    row = step_cost.summarise(totals, "rev", "tree", {"adam": 0.25})["adam"]
+    assert row["rev_faults"] == 24 / 40 and row["tree_faults"] == 12 / 40
+    root = Path(quadgrad.__file__).parents[2]
+    sha = "d" * 40
+    monkeypatch.setattr(step_cost, "extract", lambda rev: (root, {"rev": sha}))
+    try:
+        assert step_cost.main(["--reps", "1", "--sizes", "3"]) == 0
+    finally:
+        for name in [name for name in sys.modules if name.split(".")[0] == f"quadgrad_{sha[:12]}"]:
+            del sys.modules[name]
+    lines = capsys.readouterr().out.splitlines()
+    headers = [line for line in lines if line.startswith("method")]
+    assert len(headers) == 2
+    # the counts depend on the allocator: only that each row has a count >= 0 per side
+    for header in headers:
+        assert "rev flt/iter" in header and header.endswith("tree flt/iter  verdict")
+    for fields in (line.split() for line in lines[1:] if not line.startswith("method")):
+        wins = next(k for k, field in enumerate(fields) if "/" in field)
+        assert fields[wins].endswith("/1")
+        assert all(float(count) >= 0.0 for count in fields[wins + 1:wins + 3])
+    assert any(line.startswith("adam-newqg rosenbrock:3 ") for line in lines)

@@ -28,14 +28,16 @@ alike. Sequential timing in separate processes does not survive that drift.
 For each method it prints the revision's median us/iter over the
 repetitions and its interquartile range, the working tree's median, the
 median of the paired ratios change / revision, in how many repetitions the
-change was faster, and the verdict of ``ab_bench.verdict``, the rule the
-BENCH files use, with the regression bound of ``BENCHMARK.json``'s
-``us_per_iter.<method>``; then the same per method and function: the three
-``lemma-lr`` methods on each of its functions, and the four Rosenbrock methods
-at each n, where the objective's share of a step shrinks as n grows. Every
-verdict reads ``failed`` when some run's bits differ. A function on which a
-method takes no step (the quadratic counterexample starts at its maximum) has
-no us/iter and no row.
+change was faster, each side's minor page faults per iteration (``ru_minflt``
+around each timed run; the count depends on the allocator and on what ran
+before, so compare only the two sides of one process), and the verdict of
+``ab_bench.verdict``, the rule the BENCH files use, with the regression bound
+of ``BENCHMARK.json``'s ``us_per_iter.<method>``; then the same per method and
+function: the three ``lemma-lr`` methods on each of its functions, and the four
+Rosenbrock methods at each n, where the objective's share of a step shrinks as n
+grows. Every verdict reads ``failed`` when some run's bits differ. A function on
+which a method takes no step (the quadratic counterexample starts at its maximum)
+has no us/iter and no row.
 Set ``OPENBLAS_NUM_THREADS=1`` to time BLAS on one thread, as perfbench does.
 
 Standard library, quadgrad, ``ab_bench`` and ``fingerprint`` only; nothing under
@@ -51,6 +53,7 @@ import json
 import statistics
 import sys
 from pathlib import Path
+from resource import RUSAGE_SELF, getrusage
 from time import perf_counter
 
 from ab_bench import ROOT, extract, spread, verdict
@@ -123,7 +126,7 @@ def load(package_dir: Path, name: str):
 
 def time_grids(grids: dict, reps: int) -> dict:
     """Per side, per (method label, function name), per repetition: (seconds,
-    iterations) summed over the grid's runs.
+    iterations, minor page faults) summed over the grid's runs.
 
     ``grids`` maps each side to its grid; both list the same runs in the same order.
     """
@@ -134,13 +137,16 @@ def time_grids(grids: dict, reps: int) -> dict:
             order = sides if (rep + index) % 2 == 0 else sides[::-1]
             for side in order:
                 label, call = runs[sides.index(side)]
+                faults = getrusage(RUSAGE_SELF).ru_minflt
                 start = perf_counter()
                 trajectory = call()
                 elapsed = perf_counter() - start
+                faults = getrusage(RUSAGE_SELF).ru_minflt - faults
                 key = label, call.args[0].name
-                per_rep = totals[side].setdefault(key, [[0.0, 0] for _ in range(reps)])
+                per_rep = totals[side].setdefault(key, [[0.0, 0, 0] for _ in range(reps)])
                 per_rep[rep][0] += elapsed
                 per_rep[rep][1] += len(trajectory.records) - 1
+                per_rep[rep][2] += faults
     return totals
 
 
@@ -149,33 +155,40 @@ def pooled(per_key: dict, group) -> dict:
     function)``."""
     groups = {}
     for key, reps in per_key.items():
-        sums = groups.setdefault(group(*key), [[0.0, 0] for _ in reps])
-        for total, (seconds, iterations) in zip(sums, reps):
-            total[0] += seconds
-            total[1] += iterations
+        sums = groups.setdefault(group(*key), [[0] * len(rep) for rep in reps])
+        for total, rep in zip(sums, reps):
+            total[:] = [a + b for a, b in zip(total, rep)]
     return groups
+
+
+def faults_per_iter(reps: list) -> float:
+    """Minor page faults per iteration over all of ``pooled``'s repetitions of one group."""
+    return sum(faults for _, _, faults in reps) / sum(iterations for _, iterations, _ in reps)
 
 
 def summarise(totals: dict, base: str, change: str, bound: dict, differ: bool = False,
               group=lambda label, function: label) -> dict:
     """Per group of runs, by default per method: both sides' median us/iter,
-    the base side's IQR, the median paired ratio, the wins and the verdict
-    under the method's ``bound`` (``failed`` when ``differ``). A group with
-    no iterations is left out."""
+    the base side's IQR, the median paired ratio, the wins, both sides' minor
+    page faults per iteration over all repetitions and the verdict under the
+    method's ``bound`` (``failed`` when ``differ``). A group with no
+    iterations is left out."""
     summary = {}
     labels = {group(*key): key[0] for key in totals[base]}
     change_groups = pooled(totals[change], group)
     for name, base_reps in pooled(totals[base], group).items():
-        if not all(i for _, i in base_reps + change_groups[name]):
+        if not all(i for _, i, _ in base_reps + change_groups[name]):
             continue
-        base_us = spread([1e6 * s / i for s, i in base_reps])
-        change_us = spread([1e6 * s / i for s, i in change_groups[name]])
+        base_us = spread([1e6 * s / i for s, i, _ in base_reps])
+        change_us = spread([1e6 * s / i for s, i, _ in change_groups[name]])
         pairs = list(zip(base_us["values"], change_us["values"]))
         wins = sum(c < b for b, c in pairs)
         summary[name] = {base: base_us["median"], f"{base}_iqr": base_us["iqr"],
                          change: change_us["median"],
                          "ratio": statistics.median(c / b for b, c in pairs),
                          "wins": wins, "reps": len(pairs),
+                         f"{base}_faults": faults_per_iter(base_reps),
+                         f"{change}_faults": faults_per_iter(change_groups[name]),
                          "verdict": verdict(base_us, change_us, wins, len(pairs), "lower",
                                             bound[labels[name]], differ)}
     return summary
@@ -185,10 +198,11 @@ def print_table(title: str, summary: dict):
     """``summarise``'s rows under a header whose first column is ``title``."""
     width = max(map(len, [title, *summary])) + 2
     print(f"{title:<{width}}{'rev us/iter':>12}{'rev IQR':>9}{'tree us/iter':>13}{'ratio':>8}"
-          f"{'wins':>8}  verdict")
+          f"{'wins':>8}{'rev flt/iter':>13}{'tree flt/iter':>14}  verdict")
     for name, row in summary.items():
         print(f"{name:<{width}}{row['rev']:>12.1f}{row['rev_iqr']:>9.1f}{row['tree']:>13.1f}"
-              f"{row['ratio']:>8.3f}{row['wins']:>5}/{row['reps']}  {row['verdict']}")
+              f"{row['ratio']:>8.3f}{row['wins']:>5}/{row['reps']}{row['rev_faults']:>13.1f}"
+              f"{row['tree_faults']:>14.1f}  {row['verdict']}")
 
 
 def rosenbrock_sizes(text: str) -> list[int]:
