@@ -12,6 +12,7 @@ token ``nan``.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass
@@ -173,6 +174,7 @@ class _Parser(argparse.ArgumentParser):
         (file or sys.stdout).write(self.format_help())
 
 
+@functools.cache  # parse_args leaves the parser as it was: one per process
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="quadgrad-bench",

@@ -8,16 +8,16 @@ matrix as four floats, hands a tridiagonal matrix to LAPACK ``dsterf`` with
 temporaries of length n, and any other matrix, after one n x n temporary for
 its symmetry test, to ``np.linalg.eigvalsh``; both routes give eigvalsh's bits.
 
-The four scipy LAPACK routines used here (``dlange``, ``dsterf``, ``dgetrf``, ``dgetrs``)
-come from scipy's compiled wrapper module ``scipy/linalg/_flapack``, loaded by file under the
-private name ``quadgrad._flapack``: importing ``scipy.linalg`` for them would run the whole
-package, which took most of the start-up time of ``import quadgrad``. ``scipy.linalg.lapack``
+The three scipy LAPACK routines used here (``dlange``, ``dsterf``, ``dgesv``) come from
+scipy's compiled wrapper module ``scipy/linalg/_flapack``, loaded by file under the private
+name ``quadgrad._flapack``: importing ``scipy.linalg`` for them would run the whole package,
+which took most of the start-up time of ``import quadgrad``. ``scipy.linalg.lapack``
 re-exports the same routines from that module, so the results are the same bits; it is the
 fallback when the file is not found. scipy's own import state is left alone: a later ``import
 scipy.linalg`` loads its ``_flapack`` as usual.
 
 Inside ``optimizers.run()`` only, ``solve`` copies its matrix into one F-ordered buffer that
-the run owns and factors it there (``dgetrf`` with ``overwrite_a``), where the wrapper would
+the run owns and factors it there (``dgesv`` with ``overwrite_a``), where the wrapper would
 copy a C-ordered matrix into fresh n x n pages at every call; the bits are the same.
 """
 
@@ -44,6 +44,10 @@ RANK_TOL = 1e-12
 # before reducing it; dsterf alone matches its bits only inside that range.
 _TINY = np.finfo(float).tiny
 _RMAX = math.sqrt(np.finfo(float).eps / _TINY)
+# _max_abs reads up to this many entries with one dlange call (about 4 ns per entry), more
+# with two numpy reductions (about 2.5 us of set-up). The measured crossover: 2.43 against
+# 2.51 us at n = 23, 2.79 against 2.54 at n = 25 (README, "Per-call costs")
+_DLANGE_MAX_ENTRIES = 23 * 23
 
 
 def _load_lapack():
@@ -71,7 +75,9 @@ _workspace = contextvars.ContextVar("quadgrad.linalg.workspace", default=None)
 
 @contextlib.contextmanager
 def _lu_workspace():
-    """A one-slot list in ``_workspace`` for ``solve``'s buffer, per thread and nested block."""
+    """A one-slot list in ``_workspace`` for ``solve``'s buffer, per thread and nested block.
+    ``run()`` enters it inside its ``np.errstate(all="ignore")``, so ``gradients`` takes a
+    set workspace to mean that the errstate holds."""
     token = _workspace.set([np.empty(0)])
     try:
         yield
@@ -94,7 +100,10 @@ class SpectralBounds:
 
 def _as_float_array(a) -> np.ndarray:
     """``a`` as a float64 array; InvalidInput unless it holds bool, integer or
-    float numbers (complex input is refused, not cast under a ComplexWarning)."""
+    float numbers (complex input is refused, not cast under a ComplexWarning). An exact
+    float64 ndarray, as ``run()`` passes, is returned as it is, without numpy's calls."""
+    if type(a) is np.ndarray and a.dtype == float:
+        return a
     try:
         arr = np.asarray(a)
     except (TypeError, ValueError) as exc:  # ragged nesting
@@ -129,14 +138,18 @@ def _vector_max_abs(v: np.ndarray) -> float:
 
 
 def _max_abs(m: np.ndarray, who: str) -> float:
-    """The matrix guard: max|m| of a non-empty array; InvalidInput naming ``who`` if an
-    entry is NaN or infinite, which the maximum or the minimum then is. Both are tested
-    before ``max`` sees them: with a NaN argument its result depends on the argument order.
-    ``np.maximum.reduce`` is ``m.max()`` without numpy's Python-level wrapper."""
-    hi, lo = np.maximum.reduce(m, axis=None), np.minimum.reduce(m, axis=None)
-    if not (math.isfinite(hi) and math.isfinite(lo)):
+    """The matrix guard: max|m| of a non-empty float64 matrix; InvalidInput naming ``who``
+    if an entry is NaN or infinite. Up to ``_DLANGE_MAX_ENTRIES`` entries it is one LAPACK
+    dlange call on ``m.T`` (not copied when ``m`` is C-ordered), above ``m.max()`` and
+    ``m.min()`` without numpy's Python wrappers; each is NaN or inf where an entry is."""
+    if m.size <= _DLANGE_MAX_ENTRIES:
+        max_abs = _lapack.dlange("M", m.T)
+    else:
+        hi, lo = np.maximum.reduce(m, axis=None), np.minimum.reduce(m, axis=None)
+        max_abs = max(hi, -lo) if math.isfinite(hi) and math.isfinite(lo) else math.nan
+    if not math.isfinite(max_abs):
         raise InvalidInput(f"{who} requires finite inputs")
-    return max(hi, -lo)
+    return max_abs
 
 
 def spectral_bounds(h) -> SpectralBounds:
@@ -200,7 +213,7 @@ def solve_operands(a, b) -> tuple[np.ndarray, np.ndarray, float]:
 
 
 def solve(a, b) -> np.ndarray:
-    """Solve ``a @ x = b`` by partially pivoted LU (LAPACK dgetrf/dgetrs).
+    """Solve ``a @ x = b`` by partially pivoted LU (LAPACK dgesv: dgetrf, then dgetrs).
 
     Raises SingularMatrix when any pivot falls below ``PIVOT_TOL * max|a|``, signalling the
     caller to switch to the pseudoinverse path. ``a`` and ``b`` are never written: in a run
@@ -211,11 +224,15 @@ def solve(a, b) -> np.ndarray:
         if slot[0].shape != m.shape:
             slot[0] = np.empty(m.shape, order="F")
         slot[0][...] = m
-    # an exactly zero pivot (info > 0) fails the pivot test below
-    lu, piv, _ = _lapack.dgetrf(m if slot is None else slot[0], overwrite_a=slot is not None)
-    if np.minimum.reduce(abs(lu.diagonal())) < PIVOT_TOL * max(max_abs, _TINY):
+    # an exactly zero pivot (info > 0, and x not solved) fails the pivot test below
+    lu, _, x, _ = _lapack.dgesv(m if slot is None else slot[0], rhs, overwrite_a=slot is not None)
+    pivots = lu.diagonal().tolist()
+    # min() passes over a NaN pivot unless it comes first, and a NaN minimum is not below
+    # the tolerance, as with np.minimum.reduce: so a NaN pivot means not singular
+    if (min(map(abs, pivots)) < PIVOT_TOL * max(max_abs, _TINY)
+            and not any(map(math.isnan, pivots))):
         raise SingularMatrix("pivot below tolerance; matrix is numerically singular")
-    return _lapack.dgetrs(lu, piv, rhs)[0]
+    return x
 
 
 def pseudoinverse(a) -> np.ndarray:

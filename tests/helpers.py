@@ -76,8 +76,8 @@ def peak_traced_bytes(fn, *args):
 
 class RecordingLapack:
     """Stands in for ``quadgrad.linalg._lapack``: every routine passes through, and each
-    ``dgetrf`` call is recorded as ``(weakref to the array it factored in place, or None,
-    whether the factor it returned is that array)``."""
+    ``dgesv`` call, the one that factors, is recorded as ``(weakref to the array it factored
+    in place, or None, whether the factor it returned is that array)``."""
 
     def __init__(self, lapack):
         self._lapack = lapack
@@ -86,10 +86,10 @@ class RecordingLapack:
     def __getattr__(self, name):
         return getattr(self._lapack, name)
 
-    def dgetrf(self, a, overwrite_a=False):
-        lu, piv, info = self._lapack.dgetrf(a, overwrite_a=overwrite_a)
+    def dgesv(self, a, b, overwrite_a=False):
+        lu, piv, x, info = self._lapack.dgesv(a, b, overwrite_a=overwrite_a)
         self.factored.append((weakref.ref(a) if overwrite_a else None, lu is a))
-        return lu, piv, info
+        return lu, piv, x, info
 
     def buffers(self):
         """Weakrefs to the distinct arrays factored in place, in order of first use."""

@@ -20,6 +20,7 @@ from quadgrad import (
     rosenbrock,
     run_experiment,
 )
+from quadgrad import bench
 from quadgrad.bench import default_x0, main
 from quadgrad.functions import get_function
 from test_optimizers import bowl, counted
@@ -400,6 +401,37 @@ class TestCli:
                  "--eta", "1.5", "--out", str(path)]
             ) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    # a flag, then the same call without it, help, a usage error, and the first call again
+    SEQUENCE = [
+        ["--function", "rosenbrock:2", "--iters", "5", "--fixed-hessian"],
+        ["--function", "rosenbrock:2", "--iters", "5"],
+        ["--help"],
+        ["--experiment", "bogus"],
+        ["--function", "rosenbrock:2", "--iters", "5", "--fixed-hessian"],
+    ]
+
+    def test_one_parser_per_process_gives_what_a_fresh_one_gives(self, capsys):
+        def outcomes(fresh_parser):
+            seen = []
+            for argv in self.SEQUENCE:
+                if fresh_parser:
+                    bench._build_parser.cache_clear()
+                code = main(argv)
+                captured = capsys.readouterr()
+                seen.append((code, captured.out, captured.err))
+            return seen
+
+        fresh = outcomes(fresh_parser=True)
+        bench._build_parser.cache_clear()
+        shared = outcomes(fresh_parser=False)
+        assert bench._build_parser.cache_info().misses == 1
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [0, 0, 0, 2, 0]
+        # the flag reached the first run and did not stick to the second
+        assert shared[0][1] != shared[1][1] and shared[4] == shared[0]
+        assert shared[2][1].startswith("usage: quadgrad-bench")
+        assert "invalid choice: 'bogus'" in shared[3][2]
 
     # every shared flag and each experiment's own flags reach the library call
     @pytest.mark.parametrize("argv, experiment", [

@@ -89,7 +89,8 @@ class TestBoundDiagonal:
                                                 ("minus-inf", -np.inf)]
     ])
     def test_nonfinite_row_sum_raises(self, h):
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(InvalidInput) as info:
                 bound_diagonal(h)
         assert type(info.value) is InvalidInput
@@ -259,6 +260,17 @@ class TestNewQuadraticGradient:
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidInput):
             new_quadratic_gradient(np.eye(2), [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("h, g, expected", [
+        # a subnormal g_1 overflows r_1 = solve(h, g)_1 / g_1 to -inf: G_1 = 0
+        ([[1.0, 1.0], [1.0, 2.0]], [5e-324, 1.0], [0.0, 1.0 / (EPSILON + 1.0)]),
+        # a zero ratio amplifies a huge g_1 by 1 / EPSILON beyond the float range
+        ([[2.0, 1.0], [1.0, 1.0]], [1e308, 1e308], [math.inf, 1e308 / (EPSILON + 1.0)]),
+    ], ids=["subnormal-gradient", "overflowing-product"])
+    def test_overflow_gives_inf_or_zero_without_a_warning(self, h, g, expected):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert new_quadratic_gradient(h, g).tolist() == expected
 
 
 class TestSpectralLearningRate:

@@ -1,10 +1,14 @@
+import contextlib
 import dataclasses
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import quadgrad.linalg as linalg
 from quadgrad import (
@@ -588,7 +592,7 @@ class TestSolveWorkspace:
             assert a.flags.c_contiguous == (order == "C")
             assert a.tobytes(order="A") == before[0].tobytes(order="A")
             assert b.tobytes() == before[1].tobytes()
-        # every factor was dgetrf's own copy, gone with the call
+        # every factor was dgesv's own copy, gone with the call
         assert lapack.factored == [(None, False)] * 8 and lapack.buffers() == []
         assert linalg._workspace.get() is None
 
@@ -613,3 +617,114 @@ class TestSolveWorkspace:
         assert len(lapack.buffers()) == 3
         assert all(ref() is None for ref in lapack.buffers())
         assert linalg._workspace.get() is None
+
+
+# NaN, +-inf, +-0, the smallest subnormal and the float range's edge
+SPECIAL_ENTRIES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e308, -1e308]
+
+
+@st.composite
+def guarded_matrices(draw):
+    """A float64 matrix of order 1 to 6, with special entries at its first, middle and last
+    entry now and then, laid out in C order, F order or as a strided view."""
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = rng.standard_normal((n, n)) * 10.0 ** draw(st.integers(-300, 300))
+    for at in draw(st.lists(st.sampled_from([0, n * n // 2, n * n - 1]), max_size=3)):
+        m.flat[at] = draw(st.sampled_from(SPECIAL_ENTRIES))
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "strided":
+        wide = np.zeros((2 * n, 3 * n))
+        wide[::2, ::3] = m
+        return wide[::2, ::3]
+    return np.array(m, order=layout)
+
+
+def max_abs_outcome(m, max_entries):
+    """``_max_abs(m)`` with the dlange switch at ``max_entries``: its value, or the message."""
+    with mock.patch.object(linalg, "_DLANGE_MAX_ENTRIES", max_entries):
+        try:
+            return linalg._max_abs(m, "guard")
+        except InvalidInput as exc:
+            return str(exc)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(m=guarded_matrices())
+def test_matrix_guard_is_the_same_on_both_sides_of_the_switch(m):
+    dlange = max_abs_outcome(m, m.size)
+    reductions = max_abs_outcome(m, m.size - 1)
+    if np.isfinite(m).all():
+        # equal as floats: the reductions can give -0.0 for a zero matrix, dlange 0.0
+        assert dlange == reductions == np.max(np.abs(m))
+    else:
+        assert dlange == reductions == "guard requires finite inputs"
+
+
+def test_matrix_guard_reads_a_small_c_ordered_matrix_in_place():
+    m = np.random.default_rng(21).standard_normal((20, 20))
+    assert m.size <= linalg._DLANGE_MAX_ENTRIES
+    # dlange's own work array is n floats; a copy of m would be n * n
+    assert peak_traced_bytes(linalg._max_abs, m, "guard") < 0.5 * m.nbytes
+
+
+class PivotLapack:
+    """``linalg._lapack`` whose ``dgesv`` returns a diagonal factor of the given pivots."""
+
+    def __init__(self, pivots):
+        self.pivots = pivots
+
+    def __getattr__(self, name):
+        return getattr(scipy.linalg.lapack, name)
+
+    def dgesv(self, a, b, overwrite_a=False):
+        return np.diag(self.pivots), np.arange(1, len(b) + 1), np.zeros(len(b)), 0
+
+
+# around solve's tolerance for max|a| = 1, 1e-12 itself not below it, and NaN and inf
+PIVOTS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-13, -1e-13, 1e-12, -1e-12,
+          1.1e-12, 1.0, -2.0]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(pivots=st.lists(st.sampled_from(PIVOTS), min_size=1, max_size=6))
+@example(pivots=[math.nan, 0.0, 1.0]).via("a NaN first")
+@example(pivots=[0.0, math.nan, 1.0]).via("a NaN in the middle")
+@example(pivots=[1.0, 0.0, math.nan]).via("a NaN last")
+def test_pivot_decision_is_numpys(pivots):
+    d = np.array(pivots)
+    singular = bool(np.minimum.reduce(abs(d)) < PIVOT_TOL * 1.0)
+    with mock.patch.object(linalg, "_lapack", PivotLapack(d)):
+        try:
+            solve(np.eye(len(d)), np.ones(len(d)))
+        except SingularMatrix:
+            assert singular
+        else:
+            assert not singular
+
+
+# OpenBLAS factors on one thread below 10,000 entries: n = 100 is at the cutoff
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(n=st.sampled_from([1, 2, 16, 17, 100, 101]), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["random", "rank-deficient", "scaled", "nearly-singular"]),
+       order=st.sampled_from(["C", "F"]), in_run=st.booleans())
+def test_solve_gives_the_bits_of_dgetrf_and_dgetrs(n, seed, kind, order, in_run):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    if kind == "rank-deficient":
+        a = random_rank_deficient_symmetric(rng, n, int(rng.integers(0, n)))
+    elif kind == "scaled":
+        a *= 10.0 ** rng.uniform(-300, 300)
+    elif kind == "nearly-singular" and n > 1:
+        a[:, -1] = a[:, 0] * (1.0 + 1e-14)
+    a, b = np.array(a, order=order), rng.standard_normal(n)
+    try:
+        expected = TestSolve.reference_solve(a, b).tobytes()
+    except SingularMatrix:
+        expected = "singular"
+    with linalg._lu_workspace() if in_run else contextlib.nullcontext():
+        try:
+            got = solve(a, b).tobytes()
+        except SingularMatrix:
+            got = "singular"
+    assert got == expected

@@ -326,10 +326,9 @@ def test_newton_ratio_operands_in_any_real_form_give_the_float64_outcome(case):
         got, got_warnings = outcome(call, h, g)
         assert got == expected and got_warnings == expected_warnings
         assert got is InvalidInput or (type(got) is tuple and got[0] == np.float64)
-        # a subnormal g_i can overflow r_i = solve(h, g)_i / g_i or 1 / sigma in
-        # pseudoinverse, which warns in either form; nothing else warns
-        if not (g64 == SUBNORMAL).any():
-            assert got_warnings == []
+        # nothing warns, not even a subnormal g_i that overflows r_i = solve(h, g)_i / g_i
+        # or 1 / sigma in pseudoinverse
+        assert got_warnings == []
 
 
 @st.composite

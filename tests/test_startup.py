@@ -11,8 +11,8 @@ import quadgrad
 
 SRC = str(Path(quadgrad.__file__).resolve().parents[1])
 
-# solve, both spectral_bounds paths, the row-sum and vector guards and a short AdamNewQG
-# run, hashed bit for bit
+# solve, a dgesv call, both spectral_bounds paths, both matrix guards, the row-sum and
+# vector guards and a short AdamNewQG run, hashed bit for bit
 DIGEST = """
 import hashlib
 import numpy as np
@@ -31,6 +31,10 @@ trajectory = quadgrad.run(
     -np.ones(5))
 assert len(trajectory.records) == 21 and not trajectory.diverged
 digest = hashlib.sha256(quadgrad.solve(dense, np.arange(6.0)).tobytes())
+for part in linalg._lapack.dgesv(dense, np.arange(6.0)):
+    digest.update(np.asarray(part).tobytes())
+for m in (dense, tridiagonal):  # one dlange call, and the reductions above the switch
+    digest.update(np.float64(linalg._max_abs(m, "digest")).tobytes())
 for h in (tridiagonal, two_by_two, dense):
     bounds = quadgrad.spectral_bounds(h)
     digest.update(np.array([bounds.lambda_min, bounds.lambda_max]).tobytes())

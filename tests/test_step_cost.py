@@ -194,3 +194,27 @@ def test_tables_show_each_sides_faults_per_iteration(step_cost, monkeypatch, cap
         assert fields[wins].endswith("/1")
         assert all(float(count) >= 0.0 for count in fields[wins + 1:wins + 3])
     assert any(line.startswith("adam-newqg rosenbrock:3 ") for line in lines)
+
+
+def test_methods_time_only_the_named_methods(step_cost, monkeypatch, capsys):
+    assert [label for label, _ in step_cost.grid(quadgrad, [3], ["adam-newqg", "adam"])] == (
+        ["adam", "adam-newqg"] * 2)
+    root = Path(quadgrad.__file__).parents[2]
+    sha = "c" * 40
+    monkeypatch.setattr(step_cost, "extract", lambda rev: (root, {"rev": sha}))
+    # argparse refuses an unknown label, before any revision is loaded
+    for bad in ("adam-new", "adam,", ""):
+        with pytest.raises(SystemExit, match="2"):
+            step_cost.main(["--methods", bad])
+        assert "expected labels among gd-spectral, " in capsys.readouterr().err
+    try:
+        assert step_cost.main(["--reps", "1", "--sizes", "3", "--methods", "adam-newqg"]) == 0
+    finally:
+        for name in [name for name in sys.modules if name.split(".")[0] == f"quadgrad_{sha[:12]}"]:
+            del sys.modules[name]
+    lines = capsys.readouterr().out.splitlines()
+    # AdamNewQG on Rosenbrock(3) at the two horizons, and nothing else
+    assert lines[0].endswith("2 runs, 0 with different bits, 1 reps")
+    rows = [line.split()[0] for line in lines[1:] if not line.startswith("method")]
+    assert rows == ["adam-newqg", "adam-newqg"]
+    assert any(line.startswith("adam-newqg rosenbrock:3 ") for line in lines)

@@ -1,7 +1,7 @@
 """Per-method step cost of a git revision against this working tree, timed
 interleaved in one process.
 
-    python3 tools/step_cost.py [--rev REV] [--reps N] [--sizes N,N,...]
+    python3 tools/step_cost.py [--rev REV] [--reps N] [--sizes N,N,...] [--methods M,M,...]
 
 The revision (default ``HEAD``) is extracted with ``git archive`` into the
 gitignored ``.bench_tmp/`` by ``ab_bench.extract``, and its ``src/quadgrad``
@@ -17,7 +17,8 @@ Adagrad on the same Rosenbrock runs, each from ``bench.default_x0``; the
 functions, sizes and horizons are those of ``fingerprint.py``'s CLI grid.
 ``--sizes`` runs the four Rosenbrock methods at other n instead, for example
 around a size switch such as ``functions._FLOAT_MAX_N`` or
-``optimizers._ADAM_FLOAT_MAX_N``. One
+``optimizers._ADAM_FLOAT_MAX_N``. ``--methods`` keeps only the runs of the named
+method labels (``adam-newqg,adam`` for example; an unknown label is a usage error). One
 untimed pass checks that both sides give the same bits on every run, by
 ``fingerprint.digest`` of each run. Then
 each of ``--reps`` repetitions times every run once on each side, back to
@@ -92,9 +93,10 @@ def method_configs(package) -> dict:
     }
 
 
-def grid(package, sizes=PANEL_SIZES) -> list[tuple[str, functools.partial]]:
+def grid(package, sizes=PANEL_SIZES, methods=None) -> list[tuple[str, functools.partial]]:
     """The paper-panels ``run()`` grid of ``package`` as (method label, the call),
-    with the Rosenbrock runs at each n of ``sizes``."""
+    with the Rosenbrock runs at each n of ``sizes``; only the runs of ``methods``'
+    labels when it is given."""
     bench = importlib.import_module(f"{package.__name__}.bench")
     configs = method_configs(package)
 
@@ -111,7 +113,7 @@ def grid(package, sizes=PANEL_SIZES) -> list[tuple[str, functools.partial]]:
             f = package.rosenbrock(n)
             runs += [entry(label, f, iterations)
                      for iterations in PANEL_HORIZONS for label in labels]
-    return runs
+    return [(label, call) for label, call in runs if methods is None or label in methods]
 
 
 def load(package_dir: Path, name: str):
@@ -216,18 +218,31 @@ def rosenbrock_sizes(text: str) -> list[int]:
     return sizes
 
 
+def method_labels(text: str) -> list[str]:
+    """``--methods``' comma-separated labels, each one of ``method_configs``' keys."""
+    labels = text.split(",")
+    known = method_configs(quadgrad)
+    if not all(label in known for label in labels):
+        raise argparse.ArgumentTypeError(f"expected labels among {', '.join(known)}, "
+                                         f"got {text!r}")
+    return labels
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rev", default="HEAD", help="the revision to compare against")
     parser.add_argument("--reps", type=int, default=15)
     parser.add_argument("--sizes", type=rosenbrock_sizes, default=PANEL_SIZES,
                         help="Rosenbrock n, comma-separated (default: the panel sizes)")
+    parser.add_argument("--methods", type=method_labels, default=None,
+                        help="method labels to time, comma-separated (default: all seven)")
     args = parser.parse_args(argv)
 
     tree, rev = extract(args.rev)
     sha = rev["rev"]
     base = load(tree / "src" / "quadgrad", f"quadgrad_{sha[:12]}")
-    grids = {"rev": grid(base, args.sizes), "tree": grid(quadgrad, args.sizes)}
+    grids = {"rev": grid(base, args.sizes, args.methods),
+             "tree": grid(quadgrad, args.sizes, args.methods)}
     differ = sum(digest([a()]) != digest([b()])
                  for (_, a), (_, b) in zip(grids["rev"], grids["tree"]))
     print(f"rev {sha[:12]} vs working tree: {len(grids['tree'])} runs, "
