@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidInput, UnknownFunction
-from .linalg import as_vector
+from .linalg import _quiet, as_vector
 
 
 class Sense(enum.Enum):
@@ -108,8 +108,9 @@ def _rosenbrock_point(x, n: int) -> np.ndarray:
 
 
 def _rosenbrock_arrays(n: int):
-    """Rosenbrock's value, gradient and Hessian at n on numpy arrays."""
+    """Rosenbrock's value, gradient and Hessian at n on numpy arrays, each ``_quiet``."""
 
+    @_quiet
     def value(x):
         x = _rosenbrock_point(x, n)
         head = x[:-1]
@@ -117,6 +118,7 @@ def _rosenbrock_arrays(n: int):
         return float(np.add.reduce(100.0 * (x[1:] - head ** 2) ** 2 + (1.0 - head) ** 2,
                                    axis=None))
 
+    @_quiet
     def gradient(x):
         x = _rosenbrock_point(x, n)
         head = x[:-1]
@@ -126,6 +128,7 @@ def _rosenbrock_arrays(n: int):
         g[1:] += 200.0 * d
         return g
 
+    @_quiet
     def hessian(x):
         x = _rosenbrock_point(x, n)
         h = np.zeros((n, n))
@@ -354,6 +357,7 @@ def as_point(x, f: ObjectiveFunction, name: str) -> np.ndarray:
     return x
 
 
+@_quiet
 def finite_difference_check(f: ObjectiveFunction, x) -> tuple[float, float]:
     """Max-norm discrepancy between analytic and central-difference derivatives.
 
@@ -369,14 +373,13 @@ def finite_difference_check(f: ObjectiveFunction, x) -> tuple[float, float]:
     n = x.shape[0]
     fd_grad = np.zeros(n)
     fd_hess = np.zeros((n, n))
-    with np.errstate(all="ignore"):
-        for j in range(n):
-            step = np.zeros(n)
-            step[j] = h
-            fd_grad[j] = (f.value(x + step) - f.value(x - step)) / (2.0 * h)
-            fd_hess[:, j] = (f.gradient(x + step) - f.gradient(x - step)) / (2.0 * h)
-        grad_err = float(np.max(np.abs(fd_grad - f.gradient(x))))
-        hess_err = float(np.max(np.abs(fd_hess - f.hessian(x))))
+    for j in range(n):
+        step = np.zeros(n)
+        step[j] = h
+        fd_grad[j] = (f.value(x + step) - f.value(x - step)) / (2.0 * h)
+        fd_hess[:, j] = (f.gradient(x + step) - f.gradient(x - step)) / (2.0 * h)
+    grad_err = float(np.max(np.abs(fd_grad - f.gradient(x))))
+    hess_err = float(np.max(np.abs(fd_hess - f.hessian(x))))
     return grad_err, hess_err
 
 

@@ -6,7 +6,7 @@ per-coordinate ratios between the Newton step and the gradient, falling
 back to a Moore-Penrose pseudoinverse when those ratios are not directly
 solvable. Both yield a positive diagonal that rescales the gradient
 elementwise, plus there is a scalar spectral learning rate for plain
-gradient descent.
+gradient descent. The accelerators are ``linalg._quiet``: none warns.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, SingularMatrix
-from .linalg import (_vector_max_abs, _workspace, as_square_matrix, as_vector, pseudoinverse,
-                     solve, solve_operands, spectral_bounds)
+from .linalg import (_max_abs, _quiet, as_square_matrix, as_vector, pseudoinverse, solve,
+                     solve_operands, spectral_bounds)
 
 # Guards every 1/(EPSILON + ...) against division by zero; not a tuning knob.
 EPSILON = 1e-8
@@ -66,12 +66,7 @@ def _abs_row_sums(m: np.ndarray) -> np.ndarray:
     return sums
 
 
-# bound_diagonal, newton_ratios and new_quadratic_gradient run their bodies under
-# np.errstate(all="ignore"), so no RuntimeWarning escapes a direct call; run() holds that
-# errstate and sets its LU workspace within it, so there they call the body directly: one
-# ContextVar read, where an errstate costs about 2 us and a generic *args wrapper 0.3 us
-
-
+@_quiet
 def bound_diagonal(hbar) -> np.ndarray:
     """Accelerator diagonal with entries 1 / (EPSILON + sum_i |hbar_ji|).
 
@@ -81,20 +76,14 @@ def bound_diagonal(hbar) -> np.ndarray:
     is made. An inf or NaN entry, or a row sum that overflows, raises
     InvalidInput, without a RuntimeWarning: that row's entry would be a silent 0 or NaN.
     """
-    if _workspace.get() is not None:
-        return _bound_diagonal(hbar)
-    with np.errstate(all="ignore"):
-        return _bound_diagonal(hbar)
-
-
-def _bound_diagonal(hbar) -> np.ndarray:
     sums = _abs_row_sums(as_square_matrix(hbar))
     # the max norm is NaN or inf if a sum is: one test for both
-    if not math.isfinite(_vector_max_abs(sums)):
+    if not math.isfinite(_max_abs(sums)):
         raise InvalidInput("bound_diagonal requires finite row sums of |hbar|")
     return 1.0 / (EPSILON + sums)
 
 
+@_quiet
 def newton_ratios(h, g) -> NewtonRatios:
     """Ratios r such that diag(r) @ g reproduces the Newton step solve(h, g).
 
@@ -106,13 +95,6 @@ def newton_ratios(h, g) -> NewtonRatios:
     refuses a bad ``h`` or ``g``, and ``pseudoinverse`` an h @ diag(g) that overflows.
     A ratio that overflows (a subnormal g_i can) is inf, without a RuntimeWarning.
     """
-    if _workspace.get() is not None:
-        return _newton_ratios(h, g)
-    with np.errstate(all="ignore"):
-        return _newton_ratios(h, g)
-
-
-def _newton_ratios(h, g) -> NewtonRatios:
     grad = as_vector(g)
     # no zero entry (NaN is nonzero: solve refuses it); cheaper than grad.all()
     if np.count_nonzero(grad) == grad.shape[0]:
@@ -126,6 +108,7 @@ def _newton_ratios(h, g) -> NewtonRatios:
     return NewtonRatios(ratios=pseudoinverse(product) @ grad, used_pseudoinverse=True)
 
 
+@_quiet
 def new_quadratic_gradient(h, g) -> np.ndarray:
     """Quadratic gradient with entries g_i / (EPSILON + |r_i|), r the Newton ratios.
 
@@ -136,13 +119,6 @@ def new_quadratic_gradient(h, g) -> np.ndarray:
     whatever g_i is. h = [[2, 1], [1, 1]] and g = (1, 1) give h^-1 g = (0, 1) and
     G = (1e8, 0.99999999); g = (1, 1 + 1e-9) still gives G_1 = 9.09e7.
     """
-    if _workspace.get() is not None:
-        return _new_quadratic_gradient(h, g)
-    with np.errstate(all="ignore"):
-        return _new_quadratic_gradient(h, g)
-
-
-def _new_quadratic_gradient(h, g) -> np.ndarray:
     return 1.0 / (EPSILON + np.abs(newton_ratios(h, g).ratios)) * g
 
 

@@ -16,15 +16,18 @@ re-exports the same routines from that module, so the results are the same bits;
 fallback when the file is not found. scipy's own import state is left alone: a later ``import
 scipy.linalg`` loads its ``_flapack`` as usual.
 
-Inside ``optimizers.run()`` only, ``solve`` copies its matrix into one F-ordered buffer that
-the run owns and factors it there (``dgesv`` with ``overwrite_a``), where the wrapper would
-copy a C-ordered matrix into fresh n x n pages at every call; the bits are the same.
+``optimizers.run()`` enters ``_run_scope()`` once: ``np.errstate(all="ignore")``, and one
+F-ordered buffer the run owns, where ``solve`` copies its matrix and factors it (``dgesv`` with
+``overwrite_a``; the wrapper would copy a C-ordered matrix into fresh n x n pages at every
+call), with the same bits. A ``_quiet`` kernel computes as it is inside a scope and in one of
+its own, without the buffer, when called directly: no numpy ``RuntimeWarning`` escapes it.
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
+import functools
 import importlib.util
 import math
 import os
@@ -74,15 +77,35 @@ _workspace = contextvars.ContextVar("quadgrad.linalg.workspace", default=None)
 
 
 @contextlib.contextmanager
-def _lu_workspace():
-    """A one-slot list in ``_workspace`` for ``solve``'s buffer, per thread and nested block.
-    ``run()`` enters it inside its ``np.errstate(all="ignore")``, so ``gradients`` takes a
-    set workspace to mean that the errstate holds."""
+def _run_scope():
+    """A run's ``np.errstate(all="ignore")``, and in ``_workspace`` a one-slot list for
+    ``solve``'s buffer, per thread and nested block. A set ``_workspace`` means that the
+    errstate holds."""
     token = _workspace.set([np.empty(0)])
     try:
-        yield
+        with np.errstate(all="ignore"):
+            yield
     finally:
         _workspace.reset(token)
+
+
+def _quiet(kernel):
+    """``kernel`` as it is inside a ``_run_scope`` (one ContextVar read), else in a scope of
+    its own, with an empty list for no LU buffer; written out, where a ``contextmanager``
+    would cost a direct call 1.7 us more."""
+
+    @functools.wraps(kernel)
+    def quiet(*args, **kwargs):
+        if _workspace.get() is not None:
+            return kernel(*args, **kwargs)
+        token = _workspace.set([])
+        try:
+            with np.errstate(all="ignore"):
+                return kernel(*args, **kwargs)
+        finally:
+            _workspace.reset(token)
+
+    return quiet
 
 
 @dataclass(frozen=True)
@@ -129,25 +152,19 @@ def as_vector(v) -> np.ndarray:
     return x
 
 
-def _vector_max_abs(v: np.ndarray) -> float:
-    """max|v| of a non-empty float64 vector, exactly: LAPACK dlange's max norm of ``v``
-    as one column. It is NaN if an entry is NaN, else inf if one is infinite; it neither
-    overflows nor warns, and costs one call where a numpy reduction's set-up alone costs
-    more. dlange reads a matrix one element at a time, so matrices go to ``_max_abs``."""
-    return _lapack.dlange("M", v[:, np.newaxis])
-
-
-def _max_abs(m: np.ndarray, who: str) -> float:
-    """The matrix guard: max|m| of a non-empty float64 matrix; InvalidInput naming ``who``
-    if an entry is NaN or infinite. Up to ``_DLANGE_MAX_ENTRIES`` entries it is one LAPACK
-    dlange call on ``m.T`` (not copied when ``m`` is C-ordered), above ``m.max()`` and
-    ``m.min()`` without numpy's Python wrappers; each is NaN or inf where an entry is."""
-    if m.size <= _DLANGE_MAX_ENTRIES:
-        max_abs = _lapack.dlange("M", m.T)
+def _max_abs(a: np.ndarray, who: str | None = None) -> float:
+    """max|a| of a non-empty float64 vector or matrix, exactly, as a Python float: NaN if an
+    entry is NaN, else inf if one is infinite; it neither overflows nor warns. Given ``who``,
+    it is the guard: InvalidInput naming ``who`` unless every entry is finite.
+    Up to ``_DLANGE_MAX_ENTRIES`` entries it is one LAPACK dlange call on ``a.T`` (a vector as
+    one column; not copied when ``a`` is C-ordered), above ``a.max()`` and ``a.min()`` without
+    numpy's Python wrappers: each propagates a NaN, and abs() turns a zero's -0.0 into 0.0."""
+    if a.size <= _DLANGE_MAX_ENTRIES:
+        max_abs = _lapack.dlange("M", a.T if a.ndim == 2 else a[:, np.newaxis])
     else:
-        hi, lo = np.maximum.reduce(m, axis=None), np.minimum.reduce(m, axis=None)
-        max_abs = max(hi, -lo) if math.isfinite(hi) and math.isfinite(lo) else math.nan
-    if not math.isfinite(max_abs):
+        hi, lo = np.maximum.reduce(a, axis=None), np.minimum.reduce(a, axis=None)
+        max_abs = abs(float(max(hi, -lo)))
+    if who is not None and not math.isfinite(max_abs):
         raise InvalidInput(f"{who} requires finite inputs")
     return max_abs
 
@@ -182,7 +199,7 @@ def spectral_bounds(h) -> SpectralBounds:
             np.count_nonzero(m)
             == np.count_nonzero(d) + np.count_nonzero(lower) + np.count_nonzero(upper))
         if direct:
-            asymmetry = _vector_max_abs(lower - upper)
+            asymmetry = _max_abs(lower - upper)
         else:
             with np.errstate(all="ignore"):  # m - m.T can overflow near the float range
                 diff = m - m.T
@@ -207,8 +224,7 @@ def solve_operands(a, b) -> tuple[np.ndarray, np.ndarray, float]:
     if rhs.shape[0] != m.shape[0]:
         raise InvalidInput(f"matrix order {m.shape[0]} does not match vector length "
                            f"{rhs.shape[0]}")
-    if not math.isfinite(_vector_max_abs(rhs)):
-        raise InvalidInput("solve requires finite inputs")
+    _max_abs(rhs, "solve")
     return m, rhs, _max_abs(m, "solve")
 
 
@@ -220,12 +236,12 @@ def solve(a, b) -> np.ndarray:
     the factor overwrites the run's buffer (module docstring), made anew for a new order.
     """
     m, rhs, max_abs = solve_operands(a, b)
-    if (slot := _workspace.get()) is not None:
+    if slot := _workspace.get():  # a run's scope: neither None nor a direct call's []
         if slot[0].shape != m.shape:
             slot[0] = np.empty(m.shape, order="F")
         slot[0][...] = m
     # an exactly zero pivot (info > 0, and x not solved) fails the pivot test below
-    lu, _, x, _ = _lapack.dgesv(m if slot is None else slot[0], rhs, overwrite_a=slot is not None)
+    lu, _, x, _ = _lapack.dgesv(slot[0] if slot else m, rhs, overwrite_a=bool(slot))
     pivots = lu.diagonal().tolist()
     # min() passes over a NaN pivot unless it comes first, and a NaN minimum is not below
     # the tolerance, as with np.minimum.reduce: so a NaN pivot means not singular
@@ -235,6 +251,7 @@ def solve(a, b) -> np.ndarray:
     return x
 
 
+@_quiet
 def pseudoinverse(a) -> np.ndarray:
     """Moore-Penrose pseudoinverse via SVD.
 
@@ -250,7 +267,6 @@ def pseudoinverse(a) -> np.ndarray:
     cutoff = RANK_TOL * sigma[0] * m.shape[0]
     inv_sigma = np.zeros_like(sigma)
     keep = sigma > cutoff
-    with np.errstate(over="ignore", invalid="ignore"):
-        inv_sigma[keep] = 1.0 / sigma[keep]
-        vt *= inv_sigma[:, np.newaxis]
-        return vt.T @ u.T
+    inv_sigma[keep] = 1.0 / sigma[keep]
+    vt *= inv_sigma[:, np.newaxis]
+    return vt.T @ u.T

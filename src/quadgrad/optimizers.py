@@ -39,7 +39,7 @@ import numpy as np
 from .errors import InvalidInput, QuadGradError
 from .functions import ObjectiveFunction, Sense, as_point
 from .gradients import Variant, bound_diagonal, new_quadratic_gradient, spectral_learning_rate
-from .linalg import _lu_workspace
+from .linalg import _run_scope
 
 # Adam's moment decay rates and denominator guard, as in Kingma and Ba; the
 # enhanced Adagrad shares the guard.
@@ -284,7 +284,7 @@ def run(f: ObjectiveFunction, config: OptimizerConfig, x0) -> Trajectory:
         return -1.0 * a if f.sense is Sense.MAXIMIZE else a
 
     fresh_hessian = derive is not None and not config.fixed_hessian
-    with np.errstate(all="ignore"), _lu_workspace():
+    with _run_scope():
         objective = evaluated("value", f.value)
         # h holds a Hessian not yet derived: each fresh one, and the frozen
         # one until the first step; c is what was derived from the last one

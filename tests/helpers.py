@@ -98,3 +98,17 @@ class RecordingLapack:
             if ref is not None:
                 refs.setdefault(id(ref), ref)
         return list(refs.values())
+
+
+def count_errstates(monkeypatch) -> list:
+    """The keyword arguments of every ``np.errstate`` made from now on, through the name
+    ``numpy.errstate`` (numpy's own modules hold theirs by another reference)."""
+    made = []
+    real = np.errstate
+
+    def errstate(**kwargs):
+        made.append(kwargs)
+        return real(**kwargs)
+
+    monkeypatch.setattr(np, "errstate", errstate)
+    return made

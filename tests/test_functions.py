@@ -335,21 +335,10 @@ class TestFiniteDifferenceCheck:
 
 
 class TestDirectCallWarnings:
-    SQUARE = "overflow encountered in square"
-    ADD = "invalid value encountered in add"
-    ARRAYS = f"rosenbrock:{functions._FLOAT_MAX_N + 1}"
-    # (function, call) -> the RuntimeWarning messages it emits at [c] * dim; any
-    # other call there emits none. Only Rosenbrock above the float path's sizes
-    # computes on numpy arrays (a gradient entry between two others adds -inf
-    # to inf there), and finite_difference_check silences the evaluations it makes.
-    EXPECTED = {
-        1e200: {(ARRAYS, "value"): {SQUARE}, (ARRAYS, "gradient"): {SQUARE, ADD},
-                (ARRAYS, "hessian"): {SQUARE}},
-        1e100: {(ARRAYS, "value"): {SQUARE}},
-    }
-
-    @pytest.mark.parametrize("c", EXPECTED)
-    def test_warnings_at_large_coordinates_are_the_documented_set(self, c):
+    @pytest.mark.parametrize("c", [1e100, 1e200])
+    def test_no_call_warns_at_large_coordinates(self, c):
+        # Rosenbrock above the float path's sizes computes on numpy arrays, where it
+        # overflows (and a gradient entry between two others adds -inf to inf) quietly
         seen = {}
         for f in [*standard_suite(), rosenbrock(functions._FLOAT_MAX_N),
                   rosenbrock(functions._FLOAT_MAX_N + 1)]:
@@ -360,9 +349,8 @@ class TestDirectCallWarnings:
                     warnings.simplefilter("always")
                     call(np.full(f.dim, c))
                 if caught:
-                    assert {w.category for w in caught} == {RuntimeWarning}
                     seen[f.name, name] = {str(w.message) for w in caught}
-        assert seen == self.EXPECTED[c]
+        assert seen == {}
 
 
 class TestSuiteInvariants:

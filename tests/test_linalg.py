@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import inspect
 import math
 import warnings
 from unittest import mock
@@ -17,6 +18,10 @@ from quadgrad import (
     OptimizerConfig,
     SingularMatrix,
     SpectralBounds,
+    bound_diagonal,
+    finite_difference_check,
+    new_quadratic_gradient,
+    newton_ratios,
     pseudoinverse,
     rosenbrock,
     run,
@@ -24,8 +29,8 @@ from quadgrad import (
     spectral_bounds,
 )
 from quadgrad.linalg import PIVOT_TOL, SYMMETRY_TOL, as_square_matrix, as_vector
-from helpers import (RecordingLapack, peak_traced_bytes, random_rank_deficient_symmetric,
-                     random_symmetric)
+from helpers import (RecordingLapack, count_errstates, peak_traced_bytes,
+                     random_rank_deficient_symmetric, random_symmetric)
 
 # Constant Hessian of the concave-quadratic counterexample; its eigenvalues
 # are the roots of lambda^2 + 6*lambda + 4, i.e. -3 +- sqrt(5).
@@ -493,29 +498,43 @@ def test_nonfinite_or_overflowing_asymmetry_is_refused_without_a_warning(a, mess
             spectral_bounds(a)
 
 
+def max_abs_of(a, switch, who=None):
+    """``_max_abs(a, who)`` by one dlange call (``switch`` "dlange") or by the reductions."""
+    max_entries = a.size if switch == "dlange" else a.size - 1
+    with mock.patch.object(linalg, "_DLANGE_MAX_ENTRIES", max_entries):
+        return linalg._max_abs(a, who)
+
+
+BOTH_SIDES = pytest.mark.parametrize("switch", ["dlange", "reductions"])
+
+
 @pytest.mark.parametrize("v", [
     np.array([0.0]), np.array([-0.0, -0.0]), np.array([5e-324, -0.0]),
     np.array([1.0, -3.0, 2.0]), np.array([1e200, -1.7e308, 1e308]),
     np.random.default_rng(33).standard_normal(1000),
     np.random.default_rng(34).standard_normal(40)[::3],
 ], ids=["zero", "negative-zeros", "subnormal", "small", "near-overflow", "n-1000", "strided"])
-def test_vector_max_abs_is_the_exact_maximum(v):
+@BOTH_SIDES
+def test_max_abs_of_a_vector_is_the_exact_maximum(v, switch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = linalg._vector_max_abs(v)
+        got = max_abs_of(v, switch)
     assert type(got) is float
     assert np.float64(got).tobytes() == np.max(np.abs(v)).tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
 @pytest.mark.parametrize("at", [0, 2, 4])
-def test_vector_max_abs_is_nonfinite_for_any_bad_entry(bad, at):
+@BOTH_SIDES
+def test_max_abs_of_a_vector_is_nonfinite_for_any_bad_entry(bad, at, switch):
     v = np.array([1.0, -2.0, 3.0, -4.0, 5.0])
     v[at] = bad
-    got = linalg._vector_max_abs(v)
+    got = max_abs_of(v, switch)
     assert math.isnan(got) if math.isnan(bad) else got == math.inf
+    with pytest.raises(InvalidInput, match="guard requires finite inputs"):
+        max_abs_of(v, switch, "guard")
     v[(at + 1) % 5] = np.inf if math.isnan(bad) else np.nan  # with the other kind beside it
-    assert not math.isfinite(linalg._vector_max_abs(v))
+    assert math.isnan(max_abs_of(v, switch))
 
 
 def test_refused_dense_matrix_makes_one_matrix_temporary():
@@ -561,7 +580,7 @@ def test_coercion_converts_real_dtypes_to_float64(good):
 
 
 class TestSolveWorkspace:
-    """``solve`` in and out of ``_lu_workspace``, the block ``run()`` puts it in."""
+    """``solve`` in and out of ``_run_scope``, the block ``run()`` puts it in."""
 
     @pytest.fixture
     def lapack(self, monkeypatch):
@@ -601,7 +620,7 @@ class TestSolveWorkspace:
         outside = [self.solved(a, b) for a, b in self.systems(order)]
         assert "singular" in outside and len(set(outside)) == 5
         inside = []
-        with linalg._lu_workspace():
+        with linalg._run_scope():
             for a, b in self.systems(order):
                 before = a.copy(order="K"), b.copy()
                 inside.append(self.solved(a, b))
@@ -616,6 +635,46 @@ class TestSolveWorkspace:
         assert all(ref is not None and same for ref, same in in_place)
         assert len(lapack.buffers()) == 3
         assert all(ref() is None for ref in lapack.buffers())
+        assert linalg._workspace.get() is None
+
+
+class TestQuiet:
+    """The ``_quiet`` kernels: called by keyword, counted errstates, a scope of their own."""
+
+    SINGULAR = np.array([[1.0, 1.0], [1.0, 1.0]])
+    # each decorated public kernel (Rosenbrock's callables on numpy arrays among them), its
+    # parameters, and a call by keyword
+    KERNELS = {
+        "bound_diagonal": (bound_diagonal, ["hbar"], dict(hbar=H_F)),
+        "newton_ratios": (newton_ratios, ["h", "g"], dict(h=H_F, g=[1.0, 2.0])),
+        "newton_ratios-fallback": (newton_ratios, ["h", "g"], dict(h=SINGULAR, g=[1.0, 2.0])),
+        "new_quadratic_gradient": (new_quadratic_gradient, ["h", "g"],
+                                   dict(h=H_F, g=[1.0, 2.0])),
+        "pseudoinverse": (pseudoinverse, ["a"], dict(a=H_F)),
+        "finite_difference_check": (finite_difference_check, ["f", "x"],
+                                    dict(f=rosenbrock(29), x=np.linspace(-1.0, 1.0, 29))),
+        **{f"{call}-rosenbrock:29": (getattr(rosenbrock(29), call), ["x"],
+                                     dict(x=np.full(29, 1e200)))
+           for call in ("value", "gradient", "hessian")},
+    }
+
+    @pytest.mark.parametrize("name", KERNELS)
+    def test_keeps_its_signature_and_takes_keywords(self, name):
+        kernel, parameters, kwargs = self.KERNELS[name]
+        assert list(inspect.signature(kernel).parameters) == parameters
+        assert kernel.__wrapped__.__name__ == kernel.__name__ == name.split("-")[0]
+        kernel(**kwargs)
+
+    @pytest.mark.parametrize("name", KERNELS)
+    def test_direct_call_enters_one_errstate_and_holds_no_buffer(self, name, monkeypatch):
+        kernel, _, kwargs = self.KERNELS[name]
+        made = count_errstates(monkeypatch)
+        recording = RecordingLapack(linalg._lapack)
+        monkeypatch.setattr(linalg, "_lapack", recording)
+        kernel(**kwargs)
+        assert made == [{"all": "ignore"}]
+        # a direct call's solve factors dgesv's own copy, as a call of solve itself does
+        assert all(factored == (None, False) for factored in recording.factored)
         assert linalg._workspace.get() is None
 
 
@@ -640,23 +699,22 @@ def guarded_matrices(draw):
     return np.array(m, order=layout)
 
 
-def max_abs_outcome(m, max_entries):
-    """``_max_abs(m)`` with the dlange switch at ``max_entries``: its value, or the message."""
-    with mock.patch.object(linalg, "_DLANGE_MAX_ENTRIES", max_entries):
-        try:
-            return linalg._max_abs(m, "guard")
-        except InvalidInput as exc:
-            return str(exc)
+def max_abs_outcome(m, switch):
+    """``max_abs_of(m, switch, "guard")``: its value, or the message."""
+    try:
+        return max_abs_of(m, switch, "guard")
+    except InvalidInput as exc:
+        return str(exc)
 
 
 @settings(derandomize=True, deadline=None, max_examples=150, database=None)
 @given(m=guarded_matrices())
 def test_matrix_guard_is_the_same_on_both_sides_of_the_switch(m):
-    dlange = max_abs_outcome(m, m.size)
-    reductions = max_abs_outcome(m, m.size - 1)
+    dlange, reductions = max_abs_outcome(m, "dlange"), max_abs_outcome(m, "reductions")
     if np.isfinite(m).all():
-        # equal as floats: the reductions can give -0.0 for a zero matrix, dlange 0.0
-        assert dlange == reductions == np.max(np.abs(m))
+        assert type(dlange) is type(reductions) is float
+        assert (np.float64(dlange).tobytes() == np.float64(reductions).tobytes()
+                == np.max(np.abs(m)).tobytes())
     else:
         assert dlange == reductions == "guard requires finite inputs"
 
@@ -722,7 +780,7 @@ def test_solve_gives_the_bits_of_dgetrf_and_dgetrs(n, seed, kind, order, in_run)
         expected = TestSolve.reference_solve(a, b).tobytes()
     except SingularMatrix:
         expected = "singular"
-    with linalg._lu_workspace() if in_run else contextlib.nullcontext():
+    with linalg._run_scope() if in_run else contextlib.nullcontext():
         try:
             got = solve(a, b).tobytes()
         except SingularMatrix:

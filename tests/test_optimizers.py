@@ -1,4 +1,3 @@
-import contextlib
 import dataclasses
 import math
 import sys
@@ -15,7 +14,8 @@ from hypothesis import strategies as st
 import quadgrad.gradients as gradients
 import quadgrad.linalg as linalg
 import quadgrad.optimizers as optimizers
-from helpers import RecordingLapack, peak_traced_bytes, random_rank_deficient_symmetric
+from helpers import (RecordingLapack, count_errstates, peak_traced_bytes,
+                     random_rank_deficient_symmetric)
 from quadgrad import (
     InvalidInput,
     Method,
@@ -1191,6 +1191,10 @@ class TestLuWorkspace:
         monkeypatch.setattr(linalg, "_lapack", recording)
         return recording
 
+    # the run's errstate, without the buffer: each _quiet kernel enters its own scope, where
+    # solve factors dgesv's own copy
+    scope_without_buffer = staticmethod(lambda: np.errstate(all="ignore"))
+
     def assert_let_go(self, lapack):
         """Every buffer ``lapack`` saw factored in place is freed, and no workspace is set."""
         assert all(ref() is None for ref in lapack.buffers())
@@ -1213,7 +1217,7 @@ class TestLuWorkspace:
         # one buffer for the whole run, factored in place and returned as the factor
         assert len(lapack.factored) == 40 and len(lapack.buffers()) == 1
         assert all(in_place for _, in_place in lapack.factored)
-        monkeypatch.setattr(optimizers, "_lu_workspace", contextlib.nullcontext)
+        monkeypatch.setattr(optimizers, "_run_scope", self.scope_without_buffer)
         del lapack.factored[:]
         assert records(run(f, cfg, x0)) == with_workspace
         assert lapack.factored == [(None, False)] * 40
@@ -1228,7 +1232,7 @@ class TestLuWorkspace:
         cfg = newqg(max_iterations=20, fixed_hessian=fixed_hessian)
         with_workspace = records(run(f, cfg, np.zeros(4)))
         assert len(fallbacks) == len(lapack.factored) == 20 and len(lapack.buffers()) == 1
-        monkeypatch.setattr(optimizers, "_lu_workspace", contextlib.nullcontext)
+        monkeypatch.setattr(optimizers, "_run_scope", self.scope_without_buffer)
         assert records(run(f, cfg, np.zeros(4))) == with_workspace
         assert len(fallbacks) == 40
 
@@ -1279,6 +1283,21 @@ class TestLuWorkspace:
             "bad-value": (dataclasses.replace(f, value=after("value", 3, lambda x: math.nan)),
                           1.0, True, 2),
         }
+
+    @pytest.mark.parametrize("f, method, variant", [
+        (name, method, variant) for name in ("rosenbrock:5", "rosenbrock:29")
+        for method, variant in METHOD_VARIANTS] + [("singular", Method.ENHANCED_ADAM, Variant.NEW)])
+    @FRESH_AND_FROZEN
+    def test_a_run_enters_one_errstate(self, f, method, variant, fixed_hessian, monkeypatch):
+        """The scope's errstate is the only one: the ``_quiet`` kernels, and Rosenbrock's
+        array callables at n = 29, compute as they are. Rosenbrock's Hessian is tridiagonal,
+        so ``spectral_bounds`` takes no dense route, which enters an errstate of its own; the
+        singular objective's dense Hessian takes AdamNewQG through the pseudoinverse."""
+        f = self.singular() if f == "singular" else get_function(f)
+        made = count_errstates(monkeypatch)
+        cfg = config(method, qg_variant=variant, max_iterations=10, fixed_hessian=fixed_hessian)
+        assert len(run(f, cfg, default_x0(f)).records) == 11
+        assert made == [{"all": "ignore"}]
 
     @pytest.mark.parametrize("stop", ["budget", "grad-tol", "bound-exceeded", "step-failed",
                                       "bad-value"])

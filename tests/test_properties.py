@@ -5,7 +5,9 @@ claims, and of the CLI's exit codes.
 Bad input raises a QuadGradError before the first step; once a run starts
 it returns, flagging any breakdown, and it never warns. Reruns are equal.
 One inf or NaN anywhere in a kernel's input raises exactly InvalidInput
-without a warning; finite input gives the reference bits. A near-symmetric
+without a warning; finite input gives the reference bits. No exported kernel
+or objective callable warns on entries up to +-1e308, subnormals, NaN or inf:
+each returns or raises a QuadGradError. A near-symmetric
 tridiagonal matrix, at any scale, gives eigvalsh's bits or is refused
 exactly where test_linalg's reference symmetry test is False; a symmetric
 2 x 2 matrix whose largest entry is in dsterf's range takes dsterf and gives
@@ -41,6 +43,7 @@ from quadgrad import (
     QuadGradError,
     SingularMatrix,
     bound_diagonal,
+    finite_difference_check,
     new_quadratic_gradient,
     newton_ratios,
     pseudoinverse,
@@ -184,6 +187,47 @@ def test_finite_input_gives_the_reference_bits(case):
                 solve(h, g)
         else:
             assert solve(h, g).tobytes() == expected.tobytes()
+
+
+# the float range's edges, subnormals, signed zeros, NaN and inf, or any finite float
+EXTREME = st.sampled_from([1e308, -1e308, 1e200, -1e100, 5e-324, -5e-324, 2.0**-1022, 0.0,
+                           -0.0, math.nan, math.inf, -math.inf]) | FINITE
+KERNELS = [lambda h, g: bound_diagonal(h), newton_ratios, new_quadratic_gradient,
+           lambda h, g: spectral_learning_rate(h), lambda h, g: spectral_bounds(h), solve,
+           lambda h, g: pseudoinverse(h)]
+OBJECTIVES = standard_suite() + [rosenbrock(28), rosenbrock(29)]
+QUIET_SETTINGS = settings(PROPERTY_SETTINGS, max_examples=100)  # under 1 s each
+
+
+def returns_or_raises_quadgrad_error(call, *args):
+    try:
+        call(*args)
+    except QuadGradError:
+        pass
+
+
+@QUIET_SETTINGS
+@given(n=st.integers(1, 4), symmetric=st.booleans(), data=st.data())
+def test_no_kernel_warns_on_extreme_entries(n, symmetric, data):
+    h = np.array(data.draw(st.lists(EXTREME, min_size=n * n, max_size=n * n))).reshape(n, n)
+    if symmetric:  # past spectral_bounds' symmetry test
+        h = np.triu(h) + np.triu(h, 1).T
+    g = np.array(data.draw(st.lists(EXTREME, min_size=n, max_size=n)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kernel in KERNELS:
+            returns_or_raises_quadgrad_error(kernel, h, g)
+
+
+@QUIET_SETTINGS
+@given(f=st.sampled_from(OBJECTIVES), data=st.data())
+def test_no_objective_callable_warns_on_extreme_entries(f, data):
+    x = np.array(data.draw(st.lists(EXTREME, min_size=f.dim, max_size=f.dim)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (f.value, f.gradient, f.hessian):
+            returns_or_raises_quadgrad_error(call, x)
+        returns_or_raises_quadgrad_error(finite_difference_check, f, x)
 
 
 @st.composite

@@ -40,7 +40,7 @@ for h in (tridiagonal, two_by_two, dense):
     digest.update(np.array([bounds.lambda_min, bounds.lambda_max]).tobytes())
 digest.update(quadgrad.bound_diagonal(dense).tobytes())
 for v in (-np.arange(6.0), np.array([1.0, -np.inf, 2.0]), np.array([np.inf, np.nan])):
-    digest.update(np.float64(linalg._vector_max_abs(v)).tobytes())
+    digest.update(np.float64(linalg._max_abs(v)).tobytes())
 for record in trajectory.records:
     digest.update(np.float64(record.objective).tobytes())
     digest.update(record.iterate.tobytes())

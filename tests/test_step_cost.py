@@ -4,6 +4,8 @@ The revision side is the working tree's package imported under another
 name, so no git call is made.
 """
 
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -218,3 +220,26 @@ def test_methods_time_only_the_named_methods(step_cost, monkeypatch, capsys):
     rows = [line.split()[0] for line in lines[1:] if not line.startswith("method")]
     assert rows == ["adam-newqg", "adam-newqg"]
     assert any(line.startswith("adam-newqg rosenbrock:3 ") for line in lines)
+
+
+def test_header_gives_each_sides_src_line_count(step_cost, monkeypatch, capsys, tmp_path):
+    # the revision side is a copy of the working tree's package with two lines more
+    root = Path(quadgrad.__file__).parents[2]
+    shutil.copytree(root / "src" / "quadgrad", tmp_path / "src" / "quadgrad",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tmp_path / "src" / "quadgrad" / "errors.py", "a") as errors:
+        errors.write("# one\n# two\n")
+    files = sorted(str(path) for path in (root / "src" / "quadgrad").glob("*.py"))
+    total = subprocess.run(["wc", "-l", *files], check=True, stdout=subprocess.PIPE,
+                           text=True).stdout.splitlines()[-1].split()[0]
+    assert step_cost.src_lines(root) == int(total)
+    sha = "d" * 40
+    monkeypatch.setattr(step_cost, "extract", lambda rev: (tmp_path, {"rev": sha}))
+    try:
+        assert step_cost.main(["--reps", "1", "--sizes", "3", "--methods", "adam"]) == 0
+    finally:
+        for name in [name for name in sys.modules if name.split(".")[0] == f"quadgrad_{sha[:12]}"]:
+            del sys.modules[name]
+    assert capsys.readouterr().out.splitlines()[0] == (
+        f"rev {sha[:12]} vs working tree: src/quadgrad {int(total) + 2} -> {total} lines (-2); "
+        "2 runs, 0 with different bits, 1 reps")

@@ -26,7 +26,8 @@ back, the side that goes first alternating from run to run and from
 repetition to repetition, so a drift of the host's speed falls on both sides
 alike. Sequential timing in separate processes does not survive that drift.
 
-For each method it prints the revision's median us/iter over the
+Its header line gives each side's ``src/quadgrad`` line count and their difference, the net
+``src/`` change a PR reports. For each method it prints the revision's median us/iter over the
 repetitions and its interquartile range, the working tree's median, the
 median of the paired ratios change / revision, in how many repetitions the
 change was faster, each side's minor page faults per iteration (``ru_minflt``
@@ -114,6 +115,11 @@ def grid(package, sizes=PANEL_SIZES, methods=None) -> list[tuple[str, functools.
             runs += [entry(label, f, iterations)
                      for iterations in PANEL_HORIZONS for label in labels]
     return [(label, call) for label, call in runs if methods is None or label in methods]
+
+
+def src_lines(tree: Path) -> int:
+    """Lines in the ``src/quadgrad/*.py`` files of the checkout at ``tree``, as ``wc -l``."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "quadgrad").glob("*.py"))
 
 
 def load(package_dir: Path, name: str):
@@ -245,7 +251,9 @@ def main(argv=None):
              "tree": grid(quadgrad, args.sizes, args.methods)}
     differ = sum(digest([a()]) != digest([b()])
                  for (_, a), (_, b) in zip(grids["rev"], grids["tree"]))
-    print(f"rev {sha[:12]} vs working tree: {len(grids['tree'])} runs, "
+    lines = {"rev": src_lines(tree), "tree": src_lines(ROOT)}
+    print(f"rev {sha[:12]} vs working tree: src/quadgrad {lines['rev']} -> {lines['tree']} "
+          f"lines ({lines['tree'] - lines['rev']:+d}); {len(grids['tree'])} runs, "
           f"{differ} with different bits, {args.reps} reps")
     totals, bound = time_grids(grids, args.reps), bounds()
     print_table("method", summarise(totals, "rev", "tree", bound, bool(differ)))
