@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidInput, UnknownFunction
-from .linalg import _quiet, as_vector
+from .linalg import _max_abs, _quiet, as_vector
 
 
 class Sense(enum.Enum):
@@ -107,6 +107,17 @@ def _rosenbrock_point(x, n: int) -> np.ndarray:
     return x
 
 
+def _tridiagonal(n: int, diag, off) -> np.ndarray:
+    """The n x n matrix with ``diag`` on its diagonal and ``off`` on both of its neighbours,
+    written through strided views of the flattened zeros; Rosenbrock's Hessian layout."""
+    h = np.zeros((n, n))
+    flat = h.reshape(-1)
+    flat[:: n + 1] = diag
+    flat[1 :: n + 1] = off
+    flat[n :: n + 1] = off
+    return h
+
+
 def _rosenbrock_arrays(n: int):
     """Rosenbrock's value, gradient and Hessian at n on numpy arrays, each ``_quiet``."""
 
@@ -131,16 +142,10 @@ def _rosenbrock_arrays(n: int):
     @_quiet
     def hessian(x):
         x = _rosenbrock_point(x, n)
-        h = np.zeros((n, n))
-        # strided views of the diagonal, superdiagonal and subdiagonal
-        flat = h.reshape(-1)
-        diag = flat[:: n + 1]
-        diag[:-1] = 1200.0 * x[:-1] ** 2 - 400.0 * x[1:] + 2.0
-        diag[1:] += 200.0
-        off = -400.0 * x[:-1]
-        flat[1 :: n + 1] = off
-        flat[n :: n + 1] = off
-        return h
+        d = np.zeros(n)
+        d[:-1] = 1200.0 * x[:-1] ** 2 - 400.0 * x[1:] + 2.0
+        d[1:] += 200.0
+        return _tridiagonal(n, d, -400.0 * x[:-1])
 
     return value, gradient, hessian
 
@@ -209,13 +214,7 @@ def _rosenbrock_floats(n: int):
             off.append(-400.0 * a)
             carry = 200.0
         diag.append(200.0)
-        h = np.zeros((n, n))
-        # strided views of the diagonal, superdiagonal and subdiagonal
-        flat = h.reshape(-1)
-        flat[:: n + 1] = diag
-        flat[1 :: n + 1] = off
-        flat[n :: n + 1] = off
-        return h
+        return _tridiagonal(n, diag, off)
 
     return value, gradient, hessian
 
@@ -352,7 +351,7 @@ def as_point(x, f: ObjectiveFunction, name: str) -> np.ndarray:
     x = as_vector(x)
     if x.shape[0] != f.dim:
         raise InvalidInput(f"{name} has dim {x.shape[0]}, objective needs {f.dim}")
-    if not np.isfinite(x).all():
+    if not math.isfinite(_max_abs(x)):
         raise InvalidInput(f"{name} must be finite")
     return x
 
@@ -378,9 +377,7 @@ def finite_difference_check(f: ObjectiveFunction, x) -> tuple[float, float]:
         step[j] = h
         fd_grad[j] = (f.value(x + step) - f.value(x - step)) / (2.0 * h)
         fd_hess[:, j] = (f.gradient(x + step) - f.gradient(x - step)) / (2.0 * h)
-    grad_err = float(np.max(np.abs(fd_grad - f.gradient(x))))
-    hess_err = float(np.max(np.abs(fd_hess - f.hessian(x))))
-    return grad_err, hess_err
+    return _max_abs(fd_grad - f.gradient(x)), _max_abs(fd_hess - f.hessian(x))
 
 
 _ROSENBROCK_ID = re.compile(r"rosenbrock(?::([0-9]+))?")

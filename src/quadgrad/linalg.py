@@ -16,11 +16,14 @@ re-exports the same routines from that module, so the results are the same bits;
 fallback when the file is not found. scipy's own import state is left alone: a later ``import
 scipy.linalg`` loads its ``_flapack`` as usual.
 
-``optimizers.run()`` enters ``_run_scope()`` once: ``np.errstate(all="ignore")``, and one
-F-ordered buffer the run owns, where ``solve`` copies its matrix and factors it (``dgesv`` with
-``overwrite_a``; the wrapper would copy a C-ordered matrix into fresh n x n pages at every
-call), with the same bits. A ``_quiet`` kernel computes as it is inside a scope and in one of
-its own, without the buffer, when called directly: no numpy ``RuntimeWarning`` escapes it.
+Two numeric rules are each written once here. ``_run_scope(slot)`` is the only code that
+enters ``np.errstate(all="ignore")`` or sets ``_workspace``: ``optimizers.run()`` enters it
+once with a slot for one F-ordered buffer the run owns, where ``solve`` copies its matrix and
+factors it (``dgesv`` with ``overwrite_a``; the wrapper would copy a C-ordered matrix into
+fresh n x n pages at every call), with the same bits. A ``_quiet`` kernel computes as it is
+inside a scope, and in a scope of its own, with an empty slot, when called directly: no numpy
+``RuntimeWarning`` escapes it. ``_max_abs`` is the only code that takes an array's max|a|:
+the finiteness guard and the scale of every tolerance.
 """
 
 from __future__ import annotations
@@ -77,11 +80,11 @@ _workspace = contextvars.ContextVar("quadgrad.linalg.workspace", default=None)
 
 
 @contextlib.contextmanager
-def _run_scope():
-    """A run's ``np.errstate(all="ignore")``, and in ``_workspace`` a one-slot list for
-    ``solve``'s buffer, per thread and nested block. A set ``_workspace`` means that the
-    errstate holds."""
-    token = _workspace.set([np.empty(0)])
+def _run_scope(slot: list):
+    """``np.errstate(all="ignore")``, and ``slot`` in ``_workspace``, per thread and nested
+    block: ``[np.empty(0)]`` holds ``solve``'s buffer for a run, ``[]`` holds none. A set
+    ``_workspace`` means that the errstate holds."""
+    token = _workspace.set(slot)
     try:
         with np.errstate(all="ignore"):
             yield
@@ -91,19 +94,14 @@ def _run_scope():
 
 def _quiet(kernel):
     """``kernel`` as it is inside a ``_run_scope`` (one ContextVar read), else in a scope of
-    its own, with an empty list for no LU buffer; written out, where a ``contextmanager``
-    would cost a direct call 1.7 us more."""
+    its own with no LU buffer."""
 
     @functools.wraps(kernel)
     def quiet(*args, **kwargs):
         if _workspace.get() is not None:
             return kernel(*args, **kwargs)
-        token = _workspace.set([])
-        try:
-            with np.errstate(all="ignore"):
-                return kernel(*args, **kwargs)
-        finally:
-            _workspace.reset(token)
+        with _run_scope([]):
+            return kernel(*args, **kwargs)
 
     return quiet
 
@@ -169,6 +167,13 @@ def _max_abs(a: np.ndarray, who: str | None = None) -> float:
     return max_abs
 
 
+@_quiet
+def _dense_asymmetry(m: np.ndarray) -> float:
+    """max|m - m.T|, through one n x n temporary (it can overflow near the float range),
+    freed on return, before eigvalsh copies m."""
+    return _max_abs(m - m.T)
+
+
 def spectral_bounds(h) -> SpectralBounds:
     """Smallest and largest eigenvalue of a symmetric matrix.
 
@@ -179,8 +184,8 @@ def spectral_bounds(h) -> SpectralBounds:
     and subdiagonal, so no temporary is longer than n. ``np.linalg.eigvalsh`` (LAPACK dsyevd
     on the lower triangle) would reduce it to tridiagonal form, changing nothing, and hand it
     to dsterf unscaled (dsyevd's scale max(|d|, |lower|) is in [~SYMMETRY_TOL, _RMAX]), so the
-    bits are eigvalsh's. Any other matrix is tested through one n x n temporary, m - m.T,
-    freed before eigvalsh copies m.
+    bits are eigvalsh's. Any other matrix is tested by ``_dense_asymmetry``. Only that
+    helper is ``_quiet``: the 2 x 2 and tridiagonal routes cannot warn, and take no frame.
     """
     m = as_square_matrix(h)
     if m.shape[0] == 2:  # Python floats: no numpy reduction, view or strided copy
@@ -198,13 +203,7 @@ def spectral_bounds(h) -> SpectralBounds:
         direct = 2.0 * SYMMETRY_TOL <= max_abs <= _RMAX and d.shape[0] > 2 and (
             np.count_nonzero(m)
             == np.count_nonzero(d) + np.count_nonzero(lower) + np.count_nonzero(upper))
-        if direct:
-            asymmetry = _max_abs(lower - upper)
-        else:
-            with np.errstate(all="ignore"):  # m - m.T can overflow near the float range
-                diff = m - m.T
-                asymmetry = np.abs(diff, out=diff).max()
-            del diff  # not held while eigvalsh copies m
+        asymmetry = _max_abs(lower - upper) if direct else _dense_asymmetry(m)
     if not asymmetry <= SYMMETRY_TOL * (1.0 + max_abs):
         raise InvalidInput("matrix is not symmetric within tolerance")
     if direct:

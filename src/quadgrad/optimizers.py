@@ -39,7 +39,7 @@ import numpy as np
 from .errors import InvalidInput, QuadGradError
 from .functions import ObjectiveFunction, Sense, as_point
 from .gradients import Variant, bound_diagonal, new_quadratic_gradient, spectral_learning_rate
-from .linalg import _run_scope
+from .linalg import _max_abs, _run_scope
 
 # Adam's moment decay rates and denominator guard, as in Kingma and Ba; the
 # enhanced Adagrad shares the guard.
@@ -284,7 +284,7 @@ def run(f: ObjectiveFunction, config: OptimizerConfig, x0) -> Trajectory:
         return -1.0 * a if f.sense is Sense.MAXIMIZE else a
 
     fresh_hessian = derive is not None and not config.fixed_hessian
-    with _run_scope():
+    with _run_scope([np.empty(0)]):
         objective = evaluated("value", f.value)
         # h holds a Hessian not yet derived: each fresh one, and the frozen
         # one until the first step; c is what was derived from the last one
@@ -315,10 +315,10 @@ def run(f: ObjectiveFunction, config: OptimizerConfig, x0) -> Trajectory:
                     # per AdamNewQG step against 171, and 1.02x the time (0.89-1.13x, 10 pairs)
                     c = None
                 # theta.dot(theta) <= DIVERGENCE_BOUND bounds every |theta_i| by its square
-                # root without a reduction; beyond it max|theta| decides: max propagates NaN,
-                # and NaN and inf fail the comparison, as does an overflowed or NaN dot
+                # root; beyond it max|theta| decides, NaN for a NaN entry and inf for an
+                # infinite one: both fail the comparison, as does an overflowed or NaN dot
                 if not (theta.dot(theta) <= DIVERGENCE_BOUND
-                        or np.maximum.reduce(abs(theta)) <= DIVERGENCE_BOUND):
+                        or _max_abs(theta) <= DIVERGENCE_BOUND):
                     return Trajectory(records=records, diverged=True)
                 objective = evaluated("value", f.value)
             except (QuadGradError, np.linalg.LinAlgError):

@@ -1,8 +1,10 @@
-"""tools/ab_bench.py's report parsing and summary, on canned perfbench reports.
+"""tools/ab_bench.py's report parsing and summary, on canned perfbench reports, and its
+working-tree snapshot, in a throwaway repository.
 
 No benchmark runs here: the reports are written out as perfbench prints them.
 """
 
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -122,3 +124,39 @@ def test_metric_missing_on_one_side_is_left_out(ab_bench):
     runs[1]["report"]["metrics"]["peak_rss_mb"] = {"value": 40.0, "unit": "MB"}
     summary = ab_bench.summarise(runs, METRICS)
     assert set(summary) == {"wall_s"}
+
+
+def git_in(root, *args):
+    identity = ["-c", "user.name=t", "-c", "user.email=t@example.org", "-c", "commit.gpgsign=false"]
+    return subprocess.run(["git", *identity, *args], cwd=root, check=True,
+                          stdout=subprocess.PIPE, text=True).stdout
+
+
+def test_snapshot_holds_the_working_tree_and_leaves_the_index(ab_bench, tmp_path):
+    root = tmp_path / "repo"
+    root.mkdir()
+    git_in(root, "init", "-q")
+    (root / ".gitignore").write_text("ignored.txt\n.bench_tmp/\n")
+    (root / "kept.txt").write_text("committed\n")
+    (root / "edited.txt").write_text("committed\n")
+    git_in(root, "add", "-A")
+    git_in(root, "commit", "-q", "-m", "base")
+    (root / "edited.txt").write_text("edited, not committed\n")
+    (root / "new.txt").write_text("untracked\n")
+    (root / "ignored.txt").write_text("ignored\n")
+    status = git_in(root, "status", "--porcelain")
+
+    sha = ab_bench.snapshot(root)
+    tree, identity = ab_bench.extract(sha, root)
+    assert identity == {"rev": sha, "tree": f".bench_tmp/{sha}"}
+    assert sorted(p.name for p in tree.iterdir()) == [".gitignore", "edited.txt", "kept.txt",
+                                                       "new.txt"]
+    assert (tree / "edited.txt").read_text() == "edited, not committed\n"
+    assert (tree / "new.txt").read_text() == "untracked\n"
+    # the repository's index and working tree are as they were
+    assert git_in(root, "status", "--porcelain") == status
+    # a committed revision is extracted the same way, beside the snapshot
+    head = git_in(root, "rev-parse", "HEAD").strip()
+    head_tree, _ = ab_bench.extract(head, root)
+    assert (head_tree / "edited.txt").read_text() == "committed\n"
+    assert not (head_tree / "new.txt").exists()

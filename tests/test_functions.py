@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quadgrad.functions as functions
+import quadgrad.linalg as linalg
 from quadgrad import (
     InvalidInput,
     Sense,
@@ -332,6 +334,58 @@ class TestFiniteDifferenceCheck:
         for _ in range(5):
             _, hess_err = finite_difference_check(f, rng.uniform(-5, 5, 2))
             assert hess_err <= 1e-7
+
+    @staticmethod
+    def differences(f, x):
+        """The central differences less the analytic gradient and Hessian, with the steps
+        and the order of ``finite_difference_check``'s documented formula."""
+        h, n = 1e-5, x.shape[0]
+        fd_grad, fd_hess = np.zeros(n), np.zeros((n, n))
+        for j in range(n):
+            step = np.zeros(n)
+            step[j] = h
+            fd_grad[j] = (f.value(x + step) - f.value(x - step)) / (2.0 * h)
+            fd_hess[:, j] = (f.gradient(x + step) - f.gradient(x - step)) / (2.0 * h)
+        return fd_grad - f.gradient(x), fd_hess - f.hessian(x)
+
+    def test_returns_the_bits_of_the_max_abs_of_its_differences(self):
+        # Booth with a value that jumps to inf beside (0, 0): an inf difference quotient
+        cliff = dataclasses.replace(booth(), value=lambda x: math.inf if x[0] > 0 else 0.0)
+        cases = [(f, np.linspace(-1.0, 1.0, f.dim) * c)
+                 for f in [*standard_suite(), rosenbrock(29)] for c in (-0.7, 1e100, 1e200)]
+        returned = set()
+        for f, x in [*cases, (cliff, np.zeros(2))]:
+            errors = finite_difference_check(f, x)
+            with np.errstate(all="ignore"):
+                expected = [float(np.max(np.abs(d))) for d in self.differences(f, x)]
+            assert all(type(error) is float for error in errors)
+            assert np.array(errors).tobytes() == np.array(expected).tobytes()
+            returned.update("nan" if math.isnan(e) else "inf" if math.isinf(e) else "finite"
+                            for e in errors)
+        assert returned == {"nan", "inf", "finite"}
+
+
+class TestAsPoint:
+    """``as_point``'s finiteness guard, on both sides of ``_max_abs``'s dlange switch."""
+
+    SIZES = [linalg._DLANGE_MAX_ENTRIES, linalg._DLANGE_MAX_ENTRIES + 1]
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("at", ["first", "middle", "last"])
+    def test_refuses_a_non_finite_entry(self, n, bad, at):
+        x = np.ones(n)
+        x[{"first": 0, "middle": n // 2, "last": n - 1}[at]] = bad
+        with pytest.raises(InvalidInput, match=r"^x0 must be finite$"):
+            functions.as_point(x, rosenbrock(n), "x0")
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_accepts_the_float_range_without_a_warning(self, n):
+        x = np.full(n, 1e308)
+        x[::2] = -1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert functions.as_point(x, rosenbrock(n), "x0").tobytes() == x.tobytes()
 
 
 class TestDirectCallWarnings:

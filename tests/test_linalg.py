@@ -620,7 +620,7 @@ class TestSolveWorkspace:
         outside = [self.solved(a, b) for a, b in self.systems(order)]
         assert "singular" in outside and len(set(outside)) == 5
         inside = []
-        with linalg._run_scope():
+        with linalg._run_scope([np.empty(0)]):
             for a, b in self.systems(order):
                 before = a.copy(order="K"), b.copy()
                 inside.append(self.solved(a, b))
@@ -676,6 +676,16 @@ class TestQuiet:
         # a direct call's solve factors dgesv's own copy, as a call of solve itself does
         assert all(factored == (None, False) for factored in recording.factored)
         assert linalg._workspace.get() is None
+
+    @pytest.mark.parametrize("h, scopes", [
+        (H_F, 0), (rosenbrock(5).hessian(np.linspace(-1.0, 1.0, 5)), 0),
+        (random_symmetric(np.random.default_rng(8), 5), 1),
+    ], ids=["2x2", "tridiagonal", "dense"])
+    def test_spectral_bounds_enters_a_scope_on_its_dense_route_only(self, h, scopes,
+                                                                     monkeypatch):
+        made = count_errstates(monkeypatch)
+        spectral_bounds(h)
+        assert made == [{"all": "ignore"}] * scopes
 
 
 # NaN, +-inf, +-0, the smallest subnormal and the float range's edge
@@ -780,7 +790,7 @@ def test_solve_gives_the_bits_of_dgetrf_and_dgetrs(n, seed, kind, order, in_run)
         expected = TestSolve.reference_solve(a, b).tobytes()
     except SingularMatrix:
         expected = "singular"
-    with linalg._run_scope() if in_run else contextlib.nullcontext():
+    with linalg._run_scope([np.empty(0)]) if in_run else contextlib.nullcontext():
         try:
             got = solve(a, b).tobytes()
         except SingularMatrix:

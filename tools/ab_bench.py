@@ -2,12 +2,15 @@
 
     python3 tools/ab_bench.py --label NAME [--parent REV] [--trace]
 
-The parent revision (default ``HEAD``) is extracted with ``git archive`` into
-the gitignored ``.bench_tmp/``; the change is this working tree, uncommitted
-edits included. For every workload of ``BENCHMARK.json`` and each of the ten
-seeds 0-9, ``perfbench/run.py --workload W --seed s --trace 0`` runs once in
-each tree, one after the other, and the side that goes first alternates from
-seed to seed, so a drift of the host's speed falls on both sides alike. Each
+Both sides run the same way: each is extracted with ``git archive`` into the
+gitignored ``.bench_tmp/`` and runs from there. The parent is a revision
+(default ``HEAD``); the change is this working tree, snapshot as a git tree
+(tracked edits and the untracked files that are not ignored) through a
+temporary index, so the repository's own index is left alone. For every
+workload of ``BENCHMARK.json`` and each of the ten seeds 0-9,
+``perfbench/run.py --workload W --seed s --trace 0`` runs once in each tree,
+one after the other, and the side that goes first alternates from seed to
+seed, so a drift of the host's speed falls on both sides alike. Each
 run is a fresh process tree and takes ``run_seconds`` of ``BENCHMARK.json``.
 
 For every end-to-end metric of ``BENCHMARK.json`` the output holds each
@@ -29,6 +32,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -133,27 +137,38 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
     return summary
 
 
-def git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True, stdout=subprocess.PIPE,
-                          text=True).stdout.strip()
+def git(*args: str, root: Path = ROOT, env: dict | None = None) -> str:
+    return subprocess.run(["git", *args], cwd=root, check=True, stdout=subprocess.PIPE,
+                          text=True, env=env).stdout.strip()
 
 
-def extract(rev: str) -> tuple[Path, dict]:
-    """``rev``'s files under ``.bench_tmp/<sha>`` (extracted once) and its identity.
+def snapshot(root: Path = ROOT) -> str:
+    """The sha of a git tree holding ``root``'s working tree: HEAD with every tracked edit
+    and every untracked file that is not ignored. It is built in a temporary index."""
+    with tempfile.TemporaryDirectory() as scratch:
+        env = {**os.environ, "GIT_INDEX_FILE": os.path.join(scratch, "index")}
+        git("read-tree", "HEAD", root=root, env=env)
+        git("add", "-A", root=root, env=env)
+        return git("write-tree", root=root, env=env)
+
+
+def extract(rev: str, root: Path = ROOT) -> tuple[Path, dict]:
+    """The files of ``rev`` (a revision, or a tree's sha from ``snapshot``) under
+    ``.bench_tmp/<sha>`` (extracted once), and its identity.
 
     The archive is unpacked into a sibling directory that is renamed only
     once ``tar`` has succeeded, so an interrupted extraction is never reused.
     """
-    sha = git("rev-parse", "--verify", f"{rev}^{{commit}}")
-    tree = ROOT / ".bench_tmp" / sha
+    sha = git("rev-parse", "--verify", rev, root=root)
+    tree = root / ".bench_tmp" / sha
     if not tree.is_dir():
         partial = tree.with_name(f"{sha}.partial-{os.getpid()}")
         partial.mkdir(parents=True)
-        archive = subprocess.run(["git", "archive", sha], cwd=ROOT, check=True,
+        archive = subprocess.run(["git", "archive", sha], cwd=root, check=True,
                                  stdout=subprocess.PIPE).stdout
         subprocess.run(["tar", "-x", "-C", str(partial)], input=archive, check=True)
         partial.rename(tree)
-    return tree, {"rev": sha, "tree": str(tree.relative_to(ROOT))}
+    return tree, {"rev": sha, "tree": str(tree.relative_to(root))}
 
 
 def perfbench(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
@@ -176,10 +191,11 @@ def main(argv=None):
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = benchmark["run_seconds"]
-    parent_tree, parent_rev = extract(args.parent)
-    trees = {"parent": parent_tree, "change": ROOT}
+    parent_tree, parent_rev = extract(git("rev-parse", "--verify", f"{args.parent}^{{commit}}"))
+    change_tree, change_rev = extract(snapshot())
+    trees = {"parent": parent_tree, "change": change_tree}
     revs = {"parent": parent_rev,
-            "change": {"rev": git("rev-parse", "HEAD"), "tree": ".",
+            "change": {**change_rev, "head": git("rev-parse", "HEAD"),
                        "uncommitted": bool(git("status", "--porcelain", "--", ".",
                                                ":!BENCH_*.json"))}}
 

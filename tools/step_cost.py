@@ -25,6 +25,10 @@ each of ``--reps`` repetitions times every run once on each side, back to
 back, the side that goes first alternating from run to run and from
 repetition to repetition, so a drift of the host's speed falls on both sides
 alike. Sequential timing in separate processes does not survive that drift.
+The two sides share one process and so one heap, which is why an in-process A/B
+cannot show a saving that depends on the allocator: the LU workspace, one n x n
+buffer per AdamNewQG run in place of a fresh copy per solve, read 1.00x here
+and 0.88x in perfbench's rosenbrock-large.
 
 Its header line gives each side's ``src/quadgrad`` line count and their difference, the net
 ``src/`` change a PR reports. For each method it prints the revision's median us/iter over the
