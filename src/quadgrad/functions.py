@@ -274,15 +274,14 @@ def beale() -> ObjectiveFunction:
         # residual k's curvature is ((0, b), (b, d)), written out per k to avoid
         # 0 * y**-1 at y = 0; its Jacobian is (u, v)
         curvatures = ((1.0, 0.0), (2.0 * y, 2.0 * x), (3.0 * y * y, 6.0 * x * y))
-        hxx = hxy = hyx = hyy = 0.0
+        hxx = hxy = hyy = 0.0
         for (k, below, u, r), (b, d) in zip(residuals(x, y), curvatures):
             v = k * x * below
             # 2 * (jac jac^T + r * curvature), summed from 0.0 in k order
             hxx += 2.0 * (u * u + r * 0.0)
             hxy += 2.0 * (u * v + r * b)
-            hyx += 2.0 * (v * u + r * b)
             hyy += 2.0 * (v * v + r * d)
-        return (hxx, hxy), (hyx, hyy)
+        return (hxx, hxy), (hxy, hyy)
 
     return _fixed_2d("beale", value, gradient, hessian, [(3.0, 0.5)])
 

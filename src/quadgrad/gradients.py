@@ -36,7 +36,7 @@ class Variant(enum.Enum):
     NEW = "new"  # reciprocal |Newton step / gradient| ratios
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NewtonRatios:
     """Per-coordinate ratios r with diag(r) @ g equal to the Newton step.
 

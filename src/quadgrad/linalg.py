@@ -106,7 +106,7 @@ def _quiet(kernel):
     return quiet
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpectralBounds:
     """Extreme eigenvalues of a symmetric matrix."""
 

@@ -22,9 +22,9 @@ Hessian: every step, or once per run, at the first step, under
 ``state`` is the method's own history, a list that ``run()`` hands every
 rule empty and the step fills on its first call and updates in place after
 (GD-spectral leaves it empty). No step reads the method, the accelerator or
-a Hessian, and none writes ``theta``, ``d`` or an array it stored. Adam's
-``_adam_update`` runs on Python floats up to ``_ADAM_FLOAT_MAX_N`` coordinates,
-on numpy arrays above, with the same bits.
+a Hessian, and none writes ``theta``, ``d`` or an array it stored or returned.
+Adam computes and keeps its moments on Python floats up to ``_ADAM_FLOAT_MAX_N``
+coordinates and on float64 arrays above, with the same bits.
 """
 
 from __future__ import annotations
@@ -50,10 +50,10 @@ EPSILON_ADAM = 1e-8
 # iterate has a coordinate beyond DIVERGENCE_BOUND in magnitude.
 GRAD_TOL = 1e-12
 DIVERGENCE_BOUND = 1e12
-# step_adam's largest n on Python floats: on Rosenbrock an Adam iteration ran
-# 0.93x / 0.99x / 1.02x of the arrays' time at n = 9 / 11 / 12 (15 paired reps
-# of tools/step_cost.py --sizes; 2 CPUs, Python 3.11.7, numpy 2.4.6)
-_ADAM_FLOAT_MAX_N = 11
+# step_adam's largest n on Python floats: on Rosenbrock an Adam / OldQG / NewQG iteration ran
+# 0.98 / 0.99 / 1.00x of the arrays' time at n = 13, 1.00 / 1.00 / 1.02x at n = 14 (medians
+# of six tools/step_cost.py --reps 31 --sizes runs; 2 CPUs, Python 3.11.7, numpy 2.4.6)
+_ADAM_FLOAT_MAX_N = 13
 
 
 class Method(enum.Enum):
@@ -110,7 +110,7 @@ class OptimizerConfig:
             raise InvalidInput(f"fixed_hessian must be a bool, got {self.fixed_hessian!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrajectoryRecord:
     objective: float
     iterate: np.ndarray
@@ -176,20 +176,20 @@ def _adam_update(x, m, v, d, c1, c2, lr, sqrt):
 def step_adam(
     theta: np.ndarray, state: list, config: OptimizerConfig, d: np.ndarray
 ) -> np.ndarray:
-    """One Adam step with bias correction on ``d``, the gradient or a
-    quadratic gradient; ``state`` is ``[t, m, v]``, the steps taken and the
-    two moments as float64 arrays. ``_adam_update`` runs on each coordinate as
-    Python floats up to ``_ADAM_FLOAT_MAX_N`` of them, else on the arrays."""
-    t, m, v = state or (0, np.zeros(d.shape), np.zeros(d.shape))
-    t += 1
-    c1, c2 = 1.0 - BETA1**t, 1.0 - BETA2**t
-    if d.shape[0] <= _ADAM_FLOAT_MAX_N:
-        theta, m, v = map(np.array, zip(*[
-            _adam_update(x, m_i, v_i, d_i, c1, c2, config.stepsize, math.sqrt)
-            for x, m_i, v_i, d_i in zip(theta.tolist(), m.tolist(), v.tolist(), d.tolist())]))
+    """One Adam step with bias correction on ``d``, the gradient or a quadratic
+    gradient; ``state`` is ``[t, m, v]``, the steps taken and the two moments: up to
+    ``_ADAM_FLOAT_MAX_N`` coordinates lists of Python floats, ``_adam_update`` mapped over
+    them and only the new iterate an array; above, float64 arrays it runs on once."""
+    floats = d.shape[0] <= _ADAM_FLOAT_MAX_N
+    t, m, v = state or (0, *[[0.0] * d.shape[0] if floats else np.zeros(d.shape)] * 2)
+    c1, c2 = 1.0 - BETA1 ** (t + 1), 1.0 - BETA2 ** (t + 1)
+    if floats:
+        x, m, v = zip(*[_adam_update(x_i, m_i, v_i, d_i, c1, c2, config.stepsize, math.sqrt)
+                        for x_i, m_i, v_i, d_i in zip(theta.tolist(), m, v, d.tolist())])
+        theta, m, v = np.array(x), list(m), list(v)
     else:
         theta, m, v = _adam_update(theta, m, v, d, c1, c2, config.stepsize, np.sqrt)
-    state[:] = t, m, v
+    state[:] = t + 1, m, v
     return theta
 
 
@@ -250,9 +250,10 @@ def run(f: ObjectiveFunction, config: OptimizerConfig, x0) -> Trajectory:
     A gradient or Hessian of another real dtype is converted to float64 once; ``run()`` neither
     copies nor writes the float64 arrays the objective returns: a minimised objective's gradient
     and Hessian reach ``direction`` and ``derive`` as they are, a maximised one's are negated
-    into new arrays. AdamNewQG's solves share one n x n LU buffer, the run's own, freed when it
-    returns or raises. Floating-point overflow and invalid operations raise no warnings: the
-    run's checks see their inf and NaN results instead.
+    into new arrays. Each record holds the array its step returned (the first, a copy of
+    ``x0``), uncopied, and the objective is given that array: it must not write it. AdamNewQG's
+    solves share one n x n LU buffer, the run's own, freed when it returns or raises. Overflow
+    and invalid operations raise no warnings: the run's checks see their inf and NaN instead.
     """
     theta = as_point(x0, f, "x0").copy()
     if not isinstance(config, OptimizerConfig):
@@ -291,7 +292,7 @@ def run(f: ObjectiveFunction, config: OptimizerConfig, x0) -> Trajectory:
         h = (evaluated("Hessian", f.hessian, (n, n))
              if derive is not None and config.fixed_hessian else None)
         c = None
-        records = [TrajectoryRecord(objective, theta.copy())]
+        records = [TrajectoryRecord(objective, theta)]
         for _ in range(config.max_iterations):
             try:
                 g = evaluated("gradient", f.gradient, (n,))
@@ -323,5 +324,5 @@ def run(f: ObjectiveFunction, config: OptimizerConfig, x0) -> Trajectory:
                 objective = evaluated("value", f.value)
             except (QuadGradError, np.linalg.LinAlgError):
                 return Trajectory(records=records, diverged=True)
-            records.append(TrajectoryRecord(objective, theta.copy()))
+            records.append(TrajectoryRecord(objective, theta))
     return Trajectory(records=records)

@@ -103,6 +103,10 @@ CLEAR_GAIN = ([100.0, 101.0, 102.0], [80.0, 81.0, 82.0])
         ([100.0, 101.0, 200.0], [99.0, 99.5, 99.9], None, None, "within bound"),
         ([100.0, 101.0, 200.0], [99.0, 99.5, 100.5], None, None, "unresolved"),
         (*CLEAR_GAIN, None, None, "gain"),
+        # ten wins in ten beyond a parent IQR of 0: 1.5% faster is under the 3% floor,
+        # 10% faster is over it
+        ([100.0] * 10, [98.5] * 10, None, None, "within bound"),
+        ([100.0] * 10, [90.0] * 10, None, None, "gain"),
         # the change failed one operation more than the parent
         (*CLEAR_GAIN, None, {"correct": False}, "failed"),
         (*CLEAR_GAIN, None, {"correct": True, "failed": 1}, "failed"),

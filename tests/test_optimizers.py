@@ -371,8 +371,21 @@ class TestAdam:
             )
             theta = step_adam(theta, state, cfg, direction(f, cfg, theta))
             _, m, v = state
-            assert np.all(v >= 0.0)
-            assert np.max(np.abs(m)) <= largest_gradient + 1e-12
+            assert float_moments(m, v, 2)
+            assert np.all(np.asarray(v) >= 0.0)
+            assert np.max(np.abs(np.asarray(m))) <= largest_gradient + 1e-12
+
+
+def float_moments(m, v, n):
+    """Whether ``m`` and ``v`` are both lists of ``n`` Python floats, the float path's state."""
+    return all(type(a) is list and len(a) == n and all(type(x) is float for x in a)
+               for a in (m, v))
+
+
+def array_moments(m, v, n):
+    """Whether ``m`` and ``v`` are both float64 arrays of shape (n,), the array path's state."""
+    return all(type(a) is np.ndarray and a.dtype == np.float64 and a.shape == (n,)
+               for a in (m, v))
 
 
 ADAM_SPECIALS = [0.0, -0.0, 5e-324, 1e200, -1.7e308, math.inf, -math.inf, math.nan]
@@ -419,8 +432,11 @@ def test_adam_floats_are_the_arrays_bit_for_bit(case, stepsize):
         with np.errstate(all="ignore"):  # as run() steps
             arrays = adam_path(theta, directions, stepsize, n - 1)
     for float_step, array_step in zip(floats, arrays):
+        assert type(float_step[0]) is type(array_step[0]) is np.ndarray
+        assert float_moments(*float_step[1:], n) and array_moments(*array_step[1:], n)
         for a, b in zip(float_step, array_step):
-            assert type(a) is np.ndarray and a.dtype == np.float64 and a.shape == (n,)
+            a, b = np.asarray(a), np.asarray(b)
+            assert a.dtype == b.dtype == np.float64 and a.shape == b.shape == (n,)
             np.testing.assert_array_equal(np.isnan(a), np.isnan(b))
             assert a[~np.isnan(a)].tobytes() == b[~np.isnan(b)].tobytes()
 
@@ -434,8 +450,13 @@ def test_adam_maps_the_formula_over_floats_up_to_the_switch(monkeypatch, n):
         return own(*args)
 
     monkeypatch.setattr(optimizers, "_adam_update", recording)
-    step_adam(np.ones(n), [], config(Method.ADAM), np.ones(n))
-    assert seen == ([float] * n if n <= optimizers._ADAM_FLOAT_MAX_N else [np.ndarray])
+    state = []
+    theta = step_adam(np.ones(n), state, config(Method.ADAM), np.ones(n))
+    floats = n <= optimizers._ADAM_FLOAT_MAX_N
+    assert seen == ([float] * n if floats else [np.ndarray])
+    # the moments stay in the path's own type; only the iterate is an array either way
+    assert type(theta) is np.ndarray and theta.dtype == np.float64 and theta.shape == (n,)
+    assert (float_moments if floats else array_moments)(*state[1:], n)
 
 
 @pytest.mark.parametrize("method, variant", METHOD_VARIANTS)
@@ -451,12 +472,16 @@ def test_first_step_fills_the_documented_state(method, variant):
         # V_1 is the first iterate (gamma_0 = 0); a_1 = (1 + sqrt 5) / 2
         "step_nag": [theta, (1.0 + math.sqrt(5.0)) / 2.0],
         "step_enhanced_adagrad": [d * d],
-        "step_adam": [1, (1.0 - optimizers.BETA1) * d, (1.0 - optimizers.BETA2) * d * d],
+        # n = 2 takes the float path: the moments are lists of Python floats
+        "step_adam": [1, ((1.0 - optimizers.BETA1) * d).tolist(),
+                      ((1.0 - optimizers.BETA2) * d * d).tolist()],
     }[STEP_FUNCTION[method]]
     assert len(state) == len(expected)
     for held, value in zip(state, expected):
         assert type(held) is type(value)
-        np.testing.assert_array_equal(held, value, strict=True)
+        if type(held) is list:
+            assert all(type(x) is float for x in held)
+        np.testing.assert_array_equal(np.asarray(held), np.asarray(value), strict=True)
 
 
 class TestRun:
@@ -491,6 +516,39 @@ class TestRun:
         # records[k] follows k steps: the index is the step number
         assert [field.name for field in dataclasses.fields(TrajectoryRecord)] == [
             "objective", "iterate"]
+
+    @pytest.mark.parametrize("n", [2, optimizers._ADAM_FLOAT_MAX_N + 1])
+    @pytest.mark.parametrize("method, variant", METHOD_VARIANTS)
+    @FRESH_AND_FROZEN
+    def test_record_holds_the_point_the_value_was_taken_at(self, method, variant,
+                                                           fixed_hessian, n):
+        # records hold the arrays the steps return, not copies of them
+        f, seen = rosenbrock(n), []
+        own = f.value
+
+        def value(x):
+            seen.append(x)
+            return own(x)
+
+        cfg = config(method, qg_variant=variant, max_iterations=10, fixed_hessian=fixed_hessian)
+        traj = run(dataclasses.replace(f, value=value), cfg, -np.ones(n))
+        assert len(traj.records) == len(seen) > 1
+        assert all(record.iterate is x for record, x in zip(traj.records, seen))
+
+    @pytest.mark.parametrize("n", [2, optimizers._ADAM_FLOAT_MAX_N + 1])
+    @pytest.mark.parametrize("method, variant", METHOD_VARIANTS)
+    @FRESH_AND_FROZEN
+    def test_records_share_no_memory(self, method, variant, fixed_hessian, n):
+        x0 = -np.ones(n)
+        cfg = config(method, qg_variant=variant, max_iterations=10, fixed_hessian=fixed_hessian)
+        traj = run(rosenbrock(n), cfg, x0)
+        iterates = [record.iterate for record in traj.records]
+        assert len(iterates) > 1
+        for k, a in enumerate(iterates):
+            assert not np.shares_memory(a, x0)
+            assert not any(np.shares_memory(a, b) for b in iterates[k + 1:])
+        x0[:] = 7.0
+        assert traj.records[0].iterate.tolist() == [-1.0] * n
 
     @pytest.mark.parametrize("method, variant", METHOD_VARIANTS)
     def test_deterministic(self, method, variant):

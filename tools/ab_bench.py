@@ -38,6 +38,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 SEEDS = list(range(10))
+# the least share of the parent's median a change's median must beat it by to read
+# `gain`: a 1-2% drift between the two halves of a run can win 9 pairs in 10 and
+# beat a narrow parent IQR on code the change does not reach
+GAIN_FLOOR = 0.03
 
 
 def parse_report(text: str) -> dict:
@@ -65,14 +69,16 @@ def verdict(parent: dict, change: dict, wins: int, pairs: int, better: str,
     operations than the parent, or reported ``correct: false``): its timings
     then count for nothing. Otherwise ``gain`` when the change wins at least 9
     in 10 pairs and its median beats the parent's by more than the parent's
-    IQR; ``regression`` when its median is worse by more than ``bound`` of the
-    parent's; ``unresolved`` when either side's IQR exceeds that bound and not
+    IQR and by more than ``GAIN_FLOOR`` of the parent's median; ``regression``
+    when its median is worse by more than ``bound`` of the parent's;
+    ``unresolved`` when either side's IQR exceeds that bound and not
     every change run beats every parent run; ``within bound`` otherwise."""
     if change_fails:
         return "failed"
     sign = 1.0 if better == "lower" else -1.0
     gain = sign * (parent["median"] - change["median"])
-    if pairs and wins >= 0.9 * pairs and gain > parent["iqr"]:
+    if (pairs and wins >= 0.9 * pairs and gain > parent["iqr"]
+            and gain > GAIN_FLOOR * abs(parent["median"])):
         return "gain"
     if -gain > bound * abs(parent["median"]):
         return "regression"
