@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidInput, SingularMatrix
 from .linalg import (_max_abs, _quiet, as_square_matrix, as_vector, pseudoinverse, solve,
-                     solve_operands, spectral_bounds)
+                     spectral_bounds)
 
 # Guards every 1/(EPSILON + ...) against division by zero; not a tuning knob.
 EPSILON = 1e-8
@@ -87,24 +87,23 @@ def bound_diagonal(hbar) -> np.ndarray:
 def newton_ratios(h, g) -> NewtonRatios:
     """Ratios r such that diag(r) @ g reproduces the Newton step solve(h, g).
 
-    When ``h`` is invertible and no gradient entry is zero this is computed
-    exactly as r_i = solve(h, g)_i / g_i. Otherwise r comes from the
-    pseudoinverse of h @ diag(g), which agrees with the exact form whenever
-    both exist. Bad input raises InvalidInput, the same on both branches: ``solve``'s
-    check, ``solve_operands``, which the fallback calls for its operands without factorising,
-    refuses a bad ``h`` or ``g``, and ``pseudoinverse`` an h @ diag(g) that overflows.
-    A ratio that overflows (a subnormal g_i can) is inf, without a RuntimeWarning.
+    Every call starts with ``solve(h, g)``, whose check is the only one of ``h`` and ``g``:
+    bad input raises its InvalidInput, the same on both branches. When no gradient entry is
+    zero and ``h`` is not singular, r_i = solve(h, g)_i / g_i exactly. Otherwise r comes from
+    the pseudoinverse of h @ diag(g), built from the matrix ``solve`` accepted, which agrees
+    with the exact form whenever both exist; ``pseudoinverse`` refuses an h @ diag(g) that
+    overflows. A ratio that overflows (a subnormal g_i can) is inf, without a RuntimeWarning.
     """
     grad = as_vector(g)
-    # no zero entry (NaN is nonzero: solve refuses it); cheaper than grad.all()
-    if np.count_nonzero(grad) == grad.shape[0]:
-        try:
-            return NewtonRatios(ratios=solve(h, grad) / grad, used_pseudoinverse=False)
-        except SingularMatrix:
-            pass
-    m, grad, _ = solve_operands(h, grad)
+    try:
+        step = solve(h, grad)
+        # no zero entry (NaN is nonzero: solve refused it); cheaper than grad.all()
+        if np.count_nonzero(grad) == grad.shape[0]:
+            return NewtonRatios(ratios=step / grad, used_pseudoinverse=False)
+    except SingularMatrix:
+        pass
     # finite operands: only an overflow leaves an inf, which pseudoinverse refuses
-    product = m * grad[np.newaxis, :]
+    product = as_square_matrix(h) * grad[np.newaxis, :]
     return NewtonRatios(ratios=pseudoinverse(product) @ grad, used_pseudoinverse=True)
 
 

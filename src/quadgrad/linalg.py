@@ -215,26 +215,22 @@ def spectral_bounds(h) -> SpectralBounds:
     return SpectralBounds(float(eigenvalues[0]), float(eigenvalues[-1]))
 
 
-def solve_operands(a, b) -> tuple[np.ndarray, np.ndarray, float]:
-    """``a`` and ``b`` as float64 arrays, with max|a|; ``solve``'s InvalidInput unless
-    ``a`` is a square matrix, ``b`` a vector of its order and every entry finite."""
+def solve(a, b) -> np.ndarray:
+    """Solve ``a @ x = b`` by partially pivoted LU (LAPACK dgesv: dgetrf, then dgetrs).
+
+    Raises InvalidInput unless ``a`` is a square matrix, ``b`` a vector of its order and every
+    entry finite (``newton_ratios``' one operand check), and SingularMatrix when any pivot
+    falls below ``PIVOT_TOL * max|a|``, signalling the caller to switch to the pseudoinverse
+    path. ``a`` and ``b`` are never written: in a run the factor overwrites the run's buffer
+    (module docstring), made anew for a new order.
+    """
     m = as_square_matrix(a)
     rhs = as_vector(b)
     if rhs.shape[0] != m.shape[0]:
         raise InvalidInput(f"matrix order {m.shape[0]} does not match vector length "
                            f"{rhs.shape[0]}")
     _max_abs(rhs, "solve")
-    return m, rhs, _max_abs(m, "solve")
-
-
-def solve(a, b) -> np.ndarray:
-    """Solve ``a @ x = b`` by partially pivoted LU (LAPACK dgesv: dgetrf, then dgetrs).
-
-    Raises SingularMatrix when any pivot falls below ``PIVOT_TOL * max|a|``, signalling the
-    caller to switch to the pseudoinverse path. ``a`` and ``b`` are never written: in a run
-    the factor overwrites the run's buffer (module docstring), made anew for a new order.
-    """
-    m, rhs, max_abs = solve_operands(a, b)
+    max_abs = _max_abs(m, "solve")
     if slot := _workspace.get():  # a run's scope: neither None nor a direct call's []
         if slot[0].shape != m.shape:
             slot[0] = np.empty(m.shape, order="F")

@@ -13,12 +13,12 @@ Hessian) and ``direction(c, g)`` (what the rule steps along, from the derived
 ``c`` and the gradient ``g``).
 
 ``run()`` owns the iterate and every evaluation: the gradient once per step,
-the Hessian once per step only for methods that read it (or once at ``x0``
-when ``fixed_hessian`` is set), both negated for a maximisation problem and
-passed on as the objective returned them otherwise. It derives ``c`` once per
-Hessian: every step, or once per run, at the first step, under
-``fixed_hessian``. Each ``step_*`` is an update rule
-``step(theta, state, config, d) -> theta_new`` on the direction ``d``;
+and, only for methods that read it, the Hessian at each step that holds no
+``c``, both negated for a maximisation problem and passed on as the objective
+returned them otherwise. It derives ``c`` once per Hessian and lets it go
+after the step, unless ``fixed_hessian`` keeps it for the whole run: so the
+Hessian is evaluated every step, or at the first step only. Each ``step_*``
+is an update rule ``step(theta, state, config, d) -> theta_new`` on ``d``;
 ``state`` is the method's own history, a list that ``run()`` hands every
 rule empty and the step fills on its first call and updates in place after
 (GD-spectral leaves it empty). No step reads the method, the accelerator or
@@ -76,7 +76,8 @@ class OptimizerConfig:
     makes the enhanced method coincide with the plain one.
     ``fixed_hessian`` freezes all second-order information at the starting
     point instead of re-evaluating per iteration: the Hessian is evaluated
-    there, and what the method derives from it alone is derived once per run.
+    there at the first step, and what the method derives from it alone is
+    derived once per run.
     Adam's decay rates, the guards and the stopping thresholds are the
     module constants above. A field of the wrong type or out of range raises
     ``InvalidInput`` here, before any run starts.
@@ -236,12 +237,12 @@ def run(f: ObjectiveFunction, config: OptimizerConfig, x0) -> Trajectory:
     (the ``InvalidInput`` is raised from it).
     Each step, while the budget of ``max_iterations`` lasts (budget), takes the
     gradient (bad-evaluation if it fails the checks made at ``x0`` or raises an
-    ``Exception``) and stops at a norm of at most ``GRAD_TOL`` (grad-tol); then
-    the Hessian, for a method that reads it and only at ``x0`` under
-    ``fixed_hessian`` (bad-evaluation). Each Hessian is derived once, just
-    before the first step that uses it; a fresh one and its derived value are
-    let go before the next is evaluated. A derivation or step that raises a
-    ``QuadGradError`` or ``LinAlgError`` (step-failed), an iterate not finite or
+    ``Exception``) and stops at a norm of at most ``GRAD_TOL`` (grad-tol); then,
+    for a method that reads it, the Hessian at a step that holds nothing derived
+    from one, fresh or frozen: every step, or under ``fixed_hessian`` the first
+    only (bad-evaluation). Each is derived once, just before that step; a fresh
+    one's derived value is let go before the next is evaluated. A derivation or
+    step that raises a ``QuadGradError`` or ``LinAlgError`` (step-failed), an iterate not finite or
     beyond ``DIVERGENCE_BOUND``, where the objective is never evaluated
     (bound-exceeded), and a bad value (bad-value) end the run; step-failed and
     bad-value share the step's ``except``. All stops but budget and grad-tol
@@ -284,14 +285,10 @@ def run(f: ObjectiveFunction, config: OptimizerConfig, x0) -> Trajectory:
         a = np.asarray(a, dtype=float)  # an integer a.dot(a) would wrap around
         return -1.0 * a if f.sense is Sense.MAXIMIZE else a
 
-    fresh_hessian = derive is not None and not config.fixed_hessian
     with _run_scope([np.empty(0)]):
         objective = evaluated("value", f.value)
-        # h holds a Hessian not yet derived: each fresh one, and the frozen
-        # one until the first step; c is what was derived from the last one
-        h = (evaluated("Hessian", f.hessian, (n, n))
-             if derive is not None and config.fixed_hessian else None)
-        c = None
+        # c is what was derived from the last Hessian, h a Hessian not yet derived
+        c = h = None
         records = [TrajectoryRecord(objective, theta)]
         for _ in range(config.max_iterations):
             try:
@@ -300,7 +297,7 @@ def run(f: ObjectiveFunction, config: OptimizerConfig, x0) -> Trajectory:
                 # overhead; an overflowed norm is inf and fails GRAD_TOL
                 if math.sqrt(g.dot(g)) <= GRAD_TOL:
                     break
-                if fresh_hessian:
+                if derive is not None and c is None:
                     h = evaluated("Hessian", f.hessian, (n, n))
             except InvalidInput:
                 if len(records) == 1:  # no step has run: the objective is bad input
@@ -310,7 +307,7 @@ def run(f: ObjectiveFunction, config: OptimizerConfig, x0) -> Trajectory:
                 if h is not None:
                     c, h = derive(h), None
                 theta = step(theta, state, config, direction(c, g))
-                if fresh_hessian:
+                if not config.fixed_hessian:
                     # free what this step derived (for AdamNewQG, its Hessian) before the next
                     # is allocated, so one is live: at n=1000 holding it took 449 page faults
                     # per AdamNewQG step against 171, and 1.02x the time (0.89-1.13x, 10 pairs)

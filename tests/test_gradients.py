@@ -4,11 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
+import quadgrad.gradients as gradients
 from quadgrad import (
     InvalidInput,
     bound_diagonal,
     new_quadratic_gradient,
     newton_ratios,
+    pseudoinverse,
     solve,
     rosenbrock,
     spectral_learning_rate,
@@ -136,6 +138,22 @@ class TestNewtonRatios:
         r = newton_ratios(np.eye(2), [1.0, 0.0])
         np.testing.assert_allclose(r.ratios, [1.0, 0.0], atol=1e-14)
         assert r.used_pseudoinverse
+
+    @pytest.mark.parametrize("n", [2, 5, 30])
+    def test_zero_gradient_entry_falls_back_after_one_solve(self, n, monkeypatch):
+        # h is invertible, so solve succeeds: the zero entry alone sends r to
+        # the pseudoinverse, after the one solve that checked both operands
+        rng = np.random.default_rng(27)
+        h = random_invertible_symmetric(rng, n)
+        g = random_nonzero_vector(rng, n)
+        g[n // 2] = 0.0
+        calls = []
+        monkeypatch.setattr(gradients, "solve",
+                            lambda a, b: calls.append((a, b)) or solve(a, b))
+        r = newton_ratios(h, g)
+        assert len(calls) == 1
+        assert r.used_pseudoinverse
+        assert r.ratios.tobytes() == (pseudoinverse(h * g) @ g).tobytes()
 
     def test_singular_hessian_takes_pseudoinverse_path(self):
         r = newton_ratios(np.zeros((2, 2)), [1.0, 2.0])

@@ -1002,9 +1002,34 @@ class TestRun:
             run(f, config(Method.GD_SPECTRAL, max_iterations=5), [0.0, 0.0])
 
     @pytest.mark.parametrize("method, variant", METHOD_VARIANTS)
+    def test_frozen_and_fresh_evaluate_alike_up_to_the_first_step(self, method, variant,
+                                                                   monkeypatch):
+        # one rule: a step that holds nothing derived from a Hessian evaluates
+        # one, frozen or fresh. Booth's gradient vanishes at (1, 3), where
+        # neither mode takes a step, and so neither evaluates a Hessian
+        order = []
+        f = booth()
+        f = dataclasses.replace(f, **{
+            name: lambda x, _name=name, _own=getattr(f, name): order.append(_name) or _own(x)
+            for name in ("value", "gradient", "hessian")})
+        own_step = getattr(optimizers, STEP_FUNCTION[method])
+        monkeypatch.setattr(optimizers, STEP_FUNCTION[method],
+                            lambda *args: order.append("step") or own_step(*args))
+
+        def before_a_step(x0, fixed_hessian):
+            order.clear()
+            run(f, config(method, qg_variant=variant, fixed_hessian=fixed_hessian), x0)
+            return order[:order.index("step")] if "step" in order else order
+
+        hessian = ["hessian"] if LAYERS_REACHED[method, variant] else []
+        for fixed_hessian in (False, True):
+            assert before_a_step([0.0, 0.0], fixed_hessian) == ["value", "gradient", *hessian]
+            assert before_a_step([1.0, 3.0], fixed_hessian) == ["value", "gradient"]
+
+    @pytest.mark.parametrize("method, variant", METHOD_VARIANTS)
     def test_frozen_hessian_is_derived_at_the_first_step(self, method, variant, monkeypatch):
-        # Booth's gradient vanishes at (1, 3), so the run takes no step: the
-        # Hessian frozen there is evaluated but nothing is derived from it
+        # Booth's gradient vanishes at (1, 3), so the run takes no step: no
+        # Hessian is evaluated there, frozen or not, and nothing is derived
         calls = Counter()
         for name in ("spectral_learning_rate", "bound_diagonal", "new_quadratic_gradient"):
             original = getattr(optimizers, name)
@@ -1018,7 +1043,7 @@ class TestRun:
         cfg = config(method, qg_variant=variant, fixed_hessian=True)
         assert len(run(f, cfg, [1.0, 3.0]).records) == 1
         assert calls == Counter()
-        assert evaluations["hessian"] == bool(LAYERS_REACHED[method, variant])
+        assert evaluations == Counter(value=1, gradient=1)
 
     @pytest.mark.parametrize("cfg",["adam", Method.ADAM, None, {"method": Method.ADAM}],
                              ids=["string", "method", "none", "dict"])
@@ -1086,9 +1111,8 @@ class TestRun:
         with pytest.raises(InvalidInput, match=f"objective's {name} must be a real array"):
             run(f, cfg, [0.0, 0.0])
         reads_hessian = method is not Method.ADAM
-        # the frozen Hessian is evaluated, and checked, before the first gradient
-        gradient_calls = 0 if fixed_hessian and name == "Hessian" else 1
-        assert calls == Counter(value=1, gradient=gradient_calls, hessian=int(reads_hessian))
+        # a frozen Hessian is evaluated, and checked, after the first gradient, as a fresh one
+        assert calls == Counter(value=1, gradient=1, hessian=int(reads_hessian))
 
     def test_overflow_mid_run_raises_no_warning(self):
         # the objective at x0 is 1e282, finite; Adam's qg * qg overflows

@@ -1,9 +1,10 @@
 """tools/step_cost.py's grid, loading, summary and verdicts.
 
 The revision side is the working tree's package imported under another
-name, so no git call is made.
+name, so no git call is made, except by the script run in a repository of its own.
 """
 
+import os
 import shutil
 import subprocess
 import sys
@@ -243,3 +244,30 @@ def test_header_gives_each_sides_src_line_count(step_cost, monkeypatch, capsys, 
     assert capsys.readouterr().out.splitlines()[0] == (
         f"rev {sha[:12]} vs working tree: src/quadgrad {int(total) + 2} -> {total} lines (-2); "
         "2 runs, 0 with different bits, 1 reps")
+
+
+def test_script_pins_perfbenchs_environment_over_set_values(step_cost, tmp_path, monkeypatch):
+    # a repository of the tools, the package and the bounds, so the script's
+    # git calls stay in it; every pinned variable starts at another value
+    root = Path(quadgrad.__file__).parents[2]
+    for part in ("tools", "src/quadgrad"):
+        shutil.copytree(root / part, tmp_path / part,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(root / "BENCHMARK.json", tmp_path)
+    identity = ["-c", "user.name=test", "-c", "user.email=test@example.com"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "base"]):
+        subprocess.run(["git", *identity, *args], cwd=tmp_path, check=True)
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONPATH"}
+    env.update({name: "2" for name in step_cost.PINNED_ENV})
+    out = subprocess.run([sys.executable, "tools/step_cost.py", "--reps", "1", "--sizes", "2",
+                          "--methods", "adam"], cwd=tmp_path, env=env, check=True,
+                         stdout=subprocess.PIPE, text=True).stdout
+    assert out.splitlines()[0].endswith(
+        "2 runs, 0 with different bits, 1 reps; OMP_NUM_THREADS=1; OPENBLAS_NUM_THREADS=1; "
+        "MKL_NUM_THREADS=1; NUMPY_MADVISE_HUGEPAGE=0")
+    # imported, it pins nothing; its values are perfbench's
+    assert step_cost.PINNED == {}
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    from run import PINNED_ENV
+
+    assert step_cost.PINNED_ENV == PINNED_ENV

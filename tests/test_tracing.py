@@ -93,6 +93,22 @@ def test_tracer_counts_exact_newton_ratio_solves(fixed_hessian, monkeypatch):
     assert totals["counts"] == {"singular": 0, "exact": 20, "csv_bytes": 0}
 
 
+@FRESH_AND_FROZEN
+def test_tracer_counts_a_zero_gradient_entrys_solve_and_fallback(fixed_hessian, monkeypatch):
+    # nonsingular Hessian and a zero gradient entry: every step's Newton
+    # ratios start with the solve that checks the operands, which succeeds,
+    # and come from the pseudoinverse, the layers of LAYERS_REACHED's NEW row
+    f = synthetic(grad=[1.0, 0.0], hess=[[2.0, 1.0], [1.0, 3.0]])
+    cfg = config(Method.ENHANCED_ADAM, qg_variant=Variant.NEW, max_iterations=20,
+                 fixed_hessian=fixed_hessian)
+    traj, totals = traced_run(monkeypatch, f, cfg, [0.0, 0.0])
+
+    assert len(traj.records) == 21
+    # 20 solves and 20 pseudoinverses, fresh or frozen
+    assert reached(totals) == layer_calls(Method.ENHANCED_ADAM, Variant.NEW, fixed_hessian, 20)
+    assert totals["counts"] == {"singular": 0, "exact": 0, "csv_bytes": 0}
+
+
 def test_tracer_sees_every_bench_layer_of_one_cli_call(tmp_path, monkeypatch):
     # main, the experiment and run() are looked up in the module globals the
     # tracer rebinds, so each layer of the call gets its span

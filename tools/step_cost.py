@@ -44,7 +44,9 @@ Rosenbrock methods at each n, where the objective's share of a step shrinks as n
 grows. Every verdict reads ``failed`` when some run's bits differ. A function on
 which a method takes no step (the quadratic counterexample starts at its maximum)
 has no us/iter and no row.
-Set ``OPENBLAS_NUM_THREADS=1`` to time BLAS on one thread, as perfbench does.
+Run as a script, it pins perfbench's environment before numpy is imported, over any value
+already set: BLAS and OpenMP on one thread, no huge-page advice (``PINNED_ENV``, the values of
+``perfbench/run.py``'s, copied); the header line ends with the pinned values.
 
 Standard library, quadgrad, ``ab_bench`` and ``fingerprint`` only; nothing under
 ``perfbench/`` is imported.
@@ -56,11 +58,18 @@ import argparse
 import functools
 import importlib.util
 import json
+import os
 import statistics
 import sys
 from pathlib import Path
 from resource import RUSAGE_SELF, getrusage
 from time import perf_counter
+
+PINNED_ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+              "NUMPY_MADVISE_HUGEPAGE": "0"}
+# what this process pinned: nothing when imported, where numpy may be loaded already
+PINNED = PINNED_ENV if __name__ == "__main__" else {}
+os.environ.update(PINNED)
 
 from ab_bench import ROOT, extract, spread, verdict
 
@@ -258,7 +267,8 @@ def main(argv=None):
     lines = {"rev": src_lines(tree), "tree": src_lines(ROOT)}
     print(f"rev {sha[:12]} vs working tree: src/quadgrad {lines['rev']} -> {lines['tree']} "
           f"lines ({lines['tree'] - lines['rev']:+d}); {len(grids['tree'])} runs, "
-          f"{differ} with different bits, {args.reps} reps")
+          f"{differ} with different bits, {args.reps} reps"
+          + "".join(f"; {name}={os.environ[name]}" for name in PINNED))
     totals, bound = time_grids(grids, args.reps), bounds()
     print_table("method", summarise(totals, "rev", "tree", bound, bool(differ)))
     print_table("method on function", summarise(
